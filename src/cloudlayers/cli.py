@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mixtures, pipeline, synth
+from . import pipeline, synth
 from .flow import WlkConfig
 from .imaging import load_sequence
 
@@ -130,12 +130,7 @@ def _cmd_fit(args):
         raise _InputError(f"frame index {args.t} not in sequence")
     frame, mask = by_t[args.t]
     feats = pipeline._temperature_features(frame, mask, cfg)
-    feat, kind = pipeline.MODEL_ZOO[cfg.model].temperature
-    spec = mixtures.MixtureSpec(
-        n_clusters=args.l, components=((feat, kind),),
-        dirichlet_alpha=(cfg.alpha0,) * args.l)
-    fit = mixtures.fit(feats, spec, init_seed=cfg.seed,
-                       restarts=cfg.restarts)
+    fit = pipeline.fit_temperature(feats, args.t, args.l, cfg)
     text = json.dumps(fit.to_json_dict(), sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -50,11 +50,6 @@ def score_from_sum(l, posterior_sum, state):
                            total=float(posterior_sum) - pen)
 
 
-def score_hypothesis(mixture_fit, state):
-    """Score a fitted mixture; the posterior sum is its final CDLL value."""
-    return score_from_sum(mixture_fit.spec.n_clusters, mixture_fit.q, state)
-
-
 def step(scores, state, t=None):
     """MAP state selection: argmax of the totals, ties keep the previous state.
 

@@ -3,9 +3,17 @@
 A mixture is described by a :class:`MixtureSpec`: L clusters, a list of
 (feature name, family) components whose log-likelihoods add up (factorized
 likelihood), and a Dirichlet prior on the weights. The E-step is computed in
-the log domain; M-steps are closed form for Gaussians and projected gradient
-ascent in log-parameter space (tanh-rescaled mean for Von Mises) everywhere
-else, with sufficient statistics so inner iterations cost O(1).
+the log domain. Gaussian M-steps are closed form. The other four families are
+exponential families, tabled in ``_FAMILIES``: each has a fixed statistic
+T(x), computed and support-checked once per fit, a log-density
+``T(x) @ eta(theta) - A(theta)``, and an exact M-step that maximizes
+``s @ eta(theta) - A(theta)`` for the responsibility-weighted mean ``s`` of T:
+
+- gamma, T = [log x, x]: Minka's Newton for the shape, then the scale;
+- beta, T = [log x, log(1 - x)]: a 2x2 trigamma Newton;
+- von Mises, T = [cos x, sin x]: the mean direction, then I1/I0 = R by Newton;
+- bivariate gamma, T = [log x, log y, x, xy]: the gamma shape Newton for
+  alpha, beta = alpha / mean(x), and an inverse digamma for ``a``.
 
 The surrogate objective recorded per iteration is
 
@@ -18,23 +26,15 @@ Dirichlet log-prior, which vanishes exactly when all alpha_l = 1.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln as _lgamma, ive as _ive, psi as _psi
+from scipy.special import psi as _psi, zeta as _zeta
 
 from .numerics import (MIN_ARG, PARAM_CEIL, bessel_i_ratio, clamp_positive,
-                       digamma, log_bessel_i0, log_gamma)
-
-
-def _log_i0(k):
-    return math.log(float(_ive(0, k))) + k
-
-
-def _i_ratio(k):
-    return float(_ive(1, k)) / float(_ive(0, k))
+                       digamma, log_bessel_i0)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -101,35 +101,267 @@ def _as_columns(x):
 
 
 # ---------------------------------------------------------------------------
+# Scalar solves behind the exact M-steps
+
+# Newton steps converge quadratically, so a step under NEWTON_RTOL of the
+# iterate leaves an error of about its square, under double precision: it is
+# the last step taken. Iterating on would only chase rounding noise.
+NEWTON_RTOL = 1e-8
+NEWTON_MAX_ITERS = 100
+# Twice the gain a beta Newton step predicts, relative to the objective, below
+# which the step is the last. The step then is about the root of this, so the
+# error it leaves is about this ratio again.
+BETA_GAIN_RTOL = 1e-12
+
+
+def _digamma(x):
+    return float(_psi(x))
+
+
+def _trigamma(x):
+    # zeta(2, x) is psi'(x); scalar polygamma(1, x) costs ~10x more.
+    return float(_zeta(2.0, x))
+
+
+def _newton(x, update):
+    """Iterate x <- update(x) from x > 0 until a step under NEWTON_RTOL * x,
+    halving x instead of leaving the positive axis. Returns x clamped to
+    [MIN_ARG, PARAM_CEIL]."""
+    for _ in range(NEWTON_MAX_ITERS):
+        if not MIN_ARG < x < PARAM_CEIL:
+            break
+        x_new = update(x)
+        if not x_new > 0:
+            x_new = 0.5 * x
+        done = abs(x_new - x) <= NEWTON_RTOL * x
+        x = x_new
+        if done:
+            break
+    return clamp_positive(x)
+
+
+def _gamma_shape(gap):
+    """Shape a with log a - psi(a) = gap, clamped to [MIN_ARG, PARAM_CEIL].
+
+    Minka, "Estimating a Gamma distribution" (2002): a closed-form start and
+    a generalized Newton step in 1/a, which converges in a few steps.
+    """
+    # log a - psi(a) > 1 / (2a), so a gap this small puts a past the ceiling.
+    if not gap > 0.5 / PARAM_CEIL:
+        return PARAM_CEIL
+
+    def update(a):
+        resid = math.log(a) - _digamma(a) - gap
+        return 1.0 / (1.0 / a + resid / (a * a * (1.0 / a - _trigamma(a))))
+
+    start = (3.0 - gap + math.sqrt((gap - 3.0) ** 2 + 24.0 * gap)) / (12.0 * gap)
+    return _newton(start, update)
+
+
+_PSI_CEIL = _digamma(PARAM_CEIL)
+
+
+def _inverse_digamma(y):
+    """x with psi(x) = y, clamped; Minka's start and Newton steps."""
+    if not y < _PSI_CEIL:
+        return PARAM_CEIL
+    start = math.exp(y) + 0.5 if y >= -2.22 else -1.0 / (y + np.euler_gamma)
+    return _newton(start, lambda x: x - (_digamma(x) - y) / _trigamma(x))
+
+
+def _von_mises_kappa(r):
+    """kappa with I1(kappa) / I0(kappa) = r, clamped.
+
+    Newton on A(k) = I1/I0 with A'(k) = 1 - A/k - A^2 from the start of
+    Banerjee et al., JMLR 2005. A is concave, so the iterates approach the
+    root from below after at most one step.
+    """
+    # A(k) < 1 - 1/(2k) puts the root past the ceiling; for tiny k,
+    # A(k) = k/2 to double precision puts it under the floor.
+    if not r < 1.0 - 0.5 / PARAM_CEIL:
+        return PARAM_CEIL
+    if r <= 0.5 * MIN_ARG:
+        return MIN_ARG
+
+    def update(k):
+        a = bessel_i_ratio(k)
+        return k - (a - r) / (1.0 - a / k - a * a)
+
+    return _newton(r * (2.0 - r * r) / (1.0 - r * r), update)
+
+
+def _log_beta_fn(a, b):
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _beta_objective(s, a, b):
+    return (a - 1.0) * s[0] + (b - 1.0) * s[1] - _log_beta_fn(a, b)
+
+
+def _beta_m_step(s, start):
+    """Beta parameters maximizing the beta objective at mean statistic s.
+
+    Newton with the trigamma Hessian (Minka, "Estimating a Dirichlet
+    distribution"), halving steps that leave the positive quadrant or lower
+    the objective. Starts from ``start`` or, without one, from the
+    geometric-mean approximation a = 1/2 + G1 / (2 (1 - G1 - G2)).
+    """
+    if start is not None:
+        a, b = start.alpha, start.beta
+    else:
+        g1, g2 = math.exp(s[0]), math.exp(s[1])
+        slack = max(2.0 * (1.0 - g1 - g2), 1.0 / PARAM_CEIL)
+        a, b = 0.5 + g1 / slack, 0.5 + g2 / slack
+    f = _beta_objective(s, a, b)
+    for _ in range(NEWTON_MAX_ITERS):
+        dab = _digamma(a + b)
+        g1 = s[0] - _digamma(a) + dab
+        g2 = s[1] - _digamma(b) + dab
+        t = _trigamma(a + b)
+        h11 = _trigamma(a) - t
+        h22 = _trigamma(b) - t
+        det = h11 * h22 - t * t
+        if not det > 0:
+            break
+        da = (h22 * g1 + t * g2) / det
+        db = (t * g1 + h11 * g2) / det
+        if g1 * da + g2 * db <= BETA_GAIN_RTOL * (1.0 + abs(f)):
+            # The quadratic model's gain is near rounding, where the
+            # objective cannot rank the step: take it unchecked, as the last.
+            if a + da > 0 and b + db > 0:
+                a, b = a + da, b + db
+            break
+        step = 1.0
+        while step > 1e-12:
+            na, nb = a + step * da, b + step * db
+            if na > 0 and nb > 0:
+                fn = _beta_objective(s, na, nb)
+                if fn >= f:
+                    break
+            step *= 0.5
+        else:
+            break  # no ascent left at double precision
+        a, b, f = na, nb, fn
+        if a >= PARAM_CEIL or b >= PARAM_CEIL:
+            break
+    return BetaParams(alpha=clamp_positive(a), beta=clamp_positive(b))
+
+
+# ---------------------------------------------------------------------------
+# The exponential-family table
+
+def _gamma_statistic(x):
+    x = np.asarray(x, float)
+    if np.any(x <= 0):
+        raise ValueError("gamma support violation: x must be > 0")
+    return np.column_stack([np.log(x), x])
+
+
+def _gamma_natural(p):
+    a, b = p.alpha, p.beta
+    return np.array([a - 1.0, -1.0 / b]), a * math.log(b) + math.lgamma(a)
+
+
+def _gamma_m_step(s, start):
+    a = _gamma_shape(math.log(s[1]) - s[0])
+    return GammaParams(alpha=a, beta=clamp_positive(s[1] / a))
+
+
+def _beta_statistic(x):
+    x = np.asarray(x, float)
+    if np.any(x <= 0) or np.any(x >= 1):
+        raise ValueError("beta support violation: x must lie in (0, 1)")
+    return np.column_stack([np.log(x), np.log1p(-x)])
+
+
+def _beta_natural(p):
+    a, b = p.alpha, p.beta
+    return np.array([a - 1.0, b - 1.0]), _log_beta_fn(a, b)
+
+
+def _von_mises_statistic(x):
+    x = np.asarray(x, float)
+    return np.column_stack([np.cos(x), np.sin(x)])
+
+
+def _von_mises_natural(p):
+    k = p.kappa
+    return (np.array([k * math.cos(p.mu), k * math.sin(p.mu)]),
+            LOG_2PI + log_bessel_i0(k))
+
+
+def _von_mises_m_step(s, start):
+    c, sn = float(s[0]), float(s[1])
+    return VonMisesParams(mu=math.atan2(sn, c),
+                          kappa=_von_mises_kappa(math.hypot(c, sn)))
+
+
+def _bivariate_gamma_statistic(x):
+    xy = _as_columns(x)
+    if np.any(xy <= 0):
+        raise ValueError("bivariate gamma support violation: x, y must be > 0")
+    xv, yv = xy[:, 0], xy[:, 1]
+    return np.column_stack([np.log(xv), np.log(yv), xv, xv * yv])
+
+
+def _bivariate_gamma_natural(p):
+    a, b, c = p.alpha, p.beta, p.a
+    return (np.array([a + c - 1.0, c - 1.0, -b, -1.0]),
+            math.lgamma(a) + math.lgamma(c) - a * math.log(b))
+
+
+def _bivariate_gamma_m_step(s, start):
+    a = _gamma_shape(math.log(s[2]) - s[0])
+    return BivariateGammaParams(alpha=a, beta=clamp_positive(a / s[2]),
+                                a=_inverse_digamma(s[0] + s[1]))
+
+
+@dataclass(frozen=True)
+class _Family:
+    statistic: object  # x -> T(x), shape (N, k); raises on support violations
+    natural: object    # params -> (eta, A) with log p(x) = T(x) @ eta - A
+    m_step: object     # (mean of T, warm start or None) -> maximizing params
+
+
+_FAMILIES = {
+    "gamma": _Family(_gamma_statistic, _gamma_natural, _gamma_m_step),
+    "beta": _Family(_beta_statistic, _beta_natural, _beta_m_step),
+    "von_mises": _Family(_von_mises_statistic, _von_mises_natural,
+                         _von_mises_m_step),
+    "bivariate_gamma": _Family(_bivariate_gamma_statistic,
+                               _bivariate_gamma_natural,
+                               _bivariate_gamma_m_step),
+}
+
+
+def _family(kind):
+    try:
+        return _FAMILIES[kind]
+    except KeyError:
+        raise ValueError(f"unknown family {kind!r}") from None
+
+
+def statistic(kind, x):
+    """The family's statistic T(x), one row per sample; raises ValueError on
+    support violations. Gaussians have none (None)."""
+    return None if kind == "gaussian" else _family(kind).statistic(x)
+
+
+def _objective(family, params, s):
+    """Mean log-density at mean statistic s: s @ eta - A."""
+    eta, a = family.natural(params)
+    return float(s @ eta) - a
+
+
+# ---------------------------------------------------------------------------
 # Log-densities and their parameter gradients
 
-def log_pdf(params, x):
-    """Per-sample log density of one family; raises on support violations."""
-    if params.kind == "gamma":
-        x = np.asarray(x, float)
-        if np.any(x <= 0):
-            raise ValueError("gamma support violation: x must be > 0")
-        a, b = params.alpha, params.beta
-        return (a - 1) * np.log(x) - x / b - a * math.log(b) - log_gamma(a)
-    if params.kind == "bivariate_gamma":
-        xy = _as_columns(x)
-        if np.any(xy <= 0):
-            raise ValueError("bivariate gamma support violation: x, y must be > 0")
-        xv, yv = xy[:, 0], xy[:, 1]
-        a, b, c = params.alpha, params.beta, params.a
-        return (a * math.log(b) + (a + c - 1) * np.log(xv) + (c - 1) * np.log(yv)
-                - b * xv - xv * yv - log_gamma(a) - log_gamma(c))
-    if params.kind == "von_mises":
-        x = np.asarray(x, float)
-        mu, k = params.mu, params.kappa
-        return k * np.cos(x - mu) - LOG_2PI - log_bessel_i0(k)
-    if params.kind == "beta":
-        x = np.asarray(x, float)
-        if np.any(x <= 0) or np.any(x >= 1):
-            raise ValueError("beta support violation: x must lie in (0, 1)")
-        a, b = params.alpha, params.beta
-        log_b = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
-        return (a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - log_b
+def log_pdf(params, x, stats=None):
+    """Per-sample log density of one family; raises on support violations.
+
+    ``stats`` is T(x) from :func:`statistic` when the caller already holds
+    it; the support check then happened when it was computed.
+    """
     if params.kind == "gaussian":
         xs = _as_columns(x)
         d = params.mean.size
@@ -139,7 +371,10 @@ def log_pdf(params, x):
         maha = np.sum(sol * sol, axis=0)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         return -0.5 * (d * LOG_2PI + logdet + maha)
-    raise ValueError(f"unknown family {params.kind!r}")
+    family = _family(params.kind)
+    t = family.statistic(x) if stats is None else stats
+    eta, a = family.natural(params)
+    return t @ eta - a
 
 
 def log_pdf_gradient(params, x):
@@ -183,110 +418,7 @@ def log_pdf_gradient(params, x):
 
 
 # ---------------------------------------------------------------------------
-# Sufficient statistics and weighted objectives for the gradient M-step
-
-def _suff_stats(kind, x, g):
-    if kind == "gamma":
-        return (g.sum(), g @ np.log(x), g @ x)
-    if kind == "beta":
-        return (g.sum(), g @ np.log(x), g @ np.log1p(-x))
-    if kind == "von_mises":
-        return (g.sum(), g @ np.cos(x), g @ np.sin(x))
-    if kind == "bivariate_gamma":
-        xy = _as_columns(x)
-        xv, yv = xy[:, 0], xy[:, 1]
-        return (g.sum(), g @ np.log(xv), g @ np.log(yv), g @ xv, g @ (xv * yv))
-    raise ValueError(kind)
-
-
-def _obj_grad(kind, p, stats):
-    """Per-unit-mass weighted log-likelihood and gradient w.r.t. the natural
-    parameters (normalizing by sum(gamma) keeps the gradient-norm stopping
-    rule scale-free)."""
-    if kind == "gamma":
-        s0, slx, sx = stats
-        a, b = p
-        obj = (a - 1) * slx - sx / b - s0 * (a * math.log(b) + float(_lgamma(a)))
-        grad = np.array([slx - s0 * (math.log(b) + float(_psi(a))),
-                         (sx / b - s0 * a) / b])
-    elif kind == "beta":
-        s0, slx, sl1 = stats
-        a, b = p
-        log_b = float(_lgamma(a) + _lgamma(b) - _lgamma(a + b))
-        obj = (a - 1) * slx + (b - 1) * sl1 - s0 * log_b
-        dab = float(_psi(a + b))
-        grad = np.array([slx - s0 * (float(_psi(a)) - dab),
-                         sl1 - s0 * (float(_psi(b)) - dab)])
-    elif kind == "von_mises":
-        s0, sc, ss = stats
-        mu, k = p
-        proj = sc * math.cos(mu) + ss * math.sin(mu)
-        obj = k * proj - s0 * (LOG_2PI + _log_i0(k))
-        grad = np.array([k * (ss * math.cos(mu) - sc * math.sin(mu)),
-                         proj - s0 * _i_ratio(k)])
-    elif kind == "bivariate_gamma":
-        s0, slx, sly, sx, sxy = stats
-        a, b, c = p
-        obj = (a * math.log(b) * s0 + (a + c - 1) * slx + (c - 1) * sly
-               - b * sx - sxy - s0 * float(_lgamma(a) + _lgamma(c)))
-        grad = np.array([s0 * math.log(b) + slx - s0 * float(_psi(a)),
-                         s0 * a / b - sx,
-                         slx + sly - s0 * float(_psi(c))])
-    else:
-        raise ValueError(kind)
-    return obj / s0, grad / s0
-
-
-def _to_unconstrained(kind, p):
-    if kind == "von_mises":
-        mu = min(max(p[0] / math.pi, -0.999999), 0.999999)
-        return np.array([math.atanh(mu), math.log(p[1])])
-    return np.log(np.asarray(p, float))
-
-
-def _clamped_exp(u):
-    return min(max(math.exp(min(u, 50.0)), MIN_ARG), PARAM_CEIL)
-
-
-def _from_unconstrained(kind, u):
-    if kind == "von_mises":
-        return np.array([math.pi * math.tanh(u[0]), _clamped_exp(u[1])])
-    return np.array([_clamped_exp(ui) for ui in u])
-
-
-def _chain(kind, u, p):
-    # d(param)/d(unconstrained)
-    if kind == "von_mises":
-        return np.array([np.pi * (1.0 - math.tanh(u[0]) ** 2), p[1]])
-    return np.asarray(p, float)
-
-
-def _params_vector(params):
-    if params.kind == "gamma":
-        return np.array([params.alpha, params.beta])
-    if params.kind == "beta":
-        return np.array([params.alpha, params.beta])
-    if params.kind == "von_mises":
-        return np.array([params.mu, params.kappa])
-    if params.kind == "bivariate_gamma":
-        return np.array([params.alpha, params.beta, params.a])
-    raise ValueError(params.kind)
-
-
-def _params_from_vector(kind, p):
-    if kind == "gamma":
-        return GammaParams(alpha=p[0], beta=p[1])
-    if kind == "beta":
-        return BetaParams(alpha=p[0], beta=p[1])
-    if kind == "von_mises":
-        return VonMisesParams(mu=p[0], kappa=p[1])
-    if kind == "bivariate_gamma":
-        return BivariateGammaParams(alpha=p[0], beta=p[1], a=p[2])
-    raise ValueError(kind)
-
-
-MAX_INNER_ITERS = 500
-GRAD_TOL = 1e-7
+# M-step
 
 # Eigenvalue floor for Gaussian covariances, as a fraction of the total data
 # variance of the fit.
@@ -300,13 +432,14 @@ def _floor_covariance(cov, floor):
     return (vecs * vals) @ vecs.T
 
 
-def m_step_params(x, gamma_l, params, cov_floor=None):
+def m_step_params(x, gamma_l, params, cov_floor=None, stats=None):
     """Maximize the gamma-weighted log-likelihood of one cluster/component.
 
     Gaussian: closed-form weighted moments with an eigenvalue-floored
-    covariance. Other families: gradient ascent in unconstrained space,
-    warm-started from ``params``, with a backtracking step rule that never
-    accepts a decrease of the objective.
+    covariance. Other families: the family's exact M-step on the weighted
+    mean of T(x) (``stats``, or computed from ``x``), with parameters clamped
+    to [MIN_ARG, PARAM_CEIL]; ``params`` is the warm start, and is kept if
+    the new point would lower the objective.
     """
     g = np.asarray(gamma_l, float)
     gsum = g.sum()
@@ -323,26 +456,15 @@ def m_step_params(x, gamma_l, params, cov_floor=None):
             cov_floor = COV_FLOOR_FRACTION * max(total_var, 1.0)
         return GaussianParams(mean=mean, cov=_floor_covariance(cov, cov_floor))
 
-    kind = params.kind
-    stats = _suff_stats(kind, np.asarray(x, float), g)
-    u0 = _to_unconstrained(kind, _params_vector(params))
-    p0 = _from_unconstrained(kind, u0)
-    obj0, _ = _obj_grad(kind, p0, stats)
-
-    def negated(u):
-        p = _from_unconstrained(kind, u)
-        obj, grad_p = _obj_grad(kind, p, stats)
-        return -obj, -(grad_p * _chain(kind, u, p))
-
-    res = minimize(negated, u0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": MAX_INNER_ITERS, "gtol": GRAD_TOL})
-    p = _from_unconstrained(kind, res.x)
-    obj, _ = _obj_grad(kind, p, stats)
+    family = _family(params.kind)
+    s = (g @ (family.statistic(x) if stats is None else stats)) / gsum
+    new = family.m_step(s, params)
+    obj = _objective(family, new, s)
     # The warm start came from the previous EM iteration; never move to a
     # worse point, so the outer Q trace stays monotone.
-    if not np.isfinite(obj) or obj < obj0:
-        p = p0
-    return _params_from_vector(kind, p)
+    if not np.isfinite(obj) or obj < _objective(family, params, s):
+        return params
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +532,8 @@ class MixtureFit:
 
 
 def _component_data(features, spec):
+    """(n, [(kind, x, T(x))]): T is computed, and the support checked, once
+    per fit."""
     data = []
     n = None
     for fname, kind in spec.components:
@@ -418,14 +542,14 @@ def _component_data(features, spec):
             n = x.shape[0]
         elif x.shape[0] != n:
             raise ValueError("feature lengths differ")
-        data.append((kind, x))
+        data.append((kind, x, statistic(kind, x)))
     return n, data
 
 
 def _cluster_log_dens(data, params_row):
     total = None
-    for (kind, x), p in zip(data, params_row):
-        ld = log_pdf(p, x)
+    for (kind, x, t), p in zip(data, params_row):
+        ld = log_pdf(p, x, stats=t)
         total = ld if total is None else total + ld
     return total
 
@@ -444,14 +568,27 @@ def e_step(log_dens, pi):
     Rows where every cluster has zero likelihood become uniform and are
     counted. Returns (gamma, flagged_row_count).
     """
-    logw = log_dens + np.log(pi)[None, :]
-    m = logw.max(axis=1, keepdims=True)
-    bad = ~np.isfinite(m[:, 0])
-    m[bad] = 0.0
-    e = np.exp(logw - m)
-    s = e.sum(axis=1, keepdims=True)
-    gamma = np.where(bad[:, None], 1.0 / pi.size, e / np.where(s == 0, 1.0, s))
-    return gamma, int(bad.sum())
+    lp = np.log(pi)
+    # Work column by column: numpy loops over the short row axis cost
+    # several times more than over the long sample axis, for the same values.
+    logw = [log_dens[:, l] + lp[l] for l in range(lp.size)]
+    m = functools.reduce(np.maximum, logw)
+    bad = ~np.isfinite(m)
+    n_bad = int(bad.sum())
+    if n_bad:
+        m[bad] = 0.0
+    e = [np.exp(w - m) for w in logw]
+    # Where m is finite its column contributes exp(0) = 1, so s >= 1; only
+    # flagged rows can sum to 0, and those are overwritten below.
+    s = functools.reduce(np.add, e)
+    if n_bad:
+        s[bad] = 1.0
+    gamma = np.empty(log_dens.shape, order="F")  # contiguous columns
+    for l, el in enumerate(e):
+        np.divide(el, s, out=gamma[:, l])
+    if n_bad:
+        gamma[bad] = 1.0 / pi.size
+    return gamma, n_bad
 
 
 def m_step_weights(gamma, dirichlet_alpha, n, n_clusters):
@@ -467,35 +604,12 @@ def cdll(log_dens, gamma, pi, alpha):
     return core + log_dirichlet_prior(pi, alpha)
 
 
-def _moment_init(kind, x, g):
-    gsum = g.sum()
+def _initial_params(kind, x, t, g):
+    """The M-step from the initial responsibilities, without a warm start."""
     if kind == "gaussian":
-        return m_step_params(x, g, GaussianParams(mean=np.zeros(_as_columns(x).shape[1]),
-                                                  cov=np.eye(_as_columns(x).shape[1])))
-    if kind == "von_mises":
-        c = (g @ np.cos(x)) / gsum
-        s = (g @ np.sin(x)) / gsum
-        r = min(math.hypot(c, s), 0.999)
-        kappa = r * (2.0 - r * r) / max(1.0 - r * r, 1e-6)
-        return VonMisesParams(mu=math.atan2(s, c),
-                              kappa=float(clamp_positive(kappa)))
-    xv = _as_columns(x)[:, 0]
-    m = (g @ xv) / gsum
-    v = (g @ (xv - m) ** 2) / gsum
-    v = max(v, 1e-12)
-    if kind == "gamma":
-        return GammaParams(alpha=float(clamp_positive(m * m / v)),
-                           beta=float(clamp_positive(v / m)))
-    if kind == "beta":
-        t = max(m * (1 - m) / v - 1.0, 1e-3)
-        return BetaParams(alpha=float(clamp_positive(m * t)),
-                          beta=float(clamp_positive((1 - m) * t)))
-    if kind == "bivariate_gamma":
-        alpha0 = float(clamp_positive(m * m / v))
-        return BivariateGammaParams(alpha=alpha0,
-                                    beta=float(clamp_positive(alpha0 / m)),
-                                    a=1.0)
-    raise ValueError(kind)
+        d = _as_columns(x).shape[1]
+        return m_step_params(x, g, GaussianParams(mean=np.zeros(d), cov=np.eye(d)))
+    return _family(kind).m_step((g @ t) / g.sum(), None)
 
 
 MAX_OUTER_ITERS = 300
@@ -520,7 +634,7 @@ def _initial_gamma(n, n_clusters, mode, primary, rng):
 def _run_em(n, data, spec, gamma):
     alpha = np.asarray(spec.dirichlet_alpha)
     ncl = spec.n_clusters
-    params = [[_moment_init(kind, x, gamma[:, l]) for kind, x in data]
+    params = [[_initial_params(kind, x, t, gamma[:, l]) for kind, x, t in data]
               for l in range(ncl)]
     pi = m_step_weights(gamma, alpha, n, ncl)
     q_trace = []
@@ -528,8 +642,9 @@ def _run_em(n, data, spec, gamma):
     flagged = 0
     converged = False
     for _ in range(MAX_OUTER_ITERS):
-        log_dens = np.column_stack(
-            [_cluster_log_dens(data, params[l]) for l in range(ncl)])
+        # (N, L) with contiguous columns, like the responsibilities.
+        log_dens = np.stack(
+            [_cluster_log_dens(data, params[l]) for l in range(ncl)]).T
         gamma, nbad = e_step(log_dens, pi)
         flagged = max(flagged, nbad)
         q = cdll(log_dens, gamma, pi, alpha)
@@ -552,8 +667,8 @@ def _run_em(n, data, spec, gamma):
         if np.any(gsum < 1e-8 * n):
             raise _EmptyClusterError("empty cluster during EM")
         pi = m_step_weights(gamma, alpha, n, ncl)
-        params = [[m_step_params(x, gamma[:, l], params[l][c])
-                   for c, (kind, x) in enumerate(data)]
+        params = [[m_step_params(x, gamma[:, l], params[l][c], stats=t)
+                   for c, (kind, x, t) in enumerate(data)]
                   for l in range(ncl)]
     params, pi, gamma, log_dens = best
     return params, pi, gamma, log_dens, q_trace, converged, flagged
@@ -563,8 +678,9 @@ def fit(features, spec, init_seed=0, restarts=3):
     """Best-Q MAP-EM fit over ``restarts`` initializations.
 
     The first initialization splits the primary scalar feature at its median;
-    the rest use random responsibilities. Raises :class:`FitError` if every
-    restart degenerates.
+    the rest use random responsibilities. A one-cluster fit has a single
+    initialization (all responsibilities 1) and runs once. Raises
+    :class:`FitError` if every restart degenerates.
     """
     n, data = _component_data(features, spec)
     if n < spec.n_clusters:
@@ -573,7 +689,7 @@ def fit(features, spec, init_seed=0, restarts=3):
     rng = np.random.default_rng(init_seed)
     best_fit = None
     failures = []
-    for r in range(max(1, restarts)):
+    for r in range(1 if spec.n_clusters == 1 else max(1, restarts)):
         mode = "split" if r == 0 else "random"
         gamma0 = _initial_gamma(n, spec.n_clusters, mode, primary, rng)
         try:

@@ -6,7 +6,7 @@ concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy import special as _sp
@@ -15,27 +15,19 @@ from scipy import special as _sp
 # concentration). Keeps the EM iterations away from singular regions.
 MIN_ARG = 1e-8
 
-# Ceiling for positivity-constrained parameters during gradient ascent.
+# Ceiling for positivity-constrained parameters in the M-steps.
 # Degenerate data (e.g. a point mass on a circle) drives concentrations to
 # infinity; the ceiling keeps log-densities finite.
 PARAM_CEIL = 1e6
 
 
-@dataclass(frozen=True)
-class SpecialFnConfig:
-    """Knobs for the series/clamp behaviour of the special functions."""
-
-    series_terms: int = 40
-    min_arg: float = MIN_ARG
-
-    def __post_init__(self):
-        if self.series_terms < 20:
-            raise ValueError("series_terms must be >= 20")
-        if self.min_arg <= 0:
-            raise ValueError("min_arg must be positive")
-
-
 def _check_positive(x, name):
+    # Floats skip the array round trip: the M-steps call these kernels on
+    # scalars inside their Newton loops.
+    if isinstance(x, float):
+        if x <= 0:
+            raise ValueError(f"{name} must be strictly positive")
+        return x
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0):
         raise ValueError(f"{name} must be strictly positive")
@@ -44,6 +36,8 @@ def _check_positive(x, name):
 
 def clamp_positive(x, min_arg=MIN_ARG, ceil=PARAM_CEIL):
     """Clamp a positivity-constrained parameter into [min_arg, ceil]."""
+    if isinstance(x, float):
+        return min(max(x, min_arg), ceil)
     return np.clip(x, min_arg, ceil)
 
 
@@ -57,28 +51,20 @@ def digamma(x):
     return _sp.psi(_check_positive(x, "x"))
 
 
-def bessel_i(order, kappa):
-    """Modified Bessel function of the first kind, order 0 or 1.
-
-    Computed from the exponentially scaled function, so intermediate values
-    stay finite; the returned value itself overflows only past kappa ~ 700.
-    """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    k = _check_positive(kappa, "kappa")
-    return _sp.ive(order, k) * np.exp(k)
-
-
 def log_bessel_i0(kappa):
     """log I0(kappa), overflow-free for arbitrarily large kappa."""
     k = _check_positive(kappa, "kappa")
-    return np.log(_sp.ive(0, k)) + k
+    if isinstance(k, float):
+        return math.log(_sp.i0e(k)) + k
+    return np.log(_sp.i0e(k)) + k
 
 
 def bessel_i_ratio(kappa):
     """I1(kappa) / I0(kappa), computed in the scaled domain."""
     k = _check_positive(kappa, "kappa")
-    return _sp.ive(1, k) / _sp.ive(0, k)
+    if isinstance(k, float):
+        return float(_sp.i1e(k)) / float(_sp.i0e(k))
+    return _sp.i1e(k) / _sp.i0e(k)
 
 
 def finite_diff_gradient(f, x, h=1e-6):

@@ -129,6 +129,21 @@ def _fit_hypothesis_seed(base_seed, t, l, component):
     return ss.generate_state(1)[0]
 
 
+def fit_temperature(temp_feats, t, l, cfg):
+    """The temperature mixture of frame ``t`` under ``l`` layers, as a
+    detection record holds it: seeded from ``(cfg.seed, t, l)`` and with
+    cluster 1 the warmest."""
+    t_feat, t_kind = MODEL_ZOO[cfg.model].temperature
+    tspec = mixtures.MixtureSpec(n_clusters=l, components=((t_feat, t_kind),),
+                                 dirichlet_alpha=(cfg.alpha0,) * l)
+    tfit = mixtures.fit(temp_feats, tspec,
+                        init_seed=_fit_hypothesis_seed(cfg.seed, t, l, 0),
+                        restarts=cfg.restarts)
+    gsum = tfit.responsibilities.sum(axis=0)
+    means = (tfit.responsibilities.T @ temp_feats["_raw_temp"]) / gsum
+    return mixtures.resolve_labels(tfit, means)
+
+
 def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
     """Detection for the transition prev -> cur; threads the HMM state."""
     model = MODEL_ZOO[cfg.model]
@@ -139,8 +154,6 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
             f"{w_full * w_full}")
 
     temp_feats = _temperature_features(prev, prev_mask, cfg)
-    raw_temp = temp_feats["_raw_temp"]
-    t_feat, t_kind = model.temperature
 
     flags = {"degenerate_restarts": 0, "singular_pixels": 0,
              "empty_windows": 0, "flagged_rows": 0}
@@ -153,15 +166,7 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
     failed = {}
     for l in (1, 2):
         try:
-            tspec = mixtures.MixtureSpec(n_clusters=l,
-                                         components=((t_feat, t_kind),),
-                                         dirichlet_alpha=(cfg.alpha0,) * l)
-            tfit = mixtures.fit(temp_feats, tspec,
-                                init_seed=_fit_hypothesis_seed(cfg.seed, prev.index, l, 0),
-                                restarts=cfg.restarts)
-            gsum = tfit.responsibilities.sum(axis=0)
-            means = (tfit.responsibilities.T @ raw_temp) / gsum
-            tfit = mixtures.resolve_labels(tfit, means)
+            tfit = fit_temperature(temp_feats, prev.index, l, cfg)
 
             if l == 1:
                 weights = [mask_grid]
@@ -177,6 +182,7 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
                                         v=merged.v * mask_grid)
             for st in stats:
                 flags["singular_pixels"] += st.singular_pixels
+                flags["empty_windows"] += st.empty_windows
 
             vel_feats = _velocity_features(merged, prev_mask, temp_feats,
                                            cfg, model)

@@ -103,6 +103,21 @@ def test_fit_dumps_mixture_json(tmp_path, capsys):
     assert len(doc["weights"]) == 2
 
 
+@pytest.mark.parametrize("l", [1, 2])
+def test_fit_reproduces_the_detect_record_fit(tmp_path, capsys, l):
+    out = _synth(tmp_path, layers=2, frames=3)
+    det = tmp_path / "det.jsonl"
+    assert main(["detect", "--manifest", str(out / "manifest.json"),
+                 "--out", str(det), "--seed", "5"]) == 0
+    record = json.loads(det.read_text().splitlines()[1])
+    capsys.readouterr()
+    assert main(["fit", "--manifest", str(out / "manifest.json"),
+                 "--t", "1", "--l", str(l), "--seed", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert record["t"] == 1
+    assert doc == record["fits"][f"L{l}"]["temperature"]
+
+
 def test_fit_unknown_frame_is_input_error(tmp_path, capsys):
     out = _synth(tmp_path)
     rc = main(["fit", "--manifest", str(out / "manifest.json"), "--t", "99"])

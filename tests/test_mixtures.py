@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -10,12 +11,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudlayers import mixtures
 from cloudlayers.mixtures import (BetaParams, BivariateGammaParams, FitError,
                                   GammaParams, GaussianParams, MixtureSpec,
                                   VonMisesParams, cdll, e_step, fit,
                                   log_dirichlet_prior, log_pdf,
                                   log_pdf_gradient, m_step_params,
-                                  m_step_weights, resolve_labels)
+                                  m_step_weights, resolve_labels, statistic)
 from cloudlayers.numerics import PARAM_CEIL, finite_diff_gradient
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,39 @@ def test_support_violations_raise(params, bad):
         log_pdf(params, bad)
 
 
+def _direct_log_pdf(p, x):
+    """Each family's density written out term by term (reference)."""
+    if p.kind == "gamma":
+        a, b = p.alpha, p.beta
+        return (a - 1) * np.log(x) - x / b - a * math.log(b) - math.lgamma(a)
+    if p.kind == "beta":
+        a, b = p.alpha, p.beta
+        log_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        return (a - 1) * np.log(x) + (b - 1) * np.log1p(-x) - log_b
+    if p.kind == "von_mises":
+        log_i0 = float(mpmath.log(mpmath.besseli(0, p.kappa)))
+        return p.kappa * np.cos(x - p.mu) - math.log(2 * math.pi) - log_i0
+    xv, yv = x[:, 0], x[:, 1]
+    a, b, c = p.alpha, p.beta, p.a
+    return (a * math.log(b) + (a + c - 1) * np.log(xv) + (c - 1) * np.log(yv)
+            - b * xv - xv * yv - math.lgamma(a) - math.lgamma(c))
+
+
+@pytest.mark.parametrize("kind", ["gamma", "beta", "von_mises",
+                                  "bivariate_gamma"])
+def test_exponential_family_form_matches_direct_formula(kind):
+    # log_pdf is T(x) @ eta - A; with or without a precomputed T it must
+    # equal the density written out term by term.
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        p, x, _ = _grad_case(kind, rng)
+        expected = _direct_log_pdf(p, x)
+        np.testing.assert_allclose(log_pdf(p, x), expected,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(log_pdf(p, x, stats=statistic(kind, x)),
+                                   expected, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Analytic gradients against central finite differences
 
@@ -165,6 +200,31 @@ def test_e_step_flags_all_minus_inf_rows():
     np.testing.assert_allclose(gamma[0], [0.5, 0.5])
 
 
+def _row_reduction_e_step(log_dens, pi):
+    """Reference E-step reducing along the row axis."""
+    logw = log_dens + np.log(pi)[None, :]
+    m = logw.max(axis=1, keepdims=True)
+    bad = ~np.isfinite(m[:, 0])
+    m[bad] = 0.0
+    e = np.exp(logw - m)
+    s = e.sum(axis=1, keepdims=True)
+    gamma = np.where(bad[:, None], 1.0 / pi.size, e / np.where(s == 0, 1.0, s))
+    return gamma, int(bad.sum())
+
+
+@pytest.mark.parametrize("n_clusters", [1, 2])
+def test_e_step_matches_row_reduction_bitwise(n_clusters):
+    rng = np.random.default_rng(30)
+    log_dens = rng.normal(scale=50.0, size=(500, n_clusters))
+    log_dens[::7] = -np.inf
+    log_dens[3::11, 0] = -np.inf
+    pi = rng.dirichlet(np.ones(n_clusters))
+    gamma, flagged = e_step(log_dens, pi)
+    ref_gamma, ref_flagged = _row_reduction_e_step(log_dens, pi)
+    assert flagged == ref_flagged > 0
+    assert np.array_equal(gamma, ref_gamma)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_e_step_rows_lie_on_simplex(seed):
@@ -214,7 +274,8 @@ def _weighted_ll(dist_logpdf, x, g):
     return lambda v: float(g @ dist_logpdf(v, x))
 
 
-@pytest.mark.parametrize("kind", ["gamma", "beta", "von_mises"])
+@pytest.mark.parametrize("kind", ["gamma", "beta", "von_mises",
+                                  "bivariate_gamma"])
 def test_m_step_attains_oracle_objective(kind):
     rng = np.random.default_rng(13)
     g = rng.uniform(0.2, 1.0, size=300)
@@ -230,13 +291,20 @@ def test_m_step_attains_oracle_objective(kind):
         ll = _weighted_ll(
             lambda v, x: scipy.stats.beta(v[0], v[1]).logpdf(x), x, g)
         bounds = [(1e-3, 100)] * 2
-    else:
+    elif kind == "von_mises":
         x = rng.vonmises(0.8, 3.0, size=300)
         start = VonMisesParams(0.0, 1.0)
         ll = _weighted_ll(
             lambda v, x: scipy.stats.vonmises(kappa=v[1], loc=v[0]).logpdf(x),
             x, g)
         bounds = [(-np.pi, np.pi), (1e-3, 100)]
+    else:
+        xv = rng.gamma(2.5, 1.0 / 1.5, size=300) + 1e-6
+        x = np.column_stack([xv, rng.gamma(1.8, 1.0 / xv) + 1e-6])
+        start = BivariateGammaParams(1.0, 1.0, 1.0)
+        ll = _weighted_ll(
+            lambda v, x: _direct_log_pdf(BivariateGammaParams(*v), x), x, g)
+        bounds = [(1e-3, 100)] * 3
 
     fitted = m_step_params(x, g, start)
     achieved = ll([getattr(fitted, f) for f in vars(fitted)])
@@ -252,6 +320,65 @@ def test_m_step_gaussian_closed_form():
     p = m_step_params(x, g, GaussianParams(np.zeros(1), np.eye(1)))
     assert p.mean[0] == pytest.approx(x.mean(), abs=1e-12)
     assert p.cov[0, 0] == pytest.approx(x.var(), rel=1e-10)
+
+
+def _m_step_case(kind, rng, n=400):
+    if kind == "gamma":
+        x = rng.gamma(rng.uniform(0.5, 20), rng.uniform(0.1, 5), n) + 1e-9
+        return x, GammaParams(1.0, 1.0)
+    if kind == "beta":
+        x = np.clip(rng.beta(rng.uniform(0.3, 50), rng.uniform(0.3, 50), n),
+                    1e-9, 1 - 1e-9)
+        return x, BetaParams(1.0, 1.0)
+    if kind == "von_mises":
+        return (rng.vonmises(rng.uniform(-3, 3), rng.uniform(0.1, 200), n),
+                VonMisesParams(0.0, 1.0))
+    xv = rng.gamma(rng.uniform(0.5, 10), rng.uniform(0.2, 3), n) + 1e-9
+    x = np.column_stack([xv, rng.gamma(rng.uniform(0.5, 10), 1.0 / xv) + 1e-9])
+    return x, BivariateGammaParams(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "beta", "von_mises",
+                                  "bivariate_gamma"])
+def test_exact_m_step_is_stationary(kind):
+    # The weighted mean score vanishes at the M-step's output.
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        x, start = _m_step_case(kind, rng)
+        g = rng.uniform(0.0, 1.0, size=x.shape[0])
+        fitted = m_step_params(x, g, start)
+        score = g @ log_pdf_gradient(fitted, x) / g.sum()
+        v = np.array([getattr(fitted, f) for f in vars(fitted)])
+        # In units of each parameter's own size; mu is an angle.
+        scaled = score * np.where(v > 0, np.abs(v), 1.0)
+        np.testing.assert_allclose(scaled, 0.0, atol=1e-9)
+
+
+def test_m_step_von_mises_point_mass_is_clamped_not_stationary():
+    x = np.full(50, -1.2)
+    fitted = m_step_params(x, np.ones(50), VonMisesParams(0.0, 1.0))
+    assert fitted.kappa == PARAM_CEIL
+    score = log_pdf_gradient(fitted, x).mean(axis=0)
+    assert score[0] == pytest.approx(0.0, abs=1e-6)
+    assert score[1] > 0  # the likelihood still rises past the ceiling
+
+
+def test_one_cluster_fit_runs_em_once(monkeypatch):
+    calls = []
+    run_em = mixtures._run_em
+
+    def counted(*args):
+        calls.append(args[2].n_clusters)
+        return run_em(*args)
+
+    monkeypatch.setattr(mixtures, "_run_em", counted)
+    x = np.random.default_rng(33).gamma(2, 1, 200) + 1e-6
+    for l in (1, 2):
+        spec = MixtureSpec(n_clusters=l, components=(("x", "gamma"),),
+                           dirichlet_alpha=(1.0,) * l)
+        f = fit({"x": x}, spec, init_seed=0, restarts=3)
+    assert calls == [1, 2, 2, 2]
+    assert f.spec.n_clusters == 2
 
 
 def test_m_step_von_mises_point_mass_hits_ceiling():

@@ -125,3 +125,21 @@ def test_smaller_window_config_threads_through():
     cfg = PipelineConfig(seed=0, wlk=WlkConfig(window_half_width=4))
     recs = process_sequence(pairs, cfg)
     assert recs[0].chosen_l == 1
+
+
+def test_empty_window_flag_counts_windows_without_mask_pixels():
+    pairs, _ = _pairs(_one_layer_spec(frames=2))
+    (f0, m0), (f1, m1) = pairs
+    cols = np.arange(m0.values.shape[1])
+    sparse = m0.values & (cols < 30)[None, :]
+    state = hmm_mod.HmmState(previous_l=1, beta=650.0)
+    cfg = PipelineConfig(seed=0)
+    rec = process_frame(f0, SegmentationMask(sparse), f1, m1, state, cfg)
+    # A pixel whose whole window misses the mask is empty for every layer
+    # of both hypotheses (1 + 2 layer fields).
+    w = cfg.wlk.window_half_width
+    rows, width = sparse.shape
+    far = sum(not sparse[max(i - w, 0):i + w + 1, max(j - w, 0):j + w + 1].any()
+              for i in range(rows) for j in range(width))
+    assert far > 0
+    assert rec.flags["empty_windows"] >= 3 * far
