@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .imaging import EmptyMaskError
+
 
 @dataclass(frozen=True)
 class WlkConfig:
@@ -93,7 +95,7 @@ def intensity_image(frame, mask):
     """
     vals = frame.temperatures[mask.values]
     if vals.size == 0:
-        raise ValueError("mask selects no cloud pixels")
+        raise EmptyMaskError("mask selects no cloud pixels")
     lo, hi = vals.min(), vals.max()
     if hi == lo:
         return np.zeros_like(frame.temperatures)

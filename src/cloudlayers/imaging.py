@@ -19,6 +19,10 @@ class DegenerateNormalizationError(ValueError):
     """Raised when the masked temperatures have no spread to normalize."""
 
 
+class EmptyMaskError(ValueError):
+    """Raised when a mask selects no cloud pixels."""
+
+
 @dataclass(frozen=True)
 class Frame:
     """One temperature image in Kelvin with its position in the sequence."""
@@ -69,7 +73,7 @@ def _masked_values(frame, mask):
         raise ValueError("frame and mask shapes differ")
     vals = frame.temperatures[mask.values]
     if vals.size < 1:
-        raise ValueError("mask selects no cloud pixels")
+        raise EmptyMaskError("mask selects no cloud pixels")
     return vals
 
 

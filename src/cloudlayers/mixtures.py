@@ -2,10 +2,9 @@
 
 A mixture is described by a :class:`MixtureSpec`: L clusters, a list of
 (feature name, family) components whose log-likelihoods add up (factorized
-likelihood), and a Dirichlet prior on the weights. The E-step is computed in
-the log domain. Gaussian M-steps are closed form. The other four families are
-exponential families, tabled in ``_FAMILIES``: each has a fixed statistic
-T(x), computed and support-checked once per fit, a log-density
+likelihood), and a Dirichlet prior on the weights. Gaussian M-steps are
+closed form. The other four families are exponential families, tabled in
+``_FAMILIES``: each has a fixed statistic T(x), a log-density
 ``T(x) @ eta(theta) - A(theta)``, and an exact M-step that maximizes
 ``s @ eta(theta) - A(theta)`` for the responsibility-weighted mean ``s`` of T:
 
@@ -15,13 +14,35 @@ T(x), computed and support-checked once per fit, a log-density
 - bivariate gamma, T = [log x, log y, x, xy]: the gamma shape Newton for
   alpha, beta = alpha / mean(x), and an inverse digamma for ``a``.
 
+One EM run works on data prepared once per fit: the statistics of every
+exponential-family component stacked as the rows of one (K + 1, N) array,
+with a last row of ones, and a covariance floor per Gaussian component. An
+iteration then makes a few passes over contiguous length-N rows:
+
+- log-densities: each cluster carries its natural parameters, with -A in the
+  last place, from the M-step that produced them, so one matrix product gives
+  the (L, N) log-densities of the exponential-family components; Gaussian
+  components add their own. Transposed, this is an (N, L) array with
+  contiguous columns;
+- E-step: a log-domain softmax. For two clusters it works on the difference
+  d = w1 - w0 of the log-weights alone: the row-max form's terms are
+  exp(min(d, 0)) and exp(-max(d, 0)), so it needs no row max, and its
+  results are the same bit for bit;
+- shared statistics: one product of the stacked statistics with the
+  responsibilities gives every cluster's sums of T and, from the ones row,
+  its responsibility mass. These feed the surrogate objective, the MAP
+  weights, the M-step means and the warm-start guard of each M-step.
+
 The surrogate objective recorded per iteration is
 
     Q = sum_i sum_l gamma_il [log pi_l + log p(x_i | theta_l)]
         + sum_l (alpha_l - 1) log pi_l
 
 i.e. the expected complete-data log-likelihood plus the (unnormalized)
-Dirichlet log-prior, which vanishes exactly when all alpha_l = 1.
+Dirichlet log-prior, which vanishes exactly when all alpha_l = 1. Each run
+stops when Q changes by less than ``Q_REL_TOL`` relative ("tolerance"), when
+it dips below its previous value by more than rounding ("dip"; the run keeps
+the state before the dip), or after ``MAX_OUTER_ITERS`` iterations ("cap").
 """
 
 from __future__ import annotations
@@ -41,6 +62,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 class FitError(RuntimeError):
     """Raised when every restart of an EM fit degenerates."""
+
+
+class SupportError(ValueError):
+    """Raised when samples fall outside a family's support."""
 
 
 class _EmptyClusterError(RuntimeError):
@@ -214,12 +239,14 @@ def _beta_m_step(s, start):
         a, b = 0.5 + g1 / slack, 0.5 + g2 / slack
     f = _beta_objective(s, a, b)
     for _ in range(NEWTON_MAX_ITERS):
-        dab = _digamma(a + b)
-        g1 = s[0] - _digamma(a) + dab
-        g2 = s[1] - _digamma(b) + dab
-        t = _trigamma(a + b)
-        h11 = _trigamma(a) - t
-        h22 = _trigamma(b) - t
+        # One special-function call per three arguments costs less than three.
+        args = [a, b, a + b]
+        psa, psb, dab = _psi(args).tolist()
+        ta, tb, t = _zeta(2.0, args).tolist()
+        g1 = s[0] - psa + dab
+        g2 = s[1] - psb + dab
+        h11 = ta - t
+        h22 = tb - t
         det = h11 * h22 - t * t
         if not det > 0:
             break
@@ -253,13 +280,13 @@ def _beta_m_step(s, start):
 def _gamma_statistic(x):
     x = np.asarray(x, float)
     if np.any(x <= 0):
-        raise ValueError("gamma support violation: x must be > 0")
+        raise SupportError("gamma support violation: x must be > 0")
     return np.column_stack([np.log(x), x])
 
 
 def _gamma_natural(p):
     a, b = p.alpha, p.beta
-    return np.array([a - 1.0, -1.0 / b]), a * math.log(b) + math.lgamma(a)
+    return (a - 1.0, -1.0 / b), a * math.log(b) + math.lgamma(a)
 
 
 def _gamma_m_step(s, start):
@@ -270,13 +297,13 @@ def _gamma_m_step(s, start):
 def _beta_statistic(x):
     x = np.asarray(x, float)
     if np.any(x <= 0) or np.any(x >= 1):
-        raise ValueError("beta support violation: x must lie in (0, 1)")
+        raise SupportError("beta support violation: x must lie in (0, 1)")
     return np.column_stack([np.log(x), np.log1p(-x)])
 
 
 def _beta_natural(p):
     a, b = p.alpha, p.beta
-    return np.array([a - 1.0, b - 1.0]), _log_beta_fn(a, b)
+    return (a - 1.0, b - 1.0), _log_beta_fn(a, b)
 
 
 def _von_mises_statistic(x):
@@ -286,7 +313,7 @@ def _von_mises_statistic(x):
 
 def _von_mises_natural(p):
     k = p.kappa
-    return (np.array([k * math.cos(p.mu), k * math.sin(p.mu)]),
+    return ((k * math.cos(p.mu), k * math.sin(p.mu)),
             LOG_2PI + log_bessel_i0(k))
 
 
@@ -299,14 +326,15 @@ def _von_mises_m_step(s, start):
 def _bivariate_gamma_statistic(x):
     xy = _as_columns(x)
     if np.any(xy <= 0):
-        raise ValueError("bivariate gamma support violation: x, y must be > 0")
+        raise SupportError(
+            "bivariate gamma support violation: x, y must be > 0")
     xv, yv = xy[:, 0], xy[:, 1]
     return np.column_stack([np.log(xv), np.log(yv), xv, xv * yv])
 
 
 def _bivariate_gamma_natural(p):
     a, b, c = p.alpha, p.beta, p.a
-    return (np.array([a + c - 1.0, c - 1.0, -b, -1.0]),
+    return ((a + c - 1.0, c - 1.0, -b, -1.0),
             math.lgamma(a) + math.lgamma(c) - a * math.log(b))
 
 
@@ -319,7 +347,7 @@ def _bivariate_gamma_m_step(s, start):
 @dataclass(frozen=True)
 class _Family:
     statistic: object  # x -> T(x), shape (N, k); raises on support violations
-    natural: object    # params -> (eta, A) with log p(x) = T(x) @ eta - A
+    natural: object    # params -> (eta, A), log p(x) = T(x) @ eta - A
     m_step: object     # (mean of T, warm start or None) -> maximizing params
 
 
@@ -342,19 +370,22 @@ def _family(kind):
 
 
 def statistic(kind, x):
-    """The family's statistic T(x), one row per sample; raises ValueError on
-    support violations. Gaussians have none (None)."""
+    """The family's statistic T(x), one row per sample; raises
+    :class:`SupportError` on support violations. Gaussians have none (None)."""
     return None if kind == "gaussian" else _family(kind).statistic(x)
-
-
-def _objective(family, params, s):
-    """Mean log-density at mean statistic s: s @ eta - A."""
-    eta, a = family.natural(params)
-    return float(s @ eta) - a
 
 
 # ---------------------------------------------------------------------------
 # Log-densities and their parameter gradients
+
+def _solve_lower(chol, b):
+    """chol^-1 @ b for a lower-triangular (d, d) chol, by forward
+    substitution: d vector steps over the columns of b."""
+    y = np.empty(b.shape)
+    for i in range(chol.shape[0]):
+        y[i] = (b[i] - chol[i, :i] @ y[:i]) / chol[i, i]
+    return y
+
 
 def log_pdf(params, x, stats=None):
     """Per-sample log density of one family; raises on support violations.
@@ -367,7 +398,7 @@ def log_pdf(params, x, stats=None):
         d = params.mean.size
         chol = np.linalg.cholesky(params.cov)
         diff = xs - params.mean
-        sol = np.linalg.solve(chol, diff.T)
+        sol = _solve_lower(chol, diff.T)
         maha = np.sum(sol * sol, axis=0)
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         return -0.5 * (d * LOG_2PI + logdet + maha)
@@ -425,6 +456,10 @@ def log_pdf_gradient(params, x):
 COV_FLOOR_FRACTION = 1e-6
 
 
+def _cov_floor(xs):
+    return COV_FLOOR_FRACTION * max(float(np.mean(np.var(xs, axis=0))), 1.0)
+
+
 def _floor_covariance(cov, floor):
     cov = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(cov)
@@ -432,39 +467,54 @@ def _floor_covariance(cov, floor):
     return (vecs * vals) @ vecs.T
 
 
-def m_step_params(x, gamma_l, params, cov_floor=None, stats=None):
+def _gaussian_m_step(xs, g, gsum, cov_floor):
+    mean = (g @ xs) / gsum
+    second = (xs * g[:, None]).T @ xs / gsum
+    cov = second - np.outer(mean, mean)
+    return GaussianParams(mean=mean, cov=_floor_covariance(cov, cov_floor))
+
+
+def _mean_log_density(s, eta, a):
+    """s @ eta - a on short float sequences."""
+    return sum(si * ei for si, ei in zip(s, eta)) - a
+
+
+def _exact_m_step(family, s, params, eta, a):
+    """The family's M-step at mean statistic s, warm-started from ``params``
+    whose natural form is (eta, a). Returns the new (params, eta, a).
+
+    The warm start came from the previous EM iteration; it is kept when the
+    new point would lower the objective s @ eta - a, so no M-step lowers Q.
+    """
+    new = family.m_step(s, params)
+    new_eta, new_a = family.natural(new)
+    obj = _mean_log_density(s, new_eta, new_a)
+    if not math.isfinite(obj) or obj < _mean_log_density(s, eta, a):
+        return params, eta, a
+    return new, new_eta, new_a
+
+
+def m_step_params(x, gamma_l, params, cov_floor=None):
     """Maximize the gamma-weighted log-likelihood of one cluster/component.
 
     Gaussian: closed-form weighted moments with an eigenvalue-floored
-    covariance. Other families: the family's exact M-step on the weighted
-    mean of T(x) (``stats``, or computed from ``x``), with parameters clamped
-    to [MIN_ARG, PARAM_CEIL]; ``params`` is the warm start, and is kept if
-    the new point would lower the objective.
+    covariance (``cov_floor``, by default a fraction of the data variance).
+    Other families: the family's exact M-step on the weighted mean of T(x),
+    with parameters clamped to [MIN_ARG, PARAM_CEIL]; ``params`` is the warm
+    start, and is kept if the new point would lower the objective.
     """
     g = np.asarray(gamma_l, float)
     gsum = g.sum()
     if gsum <= 1e-8 * g.size:
         raise _EmptyClusterError("cluster responsibility mass vanished")
-
     if params.kind == "gaussian":
         xs = _as_columns(x)
-        mean = (g @ xs) / gsum
-        second = (xs * g[:, None]).T @ xs / gsum
-        cov = second - np.outer(mean, mean)
         if cov_floor is None:
-            total_var = float(np.mean(np.var(xs, axis=0)))
-            cov_floor = COV_FLOOR_FRACTION * max(total_var, 1.0)
-        return GaussianParams(mean=mean, cov=_floor_covariance(cov, cov_floor))
-
+            cov_floor = _cov_floor(xs)
+        return _gaussian_m_step(xs, g, gsum, cov_floor)
     family = _family(params.kind)
-    s = (g @ (family.statistic(x) if stats is None else stats)) / gsum
-    new = family.m_step(s, params)
-    obj = _objective(family, new, s)
-    # The warm start came from the previous EM iteration; never move to a
-    # worse point, so the outer Q trace stays monotone.
-    if not np.isfinite(obj) or obj < _objective(family, params, s):
-        return params
-    return new
+    s = ((g @ family.statistic(x)) / gsum).tolist()
+    return _exact_m_step(family, s, params, *family.natural(params))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +553,7 @@ class MixtureFit:
     q_trace: list
     converged: bool
     restart_id: int
+    stop: str               # "tolerance", "dip" or "cap"; see module doc
     flagged_rows: int = 0
 
     @property
@@ -526,32 +577,48 @@ class MixtureFit:
             "params": [[enc(p) for p in row] for row in self.params],
             "q_trace": [float(q) for q in self.q_trace],
             "converged": self.converged,
+            "stop": self.stop,
             "restart_id": self.restart_id,
             "flagged_rows": self.flagged_rows,
         }
 
 
+@dataclass(frozen=True)
+class _Component:
+    kind: str
+    x: np.ndarray
+    rows: slice = None       # exponential families: its rows of the stacked T
+    cov_floor: float = None  # Gaussians: the covariance eigenvalue floor
+
+
+@dataclass(frozen=True)
+class _FitData:
+    components: tuple
+    stats: np.ndarray  # (K + 1, N): every component's T(x).T, then ones
+
+
 def _component_data(features, spec):
-    """(n, [(kind, x, T(x))]): T is computed, and the support checked, once
-    per fit."""
-    data = []
+    """(n, _FitData): T is computed, the support checked and the covariance
+    floor taken once per fit."""
+    comps, blocks = [], []
     n = None
+    k = 0
     for fname, kind in spec.components:
         x = np.asarray(features[fname], float)
         if n is None:
             n = x.shape[0]
         elif x.shape[0] != n:
             raise ValueError("feature lengths differ")
-        data.append((kind, x, statistic(kind, x)))
-    return n, data
-
-
-def _cluster_log_dens(data, params_row):
-    total = None
-    for (kind, x, t), p in zip(data, params_row):
-        ld = log_pdf(p, x, stats=t)
-        total = ld if total is None else total + ld
-    return total
+        if kind == "gaussian":
+            comps.append(_Component(kind, x,
+                                    cov_floor=_cov_floor(_as_columns(x))))
+        else:
+            t = statistic(kind, x)
+            comps.append(_Component(kind, x, rows=slice(k, k + t.shape[1])))
+            blocks.append(t.T)
+            k += t.shape[1]
+    blocks.append(np.ones((1, n)))
+    return n, _FitData(tuple(comps), np.concatenate(blocks))
 
 
 def log_dirichlet_prior(pi, alpha):
@@ -566,26 +633,45 @@ def e_step(log_dens, pi):
     """Responsibilities from per-cluster log densities; log-domain softmax.
 
     Rows where every cluster has zero likelihood become uniform and are
-    counted. Returns (gamma, flagged_row_count).
+    counted. Returns (gamma, flagged_row_count); gamma has contiguous
+    columns.
     """
     lp = np.log(pi)
     # Work column by column: numpy loops over the short row axis cost
     # several times more than over the long sample axis, for the same values.
     logw = [log_dens[:, l] + lp[l] for l in range(lp.size)]
-    m = functools.reduce(np.maximum, logw)
-    bad = ~np.isfinite(m)
-    n_bad = int(bad.sum())
-    if n_bad:
+    gamma = np.empty(log_dens.shape, order="F")
+    if lp.size == 2:
+        # The row-max softmax gives the larger weight exp(0) = 1 and the
+        # smaller exp(-|w1 - w0|): exp(min(d, 0)) and exp(-max(d, 0)) are
+        # those terms, bit for bit, with no row max and no select.
+        with np.errstate(invalid="ignore"):  # inf - inf on flagged rows
+            d = logw[1] - logw[0]
+            finite = math.isfinite(d.sum())
+        e1 = np.minimum(d, 0.0)
+        np.exp(e1, out=e1)
+        e0 = np.maximum(d, 0.0)
+        np.negative(e0, out=e0)
+        np.exp(e0, out=e0)
+        s = e0 + e1
+        np.divide(e0, s, out=gamma[:, 0])
+        np.divide(e1, s, out=gamma[:, 1])
+        # d is finite on every row unless some weight is infinite or NaN.
+        if finite:
+            return gamma, 0
+        bad = ~np.isfinite(np.maximum(logw[0], logw[1]))
+    else:
+        m = functools.reduce(np.maximum, logw)
+        bad = ~np.isfinite(m)
         m[bad] = 0.0
-    e = [np.exp(w - m) for w in logw]
-    # Where m is finite its column contributes exp(0) = 1, so s >= 1; only
-    # flagged rows can sum to 0, and those are overwritten below.
-    s = functools.reduce(np.add, e)
-    if n_bad:
+        e = [np.exp(w - m) for w in logw]
+        # Where m is finite its column contributes exp(0) = 1, so s >= 1;
+        # only flagged rows can sum to 0, and those are overwritten below.
+        s = functools.reduce(np.add, e)
         s[bad] = 1.0
-    gamma = np.empty(log_dens.shape, order="F")  # contiguous columns
-    for l, el in enumerate(e):
-        np.divide(el, s, out=gamma[:, l])
+        for l, el in enumerate(e):
+            np.divide(el, s, out=gamma[:, l])
+    n_bad = int(bad.sum())
     if n_bad:
         gamma[bad] = 1.0 / pi.size
     return gamma, n_bad
@@ -602,14 +688,6 @@ def cdll(log_dens, gamma, pi, alpha):
     """Expected complete-data log-likelihood plus the Dirichlet log-prior."""
     core = float(np.sum(gamma * (np.log(pi)[None, :] + log_dens)))
     return core + log_dirichlet_prior(pi, alpha)
-
-
-def _initial_params(kind, x, t, g):
-    """The M-step from the initial responsibilities, without a warm start."""
-    if kind == "gaussian":
-        d = _as_columns(x).shape[1]
-        return m_step_params(x, g, GaussianParams(mean=np.zeros(d), cov=np.eye(d)))
-    return _family(kind).m_step((g @ t) / g.sum(), None)
 
 
 MAX_OUTER_ITERS = 300
@@ -631,47 +709,98 @@ def _initial_gamma(n, n_clusters, mode, primary, rng):
     return gamma
 
 
+def _m_step(data, gamma, sums, params, natural):
+    """Every cluster's M-step from the responsibilities ``gamma`` and their
+    sums ``sums`` (K + 1, L) of the stacked statistics and the ones row.
+
+    ``params[l][c]`` and ``natural[l][c]``, the (eta, A) of the exponential
+    families, are the warm starts; ``None`` starts without one. Returns the
+    new (params, natural, coef), where row l of ``coef`` (L, K + 1) holds the
+    coefficients of [T, 1] in cluster l's log-density: its natural
+    parameters, then -sum(A). The scalar work runs on Python floats, which
+    cost less than numpy scalars.
+    """
+    new_params, new_natural, coef = [], [], []
+    for l, col in enumerate(sums.T.tolist()):
+        gsum = col[-1]
+        means = [v / gsum for v in col[:-1]]
+        p_row, n_row, coef_row, a_sum = [], [], [], 0.0
+        for c, comp in enumerate(data.components):
+            if comp.rows is None:
+                p_row.append(_gaussian_m_step(_as_columns(comp.x), gamma[:, l],
+                                              gsum, comp.cov_floor))
+                n_row.append(None)
+                continue
+            family = _FAMILIES[comp.kind]
+            s = means[comp.rows]
+            if params is None:
+                p = family.m_step(s, None)
+                eta, a = family.natural(p)
+            else:
+                p, eta, a = _exact_m_step(family, s, params[l][c],
+                                          *natural[l][c])
+            p_row.append(p)
+            n_row.append((eta, a))
+            coef_row += eta
+            a_sum += a
+        coef_row.append(-a_sum)
+        new_params.append(p_row)
+        new_natural.append(n_row)
+        coef.append(coef_row)
+    return new_params, new_natural, np.array(coef)
+
+
 def _run_em(n, data, spec, gamma):
-    alpha = np.asarray(spec.dirichlet_alpha)
-    ncl = spec.n_clusters
-    params = [[_initial_params(kind, x, t, gamma[:, l]) for kind, x, t in data]
-              for l in range(ncl)]
-    pi = m_step_weights(gamma, alpha, n, ncl)
+    """One EM run from initial responsibilities ``gamma``. Returns (params,
+    pi, gamma, log_dens, q_trace, converged, flagged_rows, stop)."""
+    # MAP weights are (alpha - 1 + gsum) / denom, as in m_step_weights.
+    prior = [a - 1.0 for a in spec.dirichlet_alpha]
+    denom = n - spec.n_clusters + sum(spec.dirichlet_alpha)
+    stats = data.stats
+    gaussians = [(c, comp.x) for c, comp in enumerate(data.components)
+                 if comp.rows is None]
+    # The initial parameters are the M-step of the initial responsibilities.
+    sums = stats @ gamma
+    params, natural, coef = _m_step(data, gamma, sums, None, None)
+    counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
+    pi = np.array(counts) / denom
     q_trace = []
     best = None
     flagged = 0
-    converged = False
+    stop = "cap"
     for _ in range(MAX_OUTER_ITERS):
-        # (N, L) with contiguous columns, like the responsibilities.
-        log_dens = np.stack(
-            [_cluster_log_dens(data, params[l]) for l in range(ncl)]).T
+        # Row l is cluster l's log-density [T, 1] @ [eta_l, -A_l]; the
+        # transpose is (N, L) with contiguous columns.
+        ld = coef @ stats
+        for c, x in gaussians:
+            for l in range(spec.n_clusters):
+                ld[l] += log_pdf(params[l][c], x)
+        log_dens = ld.T
         gamma, nbad = e_step(log_dens, pi)
         flagged = max(flagged, nbad)
-        q = cdll(log_dens, gamma, pi, alpha)
-        if q_trace:
-            dq = q - q_trace[-1]
-            if dq < -1e-12 * (1.0 + abs(q_trace[-1])):
-                # Surrogate dipped below the ascent slack near a stationary
-                # point: stop and keep the best recorded state.
-                converged = True
-                break
-            q_trace.append(q)
-            best = (params, pi, gamma, log_dens)
-            if abs(dq) < Q_REL_TOL * (1.0 + abs(q)):
-                converged = True
-                break
-        else:
-            q_trace.append(q)
-            best = (params, pi, gamma, log_dens)
-        gsum = gamma.sum(axis=0)
-        if np.any(gsum < 1e-8 * n):
+        sums = stats @ gamma
+        gsum = sums[-1].tolist()
+        counts = [p + g for p, g in zip(prior, gsum)]
+        # sum_l gamma_l . log_dens_l + (alpha_l - 1 + gsum_l) log pi_l
+        q = float(np.vdot(gamma.T, ld)) + sum(
+            c * math.log(p) for c, p in zip(counts, pi.tolist()))
+        if q_trace and q - q_trace[-1] < -1e-12 * (1.0 + abs(q_trace[-1])):
+            # Surrogate dipped below the ascent slack near a stationary
+            # point: stop and keep the best recorded state.
+            stop = "dip"
+            break
+        q_trace.append(q)
+        best = (params, pi, gamma, log_dens)
+        if (len(q_trace) > 1
+                and abs(q - q_trace[-2]) < Q_REL_TOL * (1.0 + abs(q))):
+            stop = "tolerance"
+            break
+        if min(gsum) <= 1e-8 * n:
             raise _EmptyClusterError("empty cluster during EM")
-        pi = m_step_weights(gamma, alpha, n, ncl)
-        params = [[m_step_params(x, gamma[:, l], params[l][c], stats=t)
-                   for c, (kind, x, t) in enumerate(data)]
-                  for l in range(ncl)]
+        pi = np.array(counts) / denom
+        params, natural, coef = _m_step(data, gamma, sums, params, natural)
     params, pi, gamma, log_dens = best
-    return params, pi, gamma, log_dens, q_trace, converged, flagged
+    return params, pi, gamma, log_dens, q_trace, stop != "cap", flagged, stop
 
 
 def fit(features, spec, init_seed=0, restarts=3):
@@ -685,7 +814,7 @@ def fit(features, spec, init_seed=0, restarts=3):
     n, data = _component_data(features, spec)
     if n < spec.n_clusters:
         raise FitError("fewer samples than clusters")
-    primary = _as_columns(data[0][1])[:, 0]
+    primary = _as_columns(data.components[0].x)[:, 0]
     rng = np.random.default_rng(init_seed)
     best_fit = None
     failures = []
@@ -693,8 +822,8 @@ def fit(features, spec, init_seed=0, restarts=3):
         mode = "split" if r == 0 else "random"
         gamma0 = _initial_gamma(n, spec.n_clusters, mode, primary, rng)
         try:
-            params, pi, gamma, log_dens, q_trace, conv, flagged = _run_em(
-                n, data, spec, gamma0)
+            (params, pi, gamma, log_dens, q_trace, conv, flagged,
+             stop) = _run_em(n, data, spec, gamma0)
         except _EmptyClusterError as exc:
             failures.append(str(exc))
             continue
@@ -702,7 +831,8 @@ def fit(features, spec, init_seed=0, restarts=3):
             best_fit = MixtureFit(spec=spec, params=params, weights=pi,
                                   responsibilities=gamma, log_dens=log_dens,
                                   q_trace=q_trace, converged=conv,
-                                  restart_id=r, flagged_rows=flagged)
+                                  restart_id=r, stop=stop,
+                                  flagged_rows=flagged)
     if best_fit is None:
         families = ", ".join(k for _, k in spec.components)
         raise FitError(f"all restarts degenerate for families: {families}")
@@ -732,5 +862,6 @@ def resolve_labels(mixture_fit, temperature_means):
         q_trace=list(mixture_fit.q_trace),
         converged=mixture_fit.converged,
         restart_id=mixture_fit.restart_id,
+        stop=mixture_fit.stop,
         flagged_rows=mixture_fit.flagged_rows,
     )

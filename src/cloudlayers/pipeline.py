@@ -18,11 +18,19 @@ import numpy as np
 from . import flow as flow_mod
 from . import hmm as hmm_mod
 from . import mixtures, selection
-from .imaging import normalize_beta, normalize_gamma
+from .imaging import (DegenerateNormalizationError, EmptyMaskError,
+                      normalize_beta, normalize_gamma)
 
 
 class InsufficientMaskError(ValueError):
     """Raised when a frame has fewer masked pixels than one solver window."""
+
+
+# What a frame's own data can make process_frame raise. process_sequence
+# records these as failed frames; anything else is a fault and propagates.
+FRAME_DATA_ERRORS = (InsufficientMaskError, mixtures.FitError,
+                     DegenerateNormalizationError, EmptyMaskError,
+                     mixtures.SupportError)
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,10 @@ class DetectionRecord:
     chosen_l: int
     scores: list                 # HypothesisScore per hypothesis
     metric_reports: list         # MetricReport per hypothesis
-    fits: dict                   # JSON summaries of the fitted mixtures
+    # fits["L<l>"][role] is the JSON text of that fit's summary: callers keep
+    # every record, and as text a summary takes under half the memory of
+    # its dicts, lists and floats.
+    fits: dict
     flow_summary: dict
     flags: dict
     error: str = None
@@ -90,7 +101,9 @@ class DetectionRecord:
             "chosen_l": self.chosen_l,
             "scores": [s.to_json_dict() for s in self.scores],
             "metrics": [m.to_json_dict() for m in self.metric_reports],
-            "fits": self.fits,
+            "fits": {l: {role: json.loads(text)
+                         for role, text in by_role.items()}
+                     for l, by_role in self.fits.items()},
             "flow_summary": self.flow_summary,
             "flags": self.flags,
             "error": self.error,
@@ -204,8 +217,9 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
                 entropy=tm.entropy + vm.entropy,
                 bic=tm.bic + vm.bic, aic=tm.aic + vm.aic,
                 clc=tm.clc + vm.clc, icl=tm.icl + vm.icl))
-            fit_dumps[f"L{l}"] = {"temperature": tfit.to_json_dict(),
-                                  "velocity": vfit.to_json_dict()}
+            fit_dumps[f"L{l}"] = {
+                role: json.dumps(f.to_json_dict(), sort_keys=True)
+                for role, f in (("temperature", tfit), ("velocity", vfit))}
             mu = merged.u[prev_mask.values]
             mv = merged.v[prev_mask.values]
             flow_summaries[f"L{l}"] = {
@@ -233,8 +247,9 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
 
 def process_sequence(sequence, cfg):
     """Records for frames 0..T-2 (each scores the transition t -> t+1);
-    the HMM state is threaded sequentially and failed frames leave it
-    unchanged."""
+    the HMM state is threaded sequentially. A frame whose data raise one of
+    ``FRAME_DATA_ERRORS`` gets a failed record and leaves the state
+    unchanged; any other exception propagates."""
     if len(sequence) < 2:
         raise ValueError("a sequence needs at least 2 frames")
     state = hmm_mod.HmmState(previous_l=cfg.init_l, beta=cfg.hmm_beta)
@@ -242,8 +257,7 @@ def process_sequence(sequence, cfg):
     for (prev, prev_mask), (cur, cur_mask) in zip(sequence, sequence[1:]):
         try:
             rec = process_frame(prev, prev_mask, cur, cur_mask, state, cfg)
-        except (InsufficientMaskError, mixtures.FitError,
-                ValueError) as exc:
+        except FRAME_DATA_ERRORS as exc:
             rec = DetectionRecord(
                 t=prev.index, chosen_l=state.previous_l, scores=[],
                 metric_reports=[], fits={}, flow_summary={},

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cloudlayers.flow import (FlowField, WlkConfig, derivatives, flow_gain,
                               intensity_image, merge_layers, solve_window,
                               wlk_solve)
-from cloudlayers.imaging import Frame, SegmentationMask
+from cloudlayers.imaging import EmptyMaskError, Frame, SegmentationMask
 
 
 def _oracle_derivatives(prev, nxt, sigma):
@@ -238,7 +238,7 @@ def test_intensity_image_range_and_errors():
     mask = SegmentationMask(np.ones((2, 2), dtype=bool))
     img = intensity_image(frame, mask)
     assert img.min() == 0.0 and img.max() == 255.0
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyMaskError):
         intensity_image(frame, SegmentationMask(np.zeros((2, 2), dtype=bool)))
     flat = intensity_image(Frame(np.full((2, 2), 250.0)), mask)
     np.testing.assert_allclose(flat, 0.0)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudlayers.imaging import (DegenerateNormalizationError, Frame,
-                                 SegmentationMask, load_sequence,
+from cloudlayers.imaging import (DegenerateNormalizationError, EmptyMaskError,
+                                 Frame, SegmentationMask, load_sequence,
                                  normalize_beta, normalize_gamma,
                                  write_sequence)
 
@@ -75,7 +75,7 @@ def test_constant_frame_is_degenerate():
 def test_empty_mask_rejected():
     f = _frame(np.full((3, 3), 255.0))
     m = SegmentationMask(np.zeros((3, 3), dtype=bool))
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyMaskError):
         normalize_beta(f, m)
 
 

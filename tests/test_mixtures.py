@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from cloudlayers import mixtures
 from cloudlayers.mixtures import (BetaParams, BivariateGammaParams, FitError,
                                   GammaParams, GaussianParams, MixtureSpec,
-                                  VonMisesParams, cdll, e_step, fit,
-                                  log_dirichlet_prior, log_pdf,
+                                  SupportError, VonMisesParams, cdll, e_step,
+                                  fit, log_dirichlet_prior, log_pdf,
                                   log_pdf_gradient, m_step_params,
                                   m_step_weights, resolve_labels, statistic)
 from cloudlayers.numerics import PARAM_CEIL, finite_diff_gradient
@@ -94,7 +94,7 @@ def test_bivariate_gamma_y_marginal_is_gamma():
     (BivariateGammaParams(1.0, 1.0, 1.0), np.array([[1.0, 0.0]])),
 ])
 def test_support_violations_raise(params, bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(SupportError):
         log_pdf(params, bad)
 
 
@@ -215,14 +215,26 @@ def _row_reduction_e_step(log_dens, pi):
 @pytest.mark.parametrize("n_clusters", [1, 2])
 def test_e_step_matches_row_reduction_bitwise(n_clusters):
     rng = np.random.default_rng(30)
-    log_dens = rng.normal(scale=50.0, size=(500, n_clusters))
-    log_dens[::7] = -np.inf
-    log_dens[3::11, 0] = -np.inf
-    pi = rng.dirichlet(np.ones(n_clusters))
-    gamma, flagged = e_step(log_dens, pi)
-    ref_gamma, ref_flagged = _row_reduction_e_step(log_dens, pi)
-    assert flagged == ref_flagged > 0
-    assert np.array_equal(gamma, ref_gamma)
+    for _ in range(20):
+        log_dens = rng.normal(scale=50.0, size=(500, n_clusters))
+        log_dens[::7] = -np.inf
+        log_dens[3::11, 0] = -np.inf
+        log_dens[5::13, -1] = np.inf
+        log_dens[6::17, 0] = np.nan
+        log_dens[9::19, -1] = -np.inf
+        log_dens[10::23] = np.inf
+        pi = rng.dirichlet(np.ones(n_clusters))
+        gamma, flagged = e_step(log_dens, pi)
+        with np.errstate(invalid="ignore"):
+            ref_gamma, ref_flagged = _row_reduction_e_step(log_dens, pi)
+        assert flagged == ref_flagged > 0
+        assert np.array_equal(gamma, ref_gamma)
+        # Finite rows only: the path without flagged rows.
+        finite = rng.normal(scale=50.0, size=(500, n_clusters))
+        gamma, flagged = e_step(finite, pi)
+        ref_gamma, ref_flagged = _row_reduction_e_step(finite, pi)
+        assert flagged == ref_flagged == 0
+        assert np.array_equal(gamma, ref_gamma)
 
 
 @settings(max_examples=100, deadline=None)
@@ -502,6 +514,128 @@ def test_resolve_labels_orders_by_temperature():
                                   resolved.responsibilities)
     np.testing.assert_allclose(resolved.responsibilities.sum(axis=1), 1.0,
                                atol=1e-12)
+
+
+# Neutral warm starts: the reference takes its initial parameters from
+# m_step_params, whose warm start only seeds the beta Newton.
+_STARTS = {
+    "gamma": GammaParams(1.0, 1.0),
+    "beta": BetaParams(1.0, 1.0),
+    "von_mises": VonMisesParams(0.0, 1.0),
+    "bivariate_gamma": BivariateGammaParams(1.0, 1.0, 1.0),
+    "gaussian": GaussianParams(np.zeros(1), np.eye(1)),
+}
+
+
+def _reference_fit(features, spec, init_seed, restarts=3):
+    """Plain MAP-EM from the public steps, one cluster and component at a
+    time: log_pdf, e_step, cdll, m_step_weights and m_step_params. Returns
+    the winning (restart id, Q trace)."""
+    xs = [np.asarray(features[f], float) for f, _ in spec.components]
+    kinds = [k for _, k in spec.components]
+    n, ncl, alpha = xs[0].shape[0], spec.n_clusters, spec.dirichlet_alpha
+    rng = np.random.default_rng(init_seed)
+    best = None
+    for r in range(1 if ncl == 1 else restarts):
+        mode = "split" if r == 0 else "random"
+        gamma = mixtures._initial_gamma(n, ncl, mode,
+                                        mixtures._as_columns(xs[0])[:, 0], rng)
+        try:
+            params = [[m_step_params(x, gamma[:, l], _STARTS[k])
+                       for x, k in zip(xs, kinds)] for l in range(ncl)]
+            pi = m_step_weights(gamma, alpha, n, ncl)
+            q_trace = []
+            for _ in range(mixtures.MAX_OUTER_ITERS):
+                log_dens = np.column_stack([
+                    sum(log_pdf(p, x) for p, x in zip(params[l], xs))
+                    for l in range(ncl)])
+                gamma, _ = e_step(log_dens, pi)
+                q = cdll(log_dens, gamma, pi, alpha)
+                if (q_trace and q - q_trace[-1]
+                        < -1e-12 * (1 + abs(q_trace[-1]))):
+                    break
+                q_trace.append(q)
+                if (len(q_trace) > 1 and abs(q - q_trace[-2])
+                        < mixtures.Q_REL_TOL * (1 + abs(q))):
+                    break
+                pi = m_step_weights(gamma, alpha, n, ncl)
+                params = [[m_step_params(x, gamma[:, l], params[l][c])
+                           for c, x in enumerate(xs)] for l in range(ncl)]
+        except mixtures._EmptyClusterError:
+            continue
+        if best is None or q_trace[-1] > best[1][-1]:
+            best = (r, q_trace)
+    return best
+
+
+def _reference_case(name, rng, n=300):
+    z = rng.random(n) < 0.4
+    if name == "gamma":
+        return {"x": np.where(z, rng.gamma(2, 1, n), rng.gamma(9, 1, n))}
+    if name == "beta":
+        return {"x": np.clip(np.where(z, rng.beta(2, 8, n), rng.beta(7, 3, n)),
+                             1e-6, 1 - 1e-6)}
+    if name == "von_mises":
+        return {"x": np.where(z, rng.vonmises(-1.5, 4, n),
+                              rng.vonmises(1.0, 2, n))}
+    if name == "bivariate_gamma":
+        xv = np.where(z, rng.gamma(2, 1, n), rng.gamma(8, 1, n))
+        return {"x": np.column_stack([xv, rng.gamma(1.5, 1.0 / xv)])}
+    if name == "gaussian":
+        return {"x": np.where(z, rng.normal(0, 1, n), rng.normal(4, 2, n))}
+    # Factorized: two exponential families and a 2-D Gaussian.
+    feats = _reference_case("beta", rng, n)
+    feats["phi"] = _reference_case("von_mises", rng, n)["x"]
+    feats["uv"] = rng.normal(size=(n, 2)) + np.where(z, 3.0, 0.0)[:, None]
+    return feats
+
+
+_REFERENCE_SPECS = {
+    "factorized": (("x", "beta"), ("phi", "von_mises"), ("uv", "gaussian")),
+}
+
+
+@pytest.mark.parametrize("name", ["gamma", "beta", "von_mises",
+                                  "bivariate_gamma", "gaussian", "factorized"])
+@pytest.mark.parametrize("n_clusters", [1, 2])
+def test_fit_matches_plain_reference_em(name, n_clusters):
+    rng = np.random.default_rng(34)
+    for seed in range(3):
+        feats = _reference_case(name, rng)
+        comps = _REFERENCE_SPECS.get(name, (("x", name),))
+        spec = MixtureSpec(n_clusters=n_clusters, components=comps,
+                           dirichlet_alpha=(1.0 + seed,) * n_clusters)
+        f = fit(feats, spec, init_seed=seed)
+        restart_id, q_trace = _reference_fit(feats, spec, seed)
+        assert f.restart_id == restart_id
+        assert len(f.q_trace) == len(q_trace)
+        np.testing.assert_allclose(f.q_trace, q_trace, rtol=1e-9)
+
+
+def test_split_restart_stops_on_q_dip():
+    # The recorded Q is the expected complete-data log-likelihood, which an
+    # E-step can lower; here it falls at the second iteration.
+    rng = np.random.default_rng(0)
+    x = np.clip(rng.beta(2, 5, 200), 1e-6, 1 - 1e-6)
+    spec = MixtureSpec(n_clusters=2, components=(("x", "beta"),),
+                       dirichlet_alpha=(1.0, 1.0))
+    f = fit({"x": x}, spec, init_seed=0, restarts=1)
+    assert f.stop == "dip"
+    assert f.converged
+    assert len(f.q_trace) == 1
+    assert f.to_json_dict()["stop"] == "dip"
+
+
+def test_iteration_cap_stop(monkeypatch):
+    x = np.random.default_rng(35).gamma(2, 1, 200) + 1e-6
+    spec = MixtureSpec(n_clusters=1, components=(("x", "gamma"),),
+                       dirichlet_alpha=(1.0,))
+    f = fit({"x": x}, spec, init_seed=0)
+    assert (f.stop, f.converged, len(f.q_trace)) == ("tolerance", True, 2)
+    monkeypatch.setattr(mixtures, "MAX_OUTER_ITERS", 1)
+    f = fit({"x": x}, spec, init_seed=0)
+    assert (f.stop, f.converged, len(f.q_trace)) == ("cap", False, 1)
+    assert f.to_json_dict()["stop"] == "cap"
 
 
 def test_fit_json_dump_round_trips():

@@ -1,9 +1,12 @@
 """Frame-level orchestration: hypotheses, flow weighting and sequencing."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cloudlayers import hmm as hmm_mod
+from cloudlayers import mixtures
 from cloudlayers.flow import WlkConfig
 from cloudlayers.imaging import Frame, SegmentationMask
 from cloudlayers.pipeline import (MODEL_ZOO, InsufficientMaskError,
@@ -52,6 +55,11 @@ def test_records_carry_scores_and_metrics():
     doc = rec.to_json_dict()
     assert doc["chosen_l"] == rec.chosen_l
     assert rec.to_json_line().startswith("{")
+    # Fit summaries are kept as JSON text and come back as their dicts.
+    summary = doc["fits"]["L2"]["velocity"]
+    assert summary == json.loads(rec.fits["L2"]["velocity"])
+    assert summary["n_clusters"] == 2
+    assert summary["stop"] in ("tolerance", "dip", "cap")
 
 
 def test_detection_is_deterministic():
@@ -84,6 +92,27 @@ def test_failed_frame_keeps_state_and_is_flagged():
     assert recs[1].flags.get("frame_failed")
     assert recs[1].error is not None
     assert recs[1].chosen_l == recs[0].chosen_l  # state carried over
+
+
+@pytest.mark.parametrize("exc,caught", [
+    (mixtures.SupportError("beta support violation"), True),
+    (ValueError("a fault, not frame data"), False),
+])
+def test_only_frame_data_errors_become_failed_frames(monkeypatch, exc,
+                                                     caught):
+    pairs, _ = _pairs(_one_layer_spec(frames=2))
+
+    def broken_fit(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(mixtures, "fit", broken_fit)
+    if caught:
+        (rec,) = process_sequence(pairs, PipelineConfig(seed=0))
+        assert rec.flags == {"frame_failed": True}
+        assert rec.error == str(exc)
+    else:
+        with pytest.raises(ValueError, match="a fault"):
+            process_sequence(pairs, PipelineConfig(seed=0))
 
 
 def test_sequence_needs_two_frames():
