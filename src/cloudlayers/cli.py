@@ -23,22 +23,23 @@ class _InputError(Exception):
 
 
 def _add_pipeline_flags(p):
-    p.add_argument("--model", default="beta_T+vm_phi",
+    d = pipeline.PipelineConfig()
+    p.add_argument("--model", default=d.model,
                    help="model id from the model zoo")
-    p.add_argument("--alpha0", type=float, default=1.0,
+    p.add_argument("--alpha0", type=float, default=d.alpha0,
                    help="Dirichlet prior, temperature component")
-    p.add_argument("--alpha1", type=float, default=10.0,
+    p.add_argument("--alpha1", type=float, default=d.alpha1,
                    help="Dirichlet prior, velocity component")
-    p.add_argument("--beta", type=float, default=650.0,
+    p.add_argument("--beta", type=float, default=d.hmm_beta,
                    help="transition stickiness of the sequential prior")
-    p.add_argument("--window", type=int, default=8,
+    p.add_argument("--window", type=int, default=d.wlk.window_half_width,
                    help="flow window half-width w (full width 2w+1)")
-    p.add_argument("--tau", type=float, default=1e-8, help="WLS ridge")
-    p.add_argument("--sigma", type=float, default=1.0,
+    p.add_argument("--tau", type=float, default=d.wlk.tau, help="WLS ridge")
+    p.add_argument("--sigma", type=float, default=d.wlk.sigma,
                    help="temporal kernel amplitude")
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-l", type=int, default=1, choices=(1, 2))
+    p.add_argument("--restarts", type=int, default=d.restarts)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--init-l", type=int, default=d.init_l, choices=(1, 2))
 
 
 def _pipeline_config(args):

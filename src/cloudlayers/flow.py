@@ -21,7 +21,7 @@ synthetic-translation tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,19 +59,10 @@ class DerivativeStack:
 
 @dataclass(frozen=True)
 class FlowField:
-    """Per-pixel velocity components; magnitude/angle are always derived."""
+    """Per-pixel velocity components."""
 
     u: np.ndarray
     v: np.ndarray
-
-    @property
-    def magnitude(self):
-        return np.hypot(self.u, self.v)
-
-    @property
-    def angle(self):
-        # arctan2(U, V): the u component comes first in this convention.
-        return np.arctan2(self.u, self.v)
 
 
 @dataclass

@@ -10,7 +10,7 @@ advantage of b to exceed 2 * beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def psi(l_t, l_prev, beta):
@@ -34,7 +34,6 @@ class HypothesisScore:
 class HmmState:
     previous_l: int = 1
     beta: float = 0.0
-    history: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.previous_l not in (1, 2):
@@ -50,7 +49,7 @@ def score_from_sum(l, posterior_sum, state):
                            total=float(posterior_sum) - pen)
 
 
-def step(scores, state, t=None):
+def step(scores, state):
     """MAP state selection: argmax of the totals, ties keep the previous state.
 
     Mutates and returns ``state`` alongside the chosen L.
@@ -62,6 +61,5 @@ def step(scores, state, t=None):
         if best is None or s.total > best.total or (
                 s.total == best.total and s.l == state.previous_l):
             best = s
-    state.history.append((t, best.l, tuple(sorted((s.l, s.total) for s in scores))))
     state.previous_l = best.l
     return best.l, state

@@ -2,9 +2,8 @@
 
 A mixture is described by a :class:`MixtureSpec`: L clusters, a list of
 (feature name, family) components whose log-likelihoods add up (factorized
-likelihood), and a Dirichlet prior on the weights. Gaussian M-steps are
-closed form. The other four families are exponential families, tabled in
-``_FAMILIES``: each has a fixed statistic T(x), a log-density
+likelihood), and a Dirichlet prior on the weights. All five families are
+exponential families: each has a statistic T(x), a log-density
 ``T(x) @ eta(theta) - A(theta)``, and an exact M-step that maximizes
 ``s @ eta(theta) - A(theta)`` for the responsibility-weighted mean ``s`` of T:
 
@@ -12,17 +11,19 @@ closed form. The other four families are exponential families, tabled in
 - beta, T = [log x, log(1 - x)]: a 2x2 trigamma Newton;
 - von Mises, T = [cos x, sin x]: the mean direction, then I1/I0 = R by Newton;
 - bivariate gamma, T = [log x, log y, x, xy]: the gamma shape Newton for
-  alpha, beta = alpha / mean(x), and an inverse digamma for ``a``.
+  alpha, beta = alpha / mean(x), and an inverse digamma for ``a``;
+- Gaussian, T = [y, upper triangle of y y^T] for y = x - c, with c the mean
+  of the fit's samples: the weighted moments, with the covariance
+  eigenvalues floored at a fraction of the samples' variance. Centring keeps
+  the quadratic terms of Kelvin-scale temperatures from cancelling.
 
 One EM run works on data prepared once per fit: the statistics of every
-exponential-family component stacked as the rows of one (K + 1, N) array,
-with a last row of ones, and a covariance floor per Gaussian component. An
-iteration then makes a few passes over contiguous length-N rows:
+component stacked as the rows of one (K + 1, N) array, with a last row of
+ones. An iteration then makes a few passes over contiguous length-N rows:
 
 - log-densities: each cluster carries its natural parameters, with -A in the
   last place, from the M-step that produced them, so one matrix product gives
-  the (L, N) log-densities of the exponential-family components; Gaussian
-  components add their own. Transposed, this is an (N, L) array with
+  the (L, N) log-densities. Transposed, this is an (N, L) array with
   contiguous columns;
 - E-step: a log-domain softmax. For two clusters it works on the difference
   d = w1 - w0 of the log-weights alone: the row-max form's terms are
@@ -47,7 +48,6 @@ the state before the dip), or after ``MAX_OUTER_ITERS`` iterations ("cap").
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -351,6 +351,44 @@ class _Family:
     m_step: object     # (mean of T, warm start or None) -> maximizing params
 
 
+def _gaussian_family(center, floor):
+    """The Gaussian centred at ``center`` (c), with covariance eigenvalues
+    floored at ``floor`` by its M-step.
+
+    With y = x - c, m = mean - c and P the inverse covariance,
+    log p = y @ P m - y P y / 2 - A, A = m P m / 2 + log|2 pi cov| / 2. The
+    quadratic part pairs the upper triangle of y y^T with -P_ii / 2 on the
+    diagonal and -P_ij off it.
+    """
+    c = np.asarray(center, float)
+    d = c.size
+    iu, ju = np.triu_indices(d)
+    quad = np.where(iu == ju, -0.5, -1.0)
+
+    def statistic(x):
+        y = _as_columns(x) - c
+        return np.column_stack([y, y[:, iu] * y[:, ju]])
+
+    def natural(p):
+        vals, vecs = np.linalg.eigh(p.cov)
+        if not vals.min() > 0:
+            raise np.linalg.LinAlgError("covariance is not positive definite")
+        prec = (vecs / vals) @ vecs.T
+        m = p.mean - c
+        pm = prec @ m
+        a = 0.5 * (float(m @ pm) + d * LOG_2PI + float(np.log(vals).sum()))
+        return pm.tolist() + (quad * prec[iu, ju]).tolist(), a
+
+    def m_step(s, start):
+        dm = np.array(s[:d])
+        second = np.empty((d, d))
+        second[iu, ju] = second[ju, iu] = s[d:]
+        cov = second - np.outer(dm, dm)
+        return GaussianParams(mean=c + dm, cov=_floor_covariance(cov, floor))
+
+    return _Family(statistic, natural, m_step)
+
+
 _FAMILIES = {
     "gamma": _Family(_gamma_statistic, _gamma_natural, _gamma_m_step),
     "beta": _Family(_beta_statistic, _beta_natural, _beta_m_step),
@@ -362,57 +400,36 @@ _FAMILIES = {
 }
 
 
-def _family(kind):
+def _family(kind, x, params=None):
+    """The family ``kind`` for samples ``x``. A Gaussian is built for them:
+    centred at ``params.mean`` when params are given, else at the mean of x,
+    and with its covariance floor taken from the variance of x."""
+    if kind == "gaussian":
+        xs = _as_columns(x)
+        center = xs.mean(axis=0) if params is None else params.mean
+        return _gaussian_family(center, _cov_floor(xs))
     try:
         return _FAMILIES[kind]
     except KeyError:
         raise ValueError(f"unknown family {kind!r}") from None
 
 
-def statistic(kind, x):
-    """The family's statistic T(x), one row per sample; raises
-    :class:`SupportError` on support violations. Gaussians have none (None)."""
-    return None if kind == "gaussian" else _family(kind).statistic(x)
-
-
 # ---------------------------------------------------------------------------
 # Log-densities and their parameter gradients
 
-def _solve_lower(chol, b):
-    """chol^-1 @ b for a lower-triangular (d, d) chol, by forward
-    substitution: d vector steps over the columns of b."""
-    y = np.empty(b.shape)
-    for i in range(chol.shape[0]):
-        y[i] = (b[i] - chol[i, :i] @ y[:i]) / chol[i, i]
-    return y
-
-
-def log_pdf(params, x, stats=None):
+def log_pdf(params, x):
     """Per-sample log density of one family; raises on support violations.
-
-    ``stats`` is T(x) from :func:`statistic` when the caller already holds
-    it; the support check then happened when it was computed.
-    """
-    if params.kind == "gaussian":
-        xs = _as_columns(x)
-        d = params.mean.size
-        chol = np.linalg.cholesky(params.cov)
-        diff = xs - params.mean
-        sol = _solve_lower(chol, diff.T)
-        maha = np.sum(sol * sol, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        return -0.5 * (d * LOG_2PI + logdet + maha)
-    family = _family(params.kind)
-    t = family.statistic(x) if stats is None else stats
+    A Gaussian's statistic is centred at its own mean."""
+    family = _family(params.kind, x, params)
     eta, a = family.natural(params)
-    return t @ eta - a
+    return family.statistic(x) @ eta - a
 
 
 def log_pdf_gradient(params, x):
     """Per-sample gradient of log_pdf w.r.t. the family parameters.
 
-    Column order matches the dataclass field order. Gaussians use a
-    closed-form M-step and are not part of the gradient path.
+    Column order matches the dataclass field order. Gaussians have no
+    gradient path.
     """
     if params.kind == "gamma":
         x = np.asarray(x, float)
@@ -467,13 +484,6 @@ def _floor_covariance(cov, floor):
     return (vecs * vals) @ vecs.T
 
 
-def _gaussian_m_step(xs, g, gsum, cov_floor):
-    mean = (g @ xs) / gsum
-    second = (xs * g[:, None]).T @ xs / gsum
-    cov = second - np.outer(mean, mean)
-    return GaussianParams(mean=mean, cov=_floor_covariance(cov, cov_floor))
-
-
 def _mean_log_density(s, eta, a):
     """s @ eta - a on short float sequences."""
     return sum(si * ei for si, ei in zip(s, eta)) - a
@@ -494,25 +504,19 @@ def _exact_m_step(family, s, params, eta, a):
     return new, new_eta, new_a
 
 
-def m_step_params(x, gamma_l, params, cov_floor=None):
+def m_step_params(x, gamma_l, params):
     """Maximize the gamma-weighted log-likelihood of one cluster/component.
 
-    Gaussian: closed-form weighted moments with an eigenvalue-floored
-    covariance (``cov_floor``, by default a fraction of the data variance).
-    Other families: the family's exact M-step on the weighted mean of T(x),
-    with parameters clamped to [MIN_ARG, PARAM_CEIL]; ``params`` is the warm
-    start, and is kept if the new point would lower the objective.
+    The family's exact M-step on the weighted mean of T(x), with parameters
+    clamped to [MIN_ARG, PARAM_CEIL] and Gaussian covariance eigenvalues
+    floored at a fraction of the variance of x; ``params`` is the warm start,
+    and is kept if the new point would lower the objective.
     """
     g = np.asarray(gamma_l, float)
     gsum = g.sum()
     if gsum <= 1e-8 * g.size:
         raise _EmptyClusterError("cluster responsibility mass vanished")
-    if params.kind == "gaussian":
-        xs = _as_columns(x)
-        if cov_floor is None:
-            cov_floor = _cov_floor(xs)
-        return _gaussian_m_step(xs, g, gsum, cov_floor)
-    family = _family(params.kind)
+    family = _family(params.kind, x)
     s = ((g @ family.statistic(x)) / gsum).tolist()
     return _exact_m_step(family, s, params, *family.natural(params))[0]
 
@@ -585,10 +589,9 @@ class MixtureFit:
 
 @dataclass(frozen=True)
 class _Component:
-    kind: str
+    family: _Family
     x: np.ndarray
-    rows: slice = None       # exponential families: its rows of the stacked T
-    cov_floor: float = None  # Gaussians: the covariance eigenvalue floor
+    rows: slice  # its rows of the stacked T
 
 
 @dataclass(frozen=True)
@@ -598,8 +601,7 @@ class _FitData:
 
 
 def _component_data(features, spec):
-    """(n, _FitData): T is computed, the support checked and the covariance
-    floor taken once per fit."""
+    """(n, _FitData): T is computed and the support checked once per fit."""
     comps, blocks = [], []
     n = None
     k = 0
@@ -609,14 +611,11 @@ def _component_data(features, spec):
             n = x.shape[0]
         elif x.shape[0] != n:
             raise ValueError("feature lengths differ")
-        if kind == "gaussian":
-            comps.append(_Component(kind, x,
-                                    cov_floor=_cov_floor(_as_columns(x))))
-        else:
-            t = statistic(kind, x)
-            comps.append(_Component(kind, x, rows=slice(k, k + t.shape[1])))
-            blocks.append(t.T)
-            k += t.shape[1]
+        family = _family(kind, x)
+        t = family.statistic(x)
+        comps.append(_Component(family, x, slice(k, k + t.shape[1])))
+        blocks.append(t.T)
+        k += t.shape[1]
     blocks.append(np.ones((1, n)))
     return n, _FitData(tuple(comps), np.concatenate(blocks))
 
@@ -634,46 +633,37 @@ def e_step(log_dens, pi):
 
     Rows where every cluster has zero likelihood become uniform and are
     counted. Returns (gamma, flagged_row_count); gamma has contiguous
-    columns.
+    columns. One cluster takes every row, and counts its non-finite ones.
     """
     lp = np.log(pi)
     # Work column by column: numpy loops over the short row axis cost
     # several times more than over the long sample axis, for the same values.
     logw = [log_dens[:, l] + lp[l] for l in range(lp.size)]
+    if lp.size == 1:
+        return (np.ones(log_dens.shape, order="F"),
+                int(np.count_nonzero(~np.isfinite(logw[0]))))
     gamma = np.empty(log_dens.shape, order="F")
-    if lp.size == 2:
-        # The row-max softmax gives the larger weight exp(0) = 1 and the
-        # smaller exp(-|w1 - w0|): exp(min(d, 0)) and exp(-max(d, 0)) are
-        # those terms, bit for bit, with no row max and no select.
-        with np.errstate(invalid="ignore"):  # inf - inf on flagged rows
-            d = logw[1] - logw[0]
-            finite = math.isfinite(d.sum())
-        e1 = np.minimum(d, 0.0)
-        np.exp(e1, out=e1)
-        e0 = np.maximum(d, 0.0)
-        np.negative(e0, out=e0)
-        np.exp(e0, out=e0)
-        s = e0 + e1
-        np.divide(e0, s, out=gamma[:, 0])
-        np.divide(e1, s, out=gamma[:, 1])
-        # d is finite on every row unless some weight is infinite or NaN.
-        if finite:
-            return gamma, 0
-        bad = ~np.isfinite(np.maximum(logw[0], logw[1]))
-    else:
-        m = functools.reduce(np.maximum, logw)
-        bad = ~np.isfinite(m)
-        m[bad] = 0.0
-        e = [np.exp(w - m) for w in logw]
-        # Where m is finite its column contributes exp(0) = 1, so s >= 1;
-        # only flagged rows can sum to 0, and those are overwritten below.
-        s = functools.reduce(np.add, e)
-        s[bad] = 1.0
-        for l, el in enumerate(e):
-            np.divide(el, s, out=gamma[:, l])
+    # The row-max softmax gives the larger weight exp(0) = 1 and the
+    # smaller exp(-|w1 - w0|): exp(min(d, 0)) and exp(-max(d, 0)) are those
+    # terms, bit for bit, with no row max and no select.
+    with np.errstate(invalid="ignore"):  # inf - inf on flagged rows
+        d = logw[1] - logw[0]
+        finite = math.isfinite(d.sum())
+    e1 = np.minimum(d, 0.0)
+    np.exp(e1, out=e1)
+    e0 = np.maximum(d, 0.0)
+    np.negative(e0, out=e0)
+    np.exp(e0, out=e0)
+    s = e0 + e1
+    np.divide(e0, s, out=gamma[:, 0])
+    np.divide(e1, s, out=gamma[:, 1])
+    # d is finite on every row unless some weight is infinite or NaN.
+    if finite:
+        return gamma, 0
+    bad = ~np.isfinite(np.maximum(logw[0], logw[1]))
     n_bad = int(bad.sum())
     if n_bad:
-        gamma[bad] = 1.0 / pi.size
+        gamma[bad] = 0.5
     return gamma, n_bad
 
 
@@ -709,16 +699,17 @@ def _initial_gamma(n, n_clusters, mode, primary, rng):
     return gamma
 
 
-def _m_step(data, gamma, sums, params, natural):
-    """Every cluster's M-step from the responsibilities ``gamma`` and their
-    sums ``sums`` (K + 1, L) of the stacked statistics and the ones row.
+def _m_step(data, sums, params, natural):
+    """Every cluster's M-step from ``sums`` (K + 1, L): column l holds
+    cluster l's responsibility-weighted sums of the stacked statistics, then
+    its responsibility mass.
 
-    ``params[l][c]`` and ``natural[l][c]``, the (eta, A) of the exponential
-    families, are the warm starts; ``None`` starts without one. Returns the
-    new (params, natural, coef), where row l of ``coef`` (L, K + 1) holds the
-    coefficients of [T, 1] in cluster l's log-density: its natural
-    parameters, then -sum(A). The scalar work runs on Python floats, which
-    cost less than numpy scalars.
+    ``params[l][c]`` and ``natural[l][c]``, its (eta, A), are the warm
+    starts; ``None`` starts without one. Returns the new (params, natural,
+    coef), where row l of ``coef`` (L, K + 1) holds the coefficients of
+    [T, 1] in cluster l's log-density: its natural parameters, then -sum(A).
+    The scalar work runs on Python floats, which cost less than numpy
+    scalars.
     """
     new_params, new_natural, coef = [], [], []
     for l, col in enumerate(sums.T.tolist()):
@@ -726,12 +717,7 @@ def _m_step(data, gamma, sums, params, natural):
         means = [v / gsum for v in col[:-1]]
         p_row, n_row, coef_row, a_sum = [], [], [], 0.0
         for c, comp in enumerate(data.components):
-            if comp.rows is None:
-                p_row.append(_gaussian_m_step(_as_columns(comp.x), gamma[:, l],
-                                              gsum, comp.cov_floor))
-                n_row.append(None)
-                continue
-            family = _FAMILIES[comp.kind]
+            family = comp.family
             s = means[comp.rows]
             if params is None:
                 p = family.m_step(s, None)
@@ -757,11 +743,9 @@ def _run_em(n, data, spec, gamma):
     prior = [a - 1.0 for a in spec.dirichlet_alpha]
     denom = n - spec.n_clusters + sum(spec.dirichlet_alpha)
     stats = data.stats
-    gaussians = [(c, comp.x) for c, comp in enumerate(data.components)
-                 if comp.rows is None]
     # The initial parameters are the M-step of the initial responsibilities.
     sums = stats @ gamma
-    params, natural, coef = _m_step(data, gamma, sums, None, None)
+    params, natural, coef = _m_step(data, sums, None, None)
     counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
     pi = np.array(counts) / denom
     q_trace = []
@@ -772,9 +756,6 @@ def _run_em(n, data, spec, gamma):
         # Row l is cluster l's log-density [T, 1] @ [eta_l, -A_l]; the
         # transpose is (N, L) with contiguous columns.
         ld = coef @ stats
-        for c, x in gaussians:
-            for l in range(spec.n_clusters):
-                ld[l] += log_pdf(params[l][c], x)
         log_dens = ld.T
         gamma, nbad = e_step(log_dens, pi)
         flagged = max(flagged, nbad)
@@ -798,7 +779,7 @@ def _run_em(n, data, spec, gamma):
         if min(gsum) <= 1e-8 * n:
             raise _EmptyClusterError("empty cluster during EM")
         pi = np.array(counts) / denom
-        params, natural, coef = _m_step(data, gamma, sums, params, natural)
+        params, natural, coef = _m_step(data, sums, params, natural)
     params, pi, gamma, log_dens = best
     return params, pi, gamma, log_dens, q_trace, stop != "cap", flagged, stop
 

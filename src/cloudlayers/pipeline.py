@@ -26,6 +26,10 @@ class InsufficientMaskError(ValueError):
     """Raised when a frame has fewer masked pixels than one solver window."""
 
 
+# Margin that keeps normalized temperatures inside the beta and gamma supports
+# and flow speeds above zero.
+EPS = 1e-6
+
 # What a frame's own data can make process_frame raise. process_sequence
 # records these as failed frames; anything else is a fault and propagates.
 FRAME_DATA_ERRORS = (InsufficientMaskError, mixtures.FitError,
@@ -67,7 +71,6 @@ class PipelineConfig:
     wlk: flow_mod.WlkConfig = field(default_factory=flow_mod.WlkConfig)
     restarts: int = 3
     seed: int = 0
-    eps: float = 1e-6
     init_l: int = 1
 
     def __post_init__(self):
@@ -117,18 +120,18 @@ def _temperature_features(frame, mask, cfg):
     feat, kind = MODEL_ZOO[cfg.model].temperature
     raw = frame.temperatures[mask.values]
     if feat == "tbar":
-        values = normalize_beta(frame, mask, cfg.eps)
+        values = normalize_beta(frame, mask, EPS)
     elif feat == "ttilde":
-        values = normalize_gamma(frame, mask, cfg.eps)
+        values = normalize_gamma(frame, mask, EPS)
     else:
         values = raw
     return {feat: values, "_raw_temp": raw}
 
 
-def _velocity_features(field, mask, temp_features, cfg, model):
+def _velocity_features(field, mask, temp_features, model):
     u = field.u[mask.values]
     v = field.v[mask.values]
-    r = np.maximum(np.hypot(u, v), cfg.eps)
+    r = np.maximum(np.hypot(u, v), EPS)
     feats = {"uv": np.column_stack([u, v]), "r": r,
              "phi": np.arctan2(u, v)}
     if any(f == "ttilde_r" for f, _ in model.velocity):
@@ -197,8 +200,7 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
                 flags["singular_pixels"] += st.singular_pixels
                 flags["empty_windows"] += st.empty_windows
 
-            vel_feats = _velocity_features(merged, prev_mask, temp_feats,
-                                           cfg, model)
+            vel_feats = _velocity_features(merged, prev_mask, temp_feats, model)
             vspec = mixtures.MixtureSpec(n_clusters=l,
                                          components=model.velocity,
                                          dirichlet_alpha=(cfg.alpha1,) * l)
@@ -229,15 +231,12 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
             }
         except mixtures.FitError as exc:
             failed[l] = str(exc)
-            scores.append(hmm_mod.HypothesisScore(
-                l=l, posterior_sum=-np.inf,
-                psi=hmm_mod.psi(l, state.previous_l, state.beta),
-                total=-np.inf))
+            scores.append(hmm_mod.score_from_sum(l, -np.inf, state))
             flags["degenerate_restarts"] += 1
 
     if len(failed) == 2:
         raise mixtures.FitError("both hypotheses failed: " + str(failed))
-    chosen, state = hmm_mod.step(scores, state, t=prev.index)
+    chosen, state = hmm_mod.step(scores, state)
     return DetectionRecord(
         t=prev.index, chosen_l=chosen, scores=scores,
         metric_reports=reports, fits=fit_dumps,

@@ -208,7 +208,7 @@ def test_criterion_hysteresis_identity():
         state = HmmState(previous_l=prev, beta=beta)
         chosen, _ = step([score_from_sum(prev, sum_keep, state),
                           score_from_sum(3 - prev, sum_switch, state)],
-                         state, t=0)
+                         state)
         switched = chosen != prev
         ok = ok and (switched == (sum_switch - sum_keep > 2.0 * beta))
     _report("hysteresis identity (10000 score pairs, switch iff "

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from cloudlayers.cli import main
+from cloudlayers.cli import _pipeline_config, build_parser, main
+from cloudlayers.pipeline import PipelineConfig
 
 
 def _synth(tmp_path, name="seq", layers=1, frames=3, seed=0, extra=()):
@@ -68,6 +69,12 @@ def test_detect_is_byte_identical_across_runs(tmp_path):
         assert main(["detect", "--manifest", str(out / "manifest.json"),
                      "--out", str(dst), "--seed", "11"]) == 0
     assert d1.read_bytes() == d2.read_bytes()
+
+
+def test_bare_detect_flags_give_the_default_config():
+    args = build_parser().parse_args(["detect", "--manifest", "m.json",
+                                      "--out", "d.jsonl"])
+    assert _pipeline_config(args) == PipelineConfig()
 
 
 def test_score_accuracy_arithmetic(tmp_path, capsys):

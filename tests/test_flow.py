@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cloudlayers.flow import (FlowField, WlkConfig, derivatives, flow_gain,
                               intensity_image, merge_layers, solve_window,
@@ -186,22 +184,6 @@ def test_translation_recovery_sign_convention(shift, expect):
 def test_flow_gain_value():
     assert flow_gain(1.0) == -0.5
     assert flow_gain(2.0) == -0.25
-
-
-def test_flow_field_angle_convention():
-    f = FlowField(u=np.array([[1.0]]), v=np.array([[0.0]]))
-    assert f.angle[0, 0] == pytest.approx(np.pi / 2)  # arctan2(u, v)
-    assert f.magnitude[0, 0] == pytest.approx(1.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(-3, 3), st.floats(-3, 3))
-def test_angle_round_trip(u, v):
-    f = FlowField(u=np.array([[u]]), v=np.array([[v]]))
-    r = f.magnitude[0, 0]
-    phi = f.angle[0, 0]
-    assert r * np.sin(phi) == pytest.approx(u, abs=1e-9)
-    assert r * np.cos(phi) == pytest.approx(v, abs=1e-9)
 
 
 def test_merge_layers_is_convex_combination():

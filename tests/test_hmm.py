@@ -25,7 +25,7 @@ def test_score_totals_hand_example():
     assert keep.total == pytest.approx(-80.0)     # -180 - (-100)
     assert switch.total == pytest.approx(-110.0)  # -10 - (+100)
     # Raw advantage 170 < 2 beta = 200, so the detector keeps state 1.
-    chosen, state = step([keep, switch], state, t=0)
+    chosen, state = step([keep, switch], state)
     assert chosen == 1 and state.previous_l == 1
 
 
@@ -33,7 +33,7 @@ def test_switch_happens_past_hysteresis():
     state = HmmState(previous_l=1, beta=100.0)
     keep = score_from_sum(1, -300.0, state)
     switch = score_from_sum(2, -50.0, state)  # advantage 250 > 200
-    chosen, state = step([keep, switch], state, t=0)
+    chosen, state = step([keep, switch], state)
     assert chosen == 2 and state.previous_l == 2
 
 
@@ -46,7 +46,7 @@ def test_hysteresis_identity(sum_keep, sum_switch, beta, prev):
     other = 3 - prev
     scores = [score_from_sum(prev, sum_keep, state),
               score_from_sum(other, sum_switch, state)]
-    chosen, _ = step(scores, state, t=0)
+    chosen, _ = step(scores, state)
     if sum_switch - sum_keep > 2.0 * beta:
         assert chosen == other
     else:
@@ -58,7 +58,7 @@ def test_hysteresis_identity(sum_keep, sum_switch, beta, prev):
 def test_beta_zero_is_per_frame_argmax(s1, s2, prev):
     state = HmmState(previous_l=prev, beta=0.0)
     scores = [score_from_sum(1, s1, state), score_from_sum(2, s2, state)]
-    chosen, _ = step(scores, state, t=0)
+    chosen, _ = step(scores, state)
     if s1 > s2:
         assert chosen == 1
     elif s2 > s1:
@@ -74,7 +74,7 @@ def test_exact_tie_keeps_previous_state():
         scores = [score_from_sum(prev, 0.0, state),
                   score_from_sum(3 - prev, 100.0, state)]
         assert scores[0].total == scores[1].total
-        chosen, _ = step(scores, state, t=0)
+        chosen, _ = step(scores, state)
         assert chosen == prev
 
 
@@ -86,18 +86,9 @@ def test_totals_are_shift_invariant():
     a = [score_from_sum(1, -5.0, state1), score_from_sum(2, 20.0, state1)]
     b = [score_from_sum(1, -5.0 + 1e3, state2),
          score_from_sum(2, 20.0 + 1e3, state2)]
-    c1, _ = step(a, state1, t=0)
-    c2, _ = step(b, state2, t=0)
+    c1, _ = step(a, state1)
+    c2, _ = step(b, state2)
     assert c1 == c2
-
-
-def test_state_history_records_choices():
-    state = HmmState(previous_l=1, beta=0.0)
-    step([score_from_sum(1, 0.0, state), score_from_sum(2, 5.0, state)],
-         state, t=7)
-    assert state.previous_l == 2
-    assert state.history[-1][0] == 7
-    assert state.history[-1][1] == 2
 
 
 def test_step_rejects_duplicate_hypotheses():

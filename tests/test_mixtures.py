@@ -17,7 +17,7 @@ from cloudlayers.mixtures import (BetaParams, BivariateGammaParams, FitError,
                                   SupportError, VonMisesParams, cdll, e_step,
                                   fit, log_dirichlet_prior, log_pdf,
                                   log_pdf_gradient, m_step_params,
-                                  m_step_weights, resolve_labels, statistic)
+                                  m_step_weights, resolve_labels)
 from cloudlayers.numerics import PARAM_CEIL, finite_diff_gradient
 
 # ---------------------------------------------------------------------------
@@ -59,6 +59,35 @@ def test_gaussian_log_pdf_matches_scipy():
     x = np.array([[0.0, 0.0], [1.0, -2.0], [3.0, 1.0]])
     expected = scipy.stats.multivariate_normal(mean, cov).logpdf(x)
     np.testing.assert_allclose(log_pdf(p, x), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mean,cov", [
+    ([280.0], [[0.25]]),
+    ([280.0, 265.0], [[0.25, 0.05], [0.05, 0.36]]),
+], ids=["1d", "2d"])
+def test_gaussian_log_pdf_at_kelvin_scale(mean, cov):
+    # Temperatures sit far from zero, where an uncentred quadratic form
+    # loses digits: log_pdf and a one-cluster fit's log-densities must match
+    # scipy in absolute terms.
+    rng = np.random.default_rng(38)
+    x = rng.multivariate_normal(mean, cov, size=2000)
+    if len(mean) == 1:
+        x = x[:, 0]
+    p = GaussianParams(mean=np.array(mean), cov=np.array(cov))
+    np.testing.assert_allclose(
+        log_pdf(p, x), scipy.stats.multivariate_normal(mean, cov).logpdf(x),
+        rtol=0, atol=1e-12)
+    f = fit({"x": x}, MixtureSpec(n_clusters=1, components=(("x", "gaussian"),),
+                                  dirichlet_alpha=(1.0,)))
+    q = f.params[0][0]
+    expected = scipy.stats.multivariate_normal(q.mean, q.cov).logpdf(x)
+    np.testing.assert_allclose(f.log_dens[:, 0], expected, rtol=0, atol=1e-12)
+
+
+def test_gaussian_log_pdf_rejects_indefinite_covariance():
+    p = GaussianParams(mean=np.zeros(2), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        log_pdf(p, np.zeros((3, 2)))
 
 
 def test_bivariate_gamma_log_pdf_direct_formula():
@@ -116,19 +145,32 @@ def _direct_log_pdf(p, x):
             - b * xv - xv * yv - math.lgamma(a) - math.lgamma(c))
 
 
+def _form_case(kind, rng):
+    if kind.startswith("gaussian"):
+        d = 1 if kind == "gaussian_1d" else 2
+        m = rng.normal(size=(d, d))
+        p = GaussianParams(mean=rng.uniform(-5, 5, d),
+                           cov=m @ m.T + 0.1 * np.eye(d))
+        x = rng.multivariate_normal(p.mean, 4.0 * p.cov, size=20)
+        return p, (x[:, 0] if d == 1 else x)
+    return _grad_case(kind, rng)[:2]
+
+
 @pytest.mark.parametrize("kind", ["gamma", "beta", "von_mises",
-                                  "bivariate_gamma"])
+                                  "bivariate_gamma", "gaussian_1d",
+                                  "gaussian_2d"])
 def test_exponential_family_form_matches_direct_formula(kind):
-    # log_pdf is T(x) @ eta - A; with or without a precomputed T it must
-    # equal the density written out term by term.
+    # log_pdf is T(x) @ eta - A; it must equal the density written out term
+    # by term, or scipy's for the Gaussian.
     rng = np.random.default_rng(31)
     for _ in range(20):
-        p, x, _ = _grad_case(kind, rng)
-        expected = _direct_log_pdf(p, x)
+        p, x = _form_case(kind, rng)
+        if p.kind == "gaussian":
+            expected = scipy.stats.multivariate_normal(p.mean, p.cov).logpdf(x)
+        else:
+            expected = _direct_log_pdf(p, x)
         np.testing.assert_allclose(log_pdf(p, x), expected,
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(log_pdf(p, x, stats=statistic(kind, x)),
-                                   expected, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +376,21 @@ def test_m_step_gaussian_closed_form():
     assert p.cov[0, 0] == pytest.approx(x.var(), rel=1e-10)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_m_step_gaussian_point_mass_is_floored(d):
+    # Every responsibility on one point: the covariance is the floor, a
+    # fraction of the mean variance of all the samples.
+    rng = np.random.default_rng(37)
+    x = rng.normal(280.0, 3.0, size=(100, d))
+    x[:50] = x[0]
+    g = np.r_[np.ones(50), np.zeros(50)]
+    p = m_step_params(x, g, GaussianParams(np.zeros(d), np.eye(d)))
+    floor = mixtures.COV_FLOOR_FRACTION * max(x.var(axis=0).mean(), 1.0)
+    np.testing.assert_allclose(p.mean, x[0], rtol=1e-12)
+    np.testing.assert_allclose(p.cov, floor * np.eye(d), rtol=1e-9,
+                               atol=1e-9 * floor)
+
+
 def _m_step_case(kind, rng, n=400):
     if kind == "gamma":
         x = rng.gamma(rng.uniform(0.5, 20), rng.uniform(0.1, 5), n) + 1e-9
@@ -517,14 +574,21 @@ def test_resolve_labels_orders_by_temperature():
 
 
 # Neutral warm starts: the reference takes its initial parameters from
-# m_step_params, whose warm start only seeds the beta Newton.
+# m_step_params, whose warm start seeds the beta Newton and is kept only
+# where the new point is worse. A Gaussian start has its data's dimension.
 _STARTS = {
     "gamma": GammaParams(1.0, 1.0),
     "beta": BetaParams(1.0, 1.0),
     "von_mises": VonMisesParams(0.0, 1.0),
     "bivariate_gamma": BivariateGammaParams(1.0, 1.0, 1.0),
-    "gaussian": GaussianParams(np.zeros(1), np.eye(1)),
 }
+
+
+def _start(kind, x):
+    if kind == "gaussian":
+        d = mixtures._as_columns(x).shape[1]
+        return GaussianParams(np.zeros(d), np.eye(d))
+    return _STARTS[kind]
 
 
 def _reference_fit(features, spec, init_seed, restarts=3):
@@ -541,7 +605,7 @@ def _reference_fit(features, spec, init_seed, restarts=3):
         gamma = mixtures._initial_gamma(n, ncl, mode,
                                         mixtures._as_columns(xs[0])[:, 0], rng)
         try:
-            params = [[m_step_params(x, gamma[:, l], _STARTS[k])
+            params = [[m_step_params(x, gamma[:, l], _start(k, x))
                        for x, k in zip(xs, kinds)] for l in range(ncl)]
             pi = m_step_weights(gamma, alpha, n, ncl)
             q_trace = []

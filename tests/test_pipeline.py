@@ -4,14 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cloudlayers import hmm as hmm_mod
 from cloudlayers import mixtures
-from cloudlayers.flow import WlkConfig
+from cloudlayers.flow import FlowField, WlkConfig
 from cloudlayers.imaging import Frame, SegmentationMask
-from cloudlayers.pipeline import (MODEL_ZOO, InsufficientMaskError,
-                                  PipelineConfig, process_frame,
-                                  process_sequence)
+from cloudlayers.pipeline import (EPS, MODEL_ZOO, InsufficientMaskError,
+                                  PipelineConfig, _velocity_features,
+                                  process_frame, process_sequence)
 from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
 
@@ -172,3 +174,26 @@ def test_empty_window_flag_counts_windows_without_mask_pixels():
               for i in range(rows) for j in range(width))
     assert far > 0
     assert rec.flags["empty_windows"] >= 3 * far
+
+
+def _speed_and_angle(u, v):
+    feats = _velocity_features(
+        FlowField(u=np.array([[u]]), v=np.array([[v]])),
+        SegmentationMask(np.ones((1, 1), bool)), {},
+        MODEL_ZOO["beta_T+vm_phi"])
+    return feats["r"][0], feats["phi"][0]
+
+
+def test_velocity_features_angle_convention():
+    r, phi = _speed_and_angle(1.0, 0.0)
+    assert phi == pytest.approx(np.pi / 2)  # arctan2(u, v)
+    assert r == pytest.approx(1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-3, 3), st.floats(-3, 3))
+def test_velocity_features_angle_round_trip(u, v):
+    assume(np.hypot(u, v) >= EPS)  # slower flow is floored at EPS
+    r, phi = _speed_and_angle(u, v)
+    assert r * np.sin(phi) == pytest.approx(u, abs=1e-9)
+    assert r * np.cos(phi) == pytest.approx(v, abs=1e-9)
