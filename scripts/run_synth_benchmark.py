@@ -48,7 +48,7 @@ def main():
                     help="sequences per one/two-layer suite")
     ap.add_argument("--frames", type=int, default=31)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--model", default="beta_T+vm_phi")
+    ap.add_argument("--model", default=PipelineConfig().model)
     ap.add_argument("--betas", type=float, nargs="+", default=[650.0, 0.0])
     args = ap.parse_args()
 

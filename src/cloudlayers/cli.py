@@ -35,8 +35,6 @@ def _add_pipeline_flags(p):
     p.add_argument("--window", type=int, default=d.wlk.window_half_width,
                    help="flow window half-width w (full width 2w+1)")
     p.add_argument("--tau", type=float, default=d.wlk.tau, help="WLS ridge")
-    p.add_argument("--sigma", type=float, default=d.wlk.sigma,
-                   help="temporal kernel amplitude")
     p.add_argument("--restarts", type=int, default=d.restarts)
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--init-l", type=int, default=d.init_l, choices=(1, 2))
@@ -47,8 +45,7 @@ def _pipeline_config(args):
         return pipeline.PipelineConfig(
             model=args.model, alpha0=args.alpha0, alpha1=args.alpha1,
             hmm_beta=args.beta,
-            wlk=WlkConfig(window_half_width=args.window, tau=args.tau,
-                          sigma=args.sigma),
+            wlk=WlkConfig(window_half_width=args.window, tau=args.tau),
             restarts=args.restarts, seed=args.seed, init_l=args.init_l)
     except ValueError as exc:
         raise _InputError(str(exc))
@@ -60,6 +57,8 @@ def _cmd_detect(args):
         sequence = load_sequence(args.manifest)
     except (FileNotFoundError, ValueError) as exc:
         raise _InputError(str(exc))
+    if len(sequence) < 2:
+        raise _InputError("a sequence needs at least 2 frames")
     records = pipeline.process_sequence(sequence, cfg)
     out = Path(args.out)
     with out.open("w") as fh:
@@ -77,19 +76,23 @@ def _cmd_detect(args):
 def _cmd_synth(args):
     if args.layers not in (1, 2):
         raise _InputError("layer count must be 1 or 2")
-    if args.spec:
-        doc = json.loads(Path(args.spec).read_text())
-        layers = tuple(synth.LayerSpec(**l) for l in doc.pop("layers"))
-        doc["layers"] = tuple(
-            synth.LayerSpec(**l) if isinstance(l, dict) else l for l in layers)
-        spec = synth.SynthSpec(**doc)
-    else:
-        base = [synth.LayerSpec(base_temp=285.0, velocity=(1.0, 0.0)),
-                synth.LayerSpec(base_temp=265.0, velocity=(-1.0, 1.0))]
-        spec = synth.SynthSpec(
-            shape=(args.height, args.width), frames=args.frames,
-            layers=tuple(base[:args.layers]), noise_sigma=args.noise_sigma,
-            change_point=args.change_point, seed=args.seed)
+    try:
+        if args.spec:
+            doc = json.loads(Path(args.spec).read_text())
+            if not isinstance(doc, dict) or "layers" not in doc:
+                raise ValueError(f"spec {args.spec} has no \"layers\"")
+            layers = tuple(synth.LayerSpec(**l) for l in doc.pop("layers"))
+            spec = synth.SynthSpec(**doc, layers=layers)
+        else:
+            base = [synth.LayerSpec(base_temp=285.0, velocity=(1.0, 0.0)),
+                    synth.LayerSpec(base_temp=265.0, velocity=(-1.0, 1.0))]
+            spec = synth.SynthSpec(
+                shape=(args.height, args.width), frames=args.frames,
+                layers=tuple(base[:args.layers]),
+                noise_sigma=args.noise_sigma,
+                change_point=args.change_point, seed=args.seed)
+    except (OSError, TypeError, ValueError) as exc:
+        raise _InputError(str(exc))
     try:
         sequence, truth = synth.generate(spec)
     except ValueError as exc:
@@ -109,12 +112,17 @@ def _cmd_score(args):
                    if line.strip()]
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         raise _InputError(str(exc))
-    truth_by_t = {e["t"]: e["l"] for e in truth_doc["frames"]}
-    if any(rec["t"] not in truth_by_t for rec in records):
+    try:
+        truth_by_t = {e["t"]: e["l"] for e in truth_doc["frames"]}
+        chosen = [(rec["t"], rec["chosen_l"]) for rec in records]
+    except KeyError as exc:
+        raise _InputError(f"key {exc} missing from the truth file or the "
+                          "detection records")
+    if any(t not in truth_by_t for t, _ in chosen):
         raise _InputError("detection records and truth frames do not align")
     if not records:
         raise _InputError("no detection records")
-    correct = sum(rec["chosen_l"] == truth_by_t[rec["t"]] for rec in records)
+    correct = sum(l == truth_by_t[t] for t, l in chosen)
     print(json.dumps({"accuracy": 100.0 * correct / len(records),
                       "frames": len(records)}, sort_keys=True))
     return 0

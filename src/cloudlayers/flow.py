@@ -5,7 +5,7 @@ The 2x2 differential kernels are applied as cross-correlations whose block at
 (i, j) covers {(i,j), (i,j+1), (i+1,j), (i+1,j+1)} with replicate padding at
 the last row/column:
 
-    Kx = [[-1, 1], [-1, 1]]   Ky = [[-1, -1], [1, 1]]   Kt = sigma * ones(2,2)
+    Kx = [[-1, 1], [-1, 1]]   Ky = [[-1, -1], [1, 1]]   Kt = ones(2,2)
 
 Per pixel and layer, the flow is the ridge WLS solution over a window of
 half-width w, with per-sample weights read from the layer's posterior grid:
@@ -13,9 +13,9 @@ half-width w, with per-sample weights read from the layer's posterior grid:
     v = (X Gamma X^T + tau I)^-1 X Gamma y,   y = -It.
 
 These kernels carry a gain: a unit intensity gradient produces Ix = 2 while a
-rigid unit displacement produces It = 4*sigma of the opposite sign, so the raw
-WLS solution equals -2*sigma times the true pixel displacement. The solver
-rescales its output by -1/(2*sigma); the convention is pinned by the
+rigid unit displacement produces It = 4 of the opposite sign, so the raw WLS
+solution equals -2 times the true pixel displacement. The solver rescales its
+output by the constant GAIN = -1/2; the convention is pinned by the
 synthetic-translation tests.
 """
 
@@ -30,19 +30,16 @@ from .imaging import EmptyMaskError
 
 @dataclass(frozen=True)
 class WlkConfig:
-    """Window half-width w (full width W = 2w + 1), WLS ridge and kernel gain."""
+    """Window half-width w (full width W = 2w + 1) and WLS ridge."""
 
     window_half_width: int = 8
     tau: float = 1e-8
-    sigma: float = 1.0
 
     def __post_init__(self):
         if self.window_half_width < 1:
             raise ValueError("window_half_width must be >= 1")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
     @property
     def window_width(self):
@@ -54,7 +51,6 @@ class DerivativeStack:
     ix: np.ndarray
     iy: np.ndarray
     it: np.ndarray
-    sigma: float
 
 
 @dataclass(frozen=True)
@@ -73,9 +69,8 @@ class WlkStats:
     empty_windows: int = 0
 
 
-def flow_gain(sigma):
-    """Output calibration applied to the raw WLS solution (see module doc)."""
-    return -1.0 / (2.0 * sigma)
+# Output calibration applied to the raw WLS solution (see module doc).
+GAIN = -0.5
 
 
 def intensity_image(frame, mask):
@@ -99,7 +94,7 @@ def _block_sum(img):
     return p[:-1, :-1] + p[:-1, 1:] + p[1:, :-1] + p[1:, 1:]
 
 
-def derivatives(prev, nxt, sigma=1.0):
+def derivatives(prev, nxt):
     """Finite-difference stack for a consecutive intensity pair."""
     prev = np.asarray(prev, dtype=float)
     nxt = np.asarray(nxt, dtype=float)
@@ -108,8 +103,8 @@ def derivatives(prev, nxt, sigma=1.0):
     p = np.pad(prev, ((0, 1), (0, 1)), mode="edge")
     ix = (p[:-1, 1:] - p[:-1, :-1]) + (p[1:, 1:] - p[1:, :-1])
     iy = (p[1:, :-1] - p[:-1, :-1]) + (p[1:, 1:] - p[:-1, 1:])
-    it = sigma * (_block_sum(prev) - _block_sum(nxt))
-    return DerivativeStack(ix=ix, iy=iy, it=it, sigma=float(sigma))
+    it = _block_sum(prev) - _block_sum(nxt)
+    return DerivativeStack(ix=ix, iy=iy, it=it)
 
 
 def _window_sum(a, w):
@@ -132,27 +127,6 @@ def _window_sum(a, w):
 _SINGULAR_RDET = 1e-15
 
 
-def solve_window(ix, iy, y, gamma, tau):
-    """Raw WLS solution for a single window (uncalibrated; test/oracle unit).
-
-    All inputs are flat arrays of equal length; returns (u, v, singular).
-    """
-    ix = np.asarray(ix, float).ravel()
-    iy = np.asarray(iy, float).ravel()
-    y = np.asarray(y, float).ravel()
-    g = np.asarray(gamma, float).ravel()
-    a11 = np.sum(g * ix * ix) + tau
-    a22 = np.sum(g * iy * iy) + tau
-    a12 = np.sum(g * ix * iy)
-    b1 = np.sum(g * ix * y)
-    b2 = np.sum(g * iy * y)
-    det = a11 * a22 - a12 * a12
-    scale = max(a11, a22, 1e-300)
-    if det <= _SINGULAR_RDET * scale * scale:
-        return 0.0, 0.0, True
-    return (a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det, False
-
-
 def wlk_solve(deriv, weights, cfg):
     """Posterior-weighted LK flow, one FlowField per layer.
 
@@ -163,7 +137,6 @@ def wlk_solve(deriv, weights, cfg):
     """
     w = cfg.window_half_width
     tau = cfg.tau
-    gain = flow_gain(deriv.sigma)
     y = -deriv.it
     fields, stats = [], []
     for g in weights:
@@ -187,7 +160,7 @@ def wlk_solve(deriv, weights, cfg):
         det_safe = np.where(bad, 1.0, det)
         u = np.where(bad, 0.0, (a22 * b1 - a12 * b2) / det_safe)
         v = np.where(bad, 0.0, (a11 * b2 - a12 * b1) / det_safe)
-        fields.append(FlowField(u=gain * u, v=gain * v))
+        fields.append(FlowField(u=GAIN * u, v=GAIN * v))
         stats.append(WlkStats(singular_pixels=int(singular.sum()),
                               empty_windows=int(empty.sum())))
     return fields, stats

@@ -128,16 +128,26 @@ def write_sequence(directory, sequence):
     return path
 
 
+def _require_keys(doc, keys, manifest_path):
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"manifest {manifest_path} lacks key "
+                         + ", ".join(repr(k) for k in missing))
+
+
 def load_sequence(manifest_path):
     """Load an ordered list of (Frame, SegmentationMask) from a manifest."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
+    _require_keys(manifest, ("height", "width", "frames"), manifest_path)
     height, width = manifest["height"], manifest["width"]
     root = manifest_path.parent
 
     entries = manifest["frames"]
+    for entry in entries:
+        _require_keys(entry, ("t", "frame", "mask"), manifest_path)
     indices = [e["t"] for e in entries]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError("manifest frame indices are not strictly increasing")

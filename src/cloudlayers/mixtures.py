@@ -49,7 +49,7 @@ the state before the dip), or after ``MAX_OUTER_ITERS`` iterations ("cap").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import psi as _psi, zeta as _zeta
@@ -566,12 +566,9 @@ class MixtureFit:
 
     def to_json_dict(self):
         def enc(p):
-            if p.kind == "gaussian":
-                return {"kind": p.kind, "mean": p.mean.tolist(),
-                        "cov": p.cov.tolist()}
-            d = {"kind": p.kind}
-            d.update({k: float(v) for k, v in vars(p).items()})
-            return d
+            return {"kind": p.kind,
+                    **{k: np.asarray(v, float).tolist()
+                       for k, v in vars(p).items()}}
 
         return {
             "n_clusters": self.spec.n_clusters,
@@ -834,15 +831,8 @@ def resolve_labels(mixture_fit, temperature_means):
     if order == list(range(ncl)):
         return mixture_fit
     idx = np.asarray(order)
-    return MixtureFit(
-        spec=mixture_fit.spec,
-        params=[mixture_fit.params[l] for l in order],
-        weights=mixture_fit.weights[idx],
-        responsibilities=mixture_fit.responsibilities[:, idx],
-        log_dens=mixture_fit.log_dens[:, idx],
-        q_trace=list(mixture_fit.q_trace),
-        converged=mixture_fit.converged,
-        restart_id=mixture_fit.restart_id,
-        stop=mixture_fit.stop,
-        flagged_rows=mixture_fit.flagged_rows,
-    )
+    return replace(mixture_fit,
+                   params=[mixture_fit.params[l] for l in order],
+                   weights=mixture_fit.weights[idx],
+                   responsibilities=mixture_fit.responsibilities[:, idx],
+                   log_dens=mixture_fit.log_dens[:, idx])

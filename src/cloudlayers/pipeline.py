@@ -80,6 +80,8 @@ class PipelineConfig:
                 + ", ".join(sorted(MODEL_ZOO)))
         if self.alpha0 < 1 or self.alpha1 < 1:
             raise ValueError("Dirichlet alphas must be >= 1")
+        if self.hmm_beta < 0:
+            raise ValueError("hmm_beta must be nonnegative")
         if self.init_l not in (1, 2):
             raise ValueError("init_l must be 1 or 2")
 
@@ -175,8 +177,7 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
              "empty_windows": 0, "flagged_rows": 0}
     intens_prev = flow_mod.intensity_image(prev, prev_mask)
     intens_cur = flow_mod.intensity_image(cur, cur_mask)
-    deriv = flow_mod.derivatives(intens_prev, intens_cur, cfg.wlk.sigma)
-    mask_grid = prev_mask.values.astype(float)
+    deriv = flow_mod.derivatives(intens_prev, intens_cur)
 
     scores, reports, fit_dumps, flow_summaries = [], [], {}, {}
     failed = {}
@@ -184,18 +185,13 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
         try:
             tfit = fit_temperature(temp_feats, prev.index, l, cfg)
 
-            if l == 1:
-                weights = [mask_grid]
-            else:
-                weights = []
-                for c in range(2):
-                    g = np.zeros(mask_grid.shape)
-                    g[prev_mask.values] = tfit.responsibilities[:, c]
-                    weights.append(g)
+            weights = []
+            for c in range(l):
+                g = np.zeros(prev_mask.values.shape)
+                g[prev_mask.values] = tfit.responsibilities[:, c]
+                weights.append(g)
             fields, stats = flow_mod.wlk_solve(deriv, weights, cfg.wlk)
             merged = flow_mod.merge_layers(fields, weights)
-            merged = flow_mod.FlowField(u=merged.u * mask_grid,
-                                        v=merged.v * mask_grid)
             for st in stats:
                 flags["singular_pixels"] += st.singular_pixels
                 flags["empty_windows"] += st.empty_windows

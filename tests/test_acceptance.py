@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from cloudlayers.cli import main as cli_main
-from cloudlayers.flow import WlkConfig, derivatives, intensity_image, \
-    solve_window, wlk_solve
+from cloudlayers.flow import DerivativeStack, WlkConfig, derivatives, \
+    intensity_image, wlk_solve
 from cloudlayers.hmm import HmmState, score_from_sum, step
 from cloudlayers.mixtures import (BetaParams, BivariateGammaParams,
                                   GammaParams, MixtureSpec, VonMisesParams,
@@ -150,11 +150,18 @@ def test_criterion_wls_oracle_equivalence():
         ix = rng.normal(scale=rng.uniform(0.5, 3), size=n)
         iy = rng.normal(scale=rng.uniform(0.5, 3), size=n)
         y = rng.normal(size=n)
-        u, v, singular = solve_window(ix, iy, y, np.ones(n), 0.0)
+        # One 1 x n window; It = 2 y makes the calibrated flow (gain -1/2
+        # on the solution for -It) the WLS solution for y.
+        deriv = DerivativeStack(ix=ix[None, :], iy=iy[None, :],
+                                it=2.0 * y[None, :])
+        (field,), (stats,) = wlk_solve(
+            deriv, [np.ones((1, n))],
+            WlkConfig(window_half_width=int(n), tau=0.0))
         X = np.column_stack([ix, iy])
         expected = np.linalg.solve(X.T @ X, X.T @ y)
-        assert not singular
-        worst = max(worst, abs(u - expected[0]), abs(v - expected[1]))
+        assert stats.singular_pixels == 0
+        worst = max(worst, np.max(np.abs(field.u - expected[0])),
+                    np.max(np.abs(field.v - expected[1])))
     ok = worst <= 1e-10
     _report(f"WLS oracle equivalence (1000 windows, max err {worst:.2e})",
             ok)
@@ -166,7 +173,7 @@ def test_criterion_wls_oracle_equivalence():
 
 def test_criterion_flow_recovery():
     start = time.time()
-    cfg = WlkConfig()  # w = 8, tau = 1e-8, sigma = 1
+    cfg = WlkConfig()  # w = 8, tau = 1e-8
     worst_mag = 0.0
     worst_ang = 0.0
     for vel in ((1, 0), (0, -1), (2, 0), (0, 2)):
@@ -176,7 +183,7 @@ def test_criterion_flow_recovery():
         us, vs = [], []
         for (f0, m0, _), (f1, m1, _) in zip(seq, seq[1:]):
             d = derivatives(intensity_image(f0, m0),
-                            intensity_image(f1, m1), cfg.sigma)
+                            intensity_image(f1, m1))
             (field,), _ = wlk_solve(d, [m0.values.astype(float)], cfg)
             us.append(np.median(field.u[m0.values]))
             vs.append(np.median(field.v[m0.values]))

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from cloudlayers.cli import _pipeline_config, build_parser, main
+from cloudlayers.imaging import Frame, SegmentationMask, write_sequence
 from cloudlayers.pipeline import PipelineConfig
+from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
 
 def _synth(tmp_path, name="seq", layers=1, frames=3, seed=0, extra=()):
@@ -143,3 +146,122 @@ def test_synth_spec_file_override(tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["height"] == 48 and len(manifest["frames"]) == 2
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _flat_manifest(tmp_path, frames=2, drop=None):
+    """A manifest of constant 4 x 4 frames, optionally without one key."""
+    path = write_sequence(tmp_path / "flat", [
+        (Frame(np.full((4, 4), 280.0), index=t),
+         SegmentationMask(np.ones((4, 4)))) for t in range(frames)])
+    if drop:
+        doc = json.loads(path.read_text())
+        del doc[drop]
+        path.write_text(json.dumps(doc))
+    return str(path)
+
+
+INPUT_ERRORS = {
+    "synth-one-frame": lambda d: ["synth", "--out", str(d / "s"),
+                                  "--frames", "1"],
+    "synth-layers-within-noise": lambda d: [
+        "synth", "--out", str(d / "s"), "--layers", "2",
+        "--noise-sigma", "9"],
+    "spec-missing-file": lambda d: ["synth", "--out", str(d / "s"),
+                                    "--spec", str(d / "none.json")],
+    "spec-unknown-key": lambda d: [
+        "synth", "--out", str(d / "s"), "--spec",
+        _write(d / "spec.json", json.dumps(
+            {"colour": 1, "layers": [{"base_temp": 280.0}]}))],
+    "spec-without-layers": lambda d: [
+        "synth", "--out", str(d / "s"), "--spec",
+        _write(d / "spec.json", json.dumps({"frames": 2}))],
+    "manifest-without-height": lambda d: [
+        "detect", "--manifest", _flat_manifest(d, drop="height"),
+        "--out", str(d / "o.jsonl")],
+    "manifest-one-frame": lambda d: [
+        "detect", "--manifest", _flat_manifest(d, frames=1),
+        "--out", str(d / "o.jsonl")],
+    "detect-negative-beta": lambda d: [
+        "detect", "--manifest", _flat_manifest(d), "--beta", "-5",
+        "--out", str(d / "o.jsonl")],
+    "truth-without-frames": lambda d: [
+        "score", "--truth", _write(d / "truth.json", "{}"),
+        "--detections", _write(d / "det.jsonl",
+                               json.dumps({"t": 0, "chosen_l": 1}) + "\n")],
+    "detections-without-chosen-l": lambda d: [
+        "score", "--truth", _write(d / "truth.json", json.dumps(
+            {"frames": [{"t": 0, "l": 1}]})),
+        "--detections", _write(d / "det.jsonl", json.dumps({"t": 0}) + "\n")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, case):
+    assert main(INPUT_ERRORS[case](tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _detect_on(tmp_path, temperatures, masks, *flags):
+    """Run detect on frames written as CSV; returns (exit code, records)."""
+    # Frame rejects non-finite values, so the temperature CSVs are
+    # written over those of a placeholder sequence.
+    seq = tmp_path / "seq"
+    write_sequence(seq, [(Frame(np.full(t.shape, 280.0), index=i),
+                          SegmentationMask(m))
+                         for i, (t, m) in enumerate(zip(temperatures, masks))])
+    for i, t in enumerate(temperatures):
+        np.savetxt(seq / f"frame_{i:04}.csv", t, fmt="%.17g", delimiter=",")
+    det = tmp_path / "det.jsonl"
+    rc = main(["detect", "--manifest", str(seq / "manifest.json"),
+               "--out", str(det), *flags])
+    records = ([json.loads(line) for line in det.read_text().splitlines()]
+               if rc == 0 else None)
+    return rc, records
+
+
+def _cloud_frames(n=3):
+    spec = SynthSpec(shape=(48, 64), frames=n, noise_sigma=0.0, seed=3,
+                     layers=(LayerSpec(base_temp=280.0, velocity=(1, 0)),))
+    return [f.temperatures for f, _, _ in generate(spec)[0]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_detect_rejects_non_finite_frame(tmp_path, capsys, bad):
+    temps = _cloud_frames()
+    temps[1][5, 7] = bad
+    rc, _ = _detect_on(tmp_path, temps, [np.ones(t.shape) for t in temps])
+    assert rc == 1
+    assert "temperatures must be finite" in capsys.readouterr().err
+
+
+def test_detect_all_cloud_mask_fails_no_frame(tmp_path):
+    temps = _cloud_frames()
+    rc, records = _detect_on(tmp_path, temps,
+                             [np.ones(t.shape) for t in temps])
+    assert rc == 0 and len(records) == 2
+    for rec in records:
+        assert rec["error"] is None and "frame_failed" not in rec["flags"]
+
+
+@pytest.mark.parametrize("case,message", [("single-pixel", "masked pixels"),
+                                          ("constant", "constant")])
+def test_detect_records_degenerate_frames_as_failed(tmp_path, case, message):
+    temps = _cloud_frames()
+    masks = [np.ones(t.shape) for t in temps]
+    if case == "single-pixel":
+        for m in masks:
+            m[:] = 0
+            m[10, 10] = 1
+    else:
+        temps = [np.full(t.shape, 275.0) for t in temps]
+    rc, records = _detect_on(tmp_path, temps, masks, "--init-l", "2")
+    assert rc == 0 and len(records) == 2
+    for rec in records:
+        assert rec["flags"] == {"frame_failed": True}
+        assert message in rec["error"]
+        assert rec["chosen_l"] == 2

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from cloudlayers.flow import (FlowField, WlkConfig, derivatives, flow_gain,
-                              intensity_image, merge_layers, solve_window,
+from cloudlayers.flow import (DerivativeStack, FlowField, WlkConfig,
+                              derivatives, intensity_image, merge_layers,
                               wlk_solve)
 from cloudlayers.imaging import EmptyMaskError, Frame, SegmentationMask
 
 
-def _oracle_derivatives(prev, nxt, sigma):
+def _oracle_derivatives(prev, nxt):
     """Direct nested-loop cross-correlation with replicate padding."""
     m, n = prev.shape
     kx = np.array([[-1.0, 1.0], [-1.0, 1.0]])
     ky = np.array([[-1.0, -1.0], [1.0, 1.0]])
-    kt = sigma * np.ones((2, 2))
+    kt = np.ones((2, 2))
 
     def cc(img, k):
         p = np.pad(img, ((0, 1), (0, 1)), mode="edge")
@@ -31,8 +31,8 @@ def test_derivatives_match_direct_convolution():
     rng = np.random.default_rng(0)
     prev = rng.uniform(0, 255, size=(6, 7))
     nxt = rng.uniform(0, 255, size=(6, 7))
-    d = derivatives(prev, nxt, sigma=1.3)
-    ox, oy, ot = _oracle_derivatives(prev, nxt, 1.3)
+    d = derivatives(prev, nxt)
+    ox, oy, ot = _oracle_derivatives(prev, nxt)
     np.testing.assert_allclose(d.ix, ox, atol=1e-12)
     np.testing.assert_allclose(d.iy, oy, atol=1e-12)
     np.testing.assert_allclose(d.it, ot, atol=1e-12)
@@ -42,21 +42,11 @@ def test_derivative_values_on_a_ramp():
     # prev[i, j] = 2 j: a pure x ramp gives Ix = 4 (sum of two unit steps
     # scaled by the gradient 2), Iy = 0.
     prev = np.tile(2.0 * np.arange(5), (4, 1))
-    d = derivatives(prev, prev, sigma=1.0)
+    d = derivatives(prev, prev)
     np.testing.assert_allclose(d.ix[:, :-1], 4.0)
     np.testing.assert_allclose(d.ix[:, -1], 0.0)  # replicate pad kills the step
     np.testing.assert_allclose(d.iy, 0.0)
     np.testing.assert_allclose(d.it, 0.0)
-
-
-def test_temporal_derivative_scales_with_sigma():
-    rng = np.random.default_rng(1)
-    prev = rng.uniform(0, 255, size=(5, 5))
-    nxt = rng.uniform(0, 255, size=(5, 5))
-    d1 = derivatives(prev, nxt, sigma=1.0)
-    d3 = derivatives(prev, nxt, sigma=3.0)
-    np.testing.assert_allclose(d3.it, 3.0 * d1.it, atol=1e-12)
-    np.testing.assert_allclose(d3.ix, d1.ix)
 
 
 def _oracle_ls(ix, iy, y, gamma, tau):
@@ -68,14 +58,29 @@ def _oracle_ls(ix, iy, y, gamma, tau):
     return np.linalg.solve(A, b)
 
 
+def _solve_one_window(ix, iy, y, gamma, tau):
+    """wlk_solve on a 1 x n grid whose every window holds all n samples.
+
+    The temporal derivative is 2 y, so the calibrated flow (gain -1/2 on the
+    solution for -It) is the raw WLS solution for y, without rounding.
+    Returns the first pixel's u and v and the grid's WlkStats.
+    """
+    row = lambda a: np.asarray(a, float).reshape(1, -1)
+    n = np.size(ix)
+    deriv = DerivativeStack(ix=row(ix), iy=row(iy), it=2.0 * row(y))
+    cfg = WlkConfig(window_half_width=n, tau=tau)
+    (f,), (stats,) = wlk_solve(deriv, [row(gamma)], cfg)
+    return f.u[0, 0], f.v[0, 0], stats
+
+
 def test_solve_window_matches_lstsq_oracle():
     rng = np.random.default_rng(42)
     for _ in range(50):
         ix = rng.normal(size=25)
         iy = rng.normal(size=25)
         y = rng.normal(size=25)
-        u, v, singular = solve_window(ix, iy, y, np.ones(25), 0.0)
-        assert not singular
+        u, v, stats = _solve_one_window(ix, iy, y, np.ones(25), 0.0)
+        assert stats.singular_pixels == 0
         expected = _oracle_ls(ix, iy, y, np.ones(25), 0.0)
         assert abs(u - expected[0]) <= 1e-10
         assert abs(v - expected[1]) <= 1e-10
@@ -88,8 +93,8 @@ def test_solve_window_weighted_matches_oracle():
         iy = rng.normal(size=30)
         y = rng.normal(size=30)
         g = rng.uniform(0.0, 1.0, size=30)
-        u, v, singular = solve_window(ix, iy, y, g, 1e-8)
-        assert not singular
+        u, v, stats = _solve_one_window(ix, iy, y, g, 1e-8)
+        assert stats.singular_pixels == 0
         expected = _oracle_ls(ix, iy, y, g, 1e-8)
         np.testing.assert_allclose([u, v], expected, atol=1e-9)
 
@@ -97,8 +102,9 @@ def test_solve_window_weighted_matches_oracle():
 def test_solve_window_flags_singular_system():
     ix = np.ones(16)
     iy = np.ones(16)  # rank-1 design, det = 0
-    u, v, singular = solve_window(ix, iy, np.ones(16), np.ones(16), 0.0)
-    assert singular and u == 0.0 and v == 0.0
+    u, v, stats = _solve_one_window(ix, iy, np.ones(16), np.ones(16), 0.0)
+    assert stats.singular_pixels == 16 and stats.empty_windows == 0
+    assert u == 0.0 and v == 0.0
 
 
 def test_ridge_shrinks_solution_norm():
@@ -107,8 +113,8 @@ def test_ridge_shrinks_solution_norm():
     iy = rng.normal(size=40)
     y = rng.normal(size=40)
     g = np.ones(40)
-    small = solve_window(ix, iy, y, g, 1e-10)
-    large = solve_window(ix, iy, y, g, 1e3)
+    small = _solve_one_window(ix, iy, y, g, 1e-10)
+    large = _solve_one_window(ix, iy, y, g, 1e3)
     assert np.hypot(*large[:2]) < np.hypot(*small[:2])
 
 
@@ -116,11 +122,10 @@ def test_wlk_solve_agrees_with_per_pixel_loop():
     rng = np.random.default_rng(6)
     prev = rng.uniform(0, 255, size=(10, 12))
     nxt = rng.uniform(0, 255, size=(10, 12))
-    cfg = WlkConfig(window_half_width=2, tau=1e-8, sigma=1.0)
-    d = derivatives(prev, nxt, cfg.sigma)
+    cfg = WlkConfig(window_half_width=2, tau=1e-8)
+    d = derivatives(prev, nxt)
     g = rng.uniform(0.1, 1.0, size=(10, 12))
     (f,), (stats,) = wlk_solve(d, [g], cfg)
-    gain = flow_gain(cfg.sigma)
     y = -d.it
     m, n = prev.shape
     w = cfg.window_half_width
@@ -128,12 +133,10 @@ def test_wlk_solve_agrees_with_per_pixel_loop():
         for j in range(0, n, 3):
             sl = (slice(max(i - w, 0), i + w + 1),
                   slice(max(j - w, 0), j + w + 1))
-            u, v, singular = solve_window(d.ix[sl], d.iy[sl], y[sl],
-                                          g[sl], cfg.tau)
-            assert not singular
-            assert f.u[i, j] == pytest.approx(gain * u, abs=1e-10)
-            assert f.v[i, j] == pytest.approx(gain * v, abs=1e-10)
-    assert stats.empty_windows == 0
+            u, v = _oracle_ls(d.ix[sl], d.iy[sl], y[sl], g[sl], cfg.tau)
+            assert f.u[i, j] == pytest.approx(-0.5 * u, abs=1e-10)
+            assert f.v[i, j] == pytest.approx(-0.5 * v, abs=1e-10)
+    assert stats.empty_windows == 0 and stats.singular_pixels == 0
 
 
 def test_wlk_zero_weight_regions_are_empty():
@@ -141,7 +144,7 @@ def test_wlk_zero_weight_regions_are_empty():
     prev = rng.uniform(0, 255, size=(9, 9))
     nxt = rng.uniform(0, 255, size=(9, 9))
     cfg = WlkConfig(window_half_width=1)
-    d = derivatives(prev, nxt, cfg.sigma)
+    d = derivatives(prev, nxt)
     g = np.zeros((9, 9))
     g[:3, :3] = 1.0
     (f,), (stats,) = wlk_solve(d, [g], cfg)
@@ -153,7 +156,7 @@ def test_wlk_zero_weight_regions_are_empty():
 def test_wlk_rejects_bad_weights():
     rng = np.random.default_rng(8)
     prev = rng.uniform(0, 255, size=(6, 6))
-    d = derivatives(prev, prev, 1.0)
+    d = derivatives(prev, prev)
     cfg = WlkConfig(window_half_width=1)
     with pytest.raises(ValueError):
         wlk_solve(d, [np.full((6, 6), 1.5)], cfg)
@@ -174,16 +177,11 @@ def test_translation_recovery_sign_convention(shift, expect):
             + 30.0 * np.sin(2 * np.pi * (xx / 10.0 + yy / 7.5)))
     nxt = np.roll(prev, shift, axis=(0, 1))
     cfg = WlkConfig(window_half_width=4)
-    d = derivatives(prev, nxt, cfg.sigma)
+    d = derivatives(prev, nxt)
     (f,), _ = wlk_solve(d, [np.ones_like(prev)], cfg)
     inner = (slice(6, -6), slice(6, -6))
     assert np.median(f.u[inner]) == pytest.approx(expect[0], abs=0.25)
     assert np.median(f.v[inner]) == pytest.approx(expect[1], abs=0.25)
-
-
-def test_flow_gain_value():
-    assert flow_gain(1.0) == -0.5
-    assert flow_gain(2.0) == -0.25
 
 
 def test_merge_layers_is_convex_combination():
@@ -231,6 +229,4 @@ def test_wlk_config_validation():
         WlkConfig(window_half_width=0)
     with pytest.raises(ValueError):
         WlkConfig(tau=-1.0)
-    with pytest.raises(ValueError):
-        WlkConfig(sigma=0.0)
     assert WlkConfig(window_half_width=8).window_width == 17
