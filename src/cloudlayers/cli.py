@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -59,14 +60,15 @@ def _cmd_detect(args):
         raise _InputError(str(exc))
     if len(sequence) < 2:
         raise _InputError("a sequence needs at least 2 frames")
-    records = pipeline.process_sequence(sequence, cfg)
-    out = Path(args.out)
-    with out.open("w") as fh:
+    try:
+        fh = Path(args.out).open("w")
+    except OSError as exc:
+        raise _InputError(str(exc))
+    with fh:
+        records = pipeline.process_sequence(sequence, cfg)
         for rec in records:
             fh.write(rec.to_json_line() + "\n")
-    hist = {}
-    for rec in records:
-        hist[rec.chosen_l] = hist.get(rec.chosen_l, 0) + 1
+    hist = Counter(rec.chosen_l for rec in records)
     print(f"processed {len(records)} frames; "
           + " ".join(f"L={l}:{c}" for l, c in sorted(hist.items())),
           file=sys.stderr)

@@ -56,10 +56,6 @@ def step(scores, state):
     """
     if len({s.l for s in scores}) != len(scores):
         raise ValueError("exactly one score per hypothesis required")
-    best = None
-    for s in scores:
-        if best is None or s.total > best.total or (
-                s.total == best.total and s.l == state.previous_l):
-            best = s
+    best = max(scores, key=lambda s: (s.total, s.l == state.previous_l))
     state.previous_l = best.l
     return best.l, state

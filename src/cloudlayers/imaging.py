@@ -160,12 +160,10 @@ def load_sequence(manifest_path):
                 raise FileNotFoundError(f"referenced file not found: {p}")
         temps = np.loadtxt(fpath, delimiter=",", ndmin=2)
         maskv = np.loadtxt(mpath, delimiter=",", ndmin=2)
-        if temps.shape != (height, width):
-            raise ValueError(f"shape mismatch in {fpath}: "
-                             f"{temps.shape} != {(height, width)}")
-        if maskv.shape != (height, width):
-            raise ValueError(f"shape mismatch in {mpath}: "
-                             f"{maskv.shape} != {(height, width)}")
+        for p, arr in ((fpath, temps), (mpath, maskv)):
+            if arr.shape != (height, width):
+                raise ValueError(f"shape mismatch in {p}: "
+                                 f"{arr.shape} != {(height, width)}")
         out.append((Frame(temps, index=entry["t"]),
                     SegmentationMask(maskv != 0)))
     return out

@@ -41,11 +41,6 @@ def clamp_positive(x, min_arg=MIN_ARG, ceil=PARAM_CEIL):
     return np.clip(x, min_arg, ceil)
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    return _sp.gammaln(_check_positive(x, "x"))
-
-
 def digamma(x):
     """psi(x) = Gamma'(x) / Gamma(x) for x > 0."""
     return _sp.psi(_check_positive(x, "x"))

@@ -1,5 +1,7 @@
-"""Per-frame orchestration: features -> mixture fits under both hypotheses
--> weighted flow -> velocity mixtures -> scoring -> sequential detection.
+"""Per-frame evidence, then the sequential decision. ``frame_evidence`` is
+pure: features -> mixture fits under both hypotheses -> weighted flow ->
+velocity mixtures -> metrics, in an undecided record. ``decide`` applies the
+sticky HMM prior to it; ``decode`` re-decides records at any ``beta``.
 
 Model ids name a temperature component (whose posteriors weight the flow
 solver) and one or more velocity components fitted on the merged flow field.
@@ -11,7 +13,7 @@ velocity feature does.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +32,7 @@ class InsufficientMaskError(ValueError):
 # and flow speeds above zero.
 EPS = 1e-6
 
-# What a frame's own data can make process_frame raise. process_sequence
+# What a frame's own data can make frame_evidence raise. process_sequence
 # records these as failed frames; anything else is a fault and propagates.
 FRAME_DATA_ERRORS = (InsufficientMaskError, mixtures.FitError,
                      DegenerateNormalizationError, EmptyMaskError,
@@ -89,7 +91,7 @@ class PipelineConfig:
 @dataclass
 class DetectionRecord:
     t: int
-    chosen_l: int
+    chosen_l: int                # None until decided
     scores: list                 # HypothesisScore per hypothesis
     metric_reports: list         # MetricReport per hypothesis
     # fits["L<l>"][role] is the JSON text of that fit's summary: callers keep
@@ -131,8 +133,7 @@ def _temperature_features(frame, mask, cfg):
 
 
 def _velocity_features(field, mask, temp_features, model):
-    u = field.u[mask.values]
-    v = field.v[mask.values]
+    u, v = field.u[mask.values], field.v[mask.values]
     r = np.maximum(np.hypot(u, v), EPS)
     feats = {"uv": np.column_stack([u, v]), "r": r,
              "phi": np.arctan2(u, v)}
@@ -162,8 +163,10 @@ def fit_temperature(temp_feats, t, l, cfg):
     return mixtures.resolve_labels(tfit, means)
 
 
-def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
-    """Detection for the transition prev -> cur; threads the HMM state."""
+def frame_evidence(prev, prev_mask, cur, cur_mask, cfg):
+    """The undecided record of the transition prev -> cur: ``chosen_l`` is
+    None and each score holds its hypothesis's posterior sum, ``-inf`` where
+    its fits failed. Raises ``FRAME_DATA_ERRORS`` on unusable frame data."""
     model = MODEL_ZOO[cfg.model]
     w_full = cfg.wlk.window_width
     if prev_mask.n_cloud < w_full * w_full:
@@ -175,21 +178,17 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
 
     flags = {"degenerate_restarts": 0, "singular_pixels": 0,
              "empty_windows": 0, "flagged_rows": 0}
-    intens_prev = flow_mod.intensity_image(prev, prev_mask)
-    intens_cur = flow_mod.intensity_image(cur, cur_mask)
-    deriv = flow_mod.derivatives(intens_prev, intens_cur)
+    deriv = flow_mod.derivatives(flow_mod.intensity_image(prev, prev_mask),
+                                 flow_mod.intensity_image(cur, cur_mask))
 
-    scores, reports, fit_dumps, flow_summaries = [], [], {}, {}
-    failed = {}
+    scores, reports, fit_dumps, flow_summaries, failed = [], [], {}, {}, {}
     for l in (1, 2):
         try:
             tfit = fit_temperature(temp_feats, prev.index, l, cfg)
 
-            weights = []
-            for c in range(l):
-                g = np.zeros(prev_mask.values.shape)
+            weights = [np.zeros(prev_mask.values.shape) for _ in range(l)]
+            for c, g in enumerate(weights):
                 g[prev_mask.values] = tfit.responsibilities[:, c]
-                weights.append(g)
             fields, stats = flow_mod.wlk_solve(deriv, weights, cfg.wlk)
             merged = flow_mod.merge_layers(fields, weights)
             for st in stats:
@@ -205,8 +204,9 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
                                 restarts=cfg.restarts)
             flags["flagged_rows"] += tfit.flagged_rows + vfit.flagged_rows
 
-            posterior_sum = tfit.q + vfit.q
-            scores.append(hmm_mod.score_from_sum(l, posterior_sum, state))
+            posterior_sum = float(tfit.q + vfit.q)
+            scores.append(hmm_mod.HypothesisScore(l, posterior_sum, 0.0,
+                                                  posterior_sum))
             tm, vm = selection.metrics(tfit), selection.metrics(vfit)
             reports.append(selection.MetricReport(
                 log_q=tm.log_q + vm.log_q,
@@ -218,8 +218,7 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
             fit_dumps[f"L{l}"] = {
                 role: json.dumps(f.to_json_dict(), sort_keys=True)
                 for role, f in (("temperature", tfit), ("velocity", vfit))}
-            mu = merged.u[prev_mask.values]
-            mv = merged.v[prev_mask.values]
+            mu, mv = merged.u[prev_mask.values], merged.v[prev_mask.values]
             flow_summaries[f"L{l}"] = {
                 "mean_u": float(mu.mean()), "mean_v": float(mv.mean()),
                 "median_u": float(np.median(mu)),
@@ -227,17 +226,39 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
             }
         except mixtures.FitError as exc:
             failed[l] = str(exc)
-            scores.append(hmm_mod.score_from_sum(l, -np.inf, state))
+            scores.append(hmm_mod.HypothesisScore(l, -np.inf, 0.0, -np.inf))
             flags["degenerate_restarts"] += 1
 
     if len(failed) == 2:
         raise mixtures.FitError("both hypotheses failed: " + str(failed))
-    chosen, state = hmm_mod.step(scores, state)
     return DetectionRecord(
-        t=prev.index, chosen_l=chosen, scores=scores,
+        t=prev.index, chosen_l=None, scores=scores,
         metric_reports=reports, fits=fit_dumps,
         flow_summary=flow_summaries, flags=flags,
         error=("; ".join(f"L{l}: {m}" for l, m in failed.items()) or None))
+
+
+def decide(record, state):
+    """``record`` rescored from its posterior sums and chosen under the prior
+    of ``state``, which advances to the choice; a failed frame keeps it."""
+    if record.flags.get("frame_failed"):
+        return replace(record, chosen_l=state.previous_l)
+    scores = [hmm_mod.score_from_sum(s.l, s.posterior_sum, state)
+              for s in record.scores]
+    chosen, _ = hmm_mod.step(scores, state)
+    return replace(record, chosen_l=chosen, scores=scores)
+
+
+def decode(records, beta, init_l):
+    """A sequence's records, in frame order, re-decided under stickiness
+    ``beta`` from state ``init_l``, without refitting."""
+    state = hmm_mod.HmmState(previous_l=init_l, beta=beta)
+    return [decide(rec, state) for rec in records]
+
+
+def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
+    """Detection for the transition prev -> cur; threads the HMM state."""
+    return decide(frame_evidence(prev, prev_mask, cur, cur_mask, cfg), state)
 
 
 def process_sequence(sequence, cfg):
@@ -253,9 +274,9 @@ def process_sequence(sequence, cfg):
         try:
             rec = process_frame(prev, prev_mask, cur, cur_mask, state, cfg)
         except FRAME_DATA_ERRORS as exc:
-            rec = DetectionRecord(
-                t=prev.index, chosen_l=state.previous_l, scores=[],
-                metric_reports=[], fits={}, flow_summary={},
-                flags={"frame_failed": True}, error=str(exc))
+            rec = decide(DetectionRecord(
+                t=prev.index, chosen_l=None, scores=[], metric_reports=[],
+                fits={}, flow_summary={}, flags={"frame_failed": True},
+                error=str(exc)), state)
         records.append(rec)
     return records

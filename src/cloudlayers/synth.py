@@ -40,6 +40,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if np.shape(self.shape) != (2,) or not all(
+                isinstance(s, (int, np.integer)) and s > 0 for s in self.shape):
+            raise ValueError(f"shape must be two positive ints: {self.shape}")
         if not 1 <= len(self.layers) <= 2:
             raise ValueError("layer count must be 1 or 2")
         if self.frames < 2:

@@ -20,7 +20,7 @@ from cloudlayers.mixtures import (BetaParams, BivariateGammaParams,
                                   e_step, fit, log_pdf, log_pdf_gradient,
                                   m_step_weights)
 from cloudlayers.numerics import finite_diff_gradient
-from cloudlayers.pipeline import PipelineConfig, process_sequence
+from cloudlayers.pipeline import PipelineConfig, decode, process_sequence
 from cloudlayers.selection import CRITERIA, metrics, select
 from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
@@ -252,15 +252,21 @@ def test_criterion_selection_sanity():
 # Criterion 8: end-to-end synthetic detection and the sequential prior
 
 
-def _run_suite(specs, beta):
-    correct = total = 0
+def _suite_runs(specs, beta):
+    """(records, truth) of each spec's sequence, detected at ``beta``."""
+    runs = []
     for spec in specs:
         seq, truth = generate(spec)
         pairs = [(f, m) for f, m, _ in seq]
-        recs = process_sequence(pairs, PipelineConfig(seed=0, hmm_beta=beta))
-        correct += sum(r.chosen_l == truth[r.t] for r in recs)
-        total += len(recs)
-    return correct, total
+        runs.append((process_sequence(
+            pairs, PipelineConfig(seed=0, hmm_beta=beta)), truth))
+    return runs
+
+
+def _score(runs):
+    correct = sum(r.chosen_l == truth[r.t] for recs, truth in runs
+                  for r in recs)
+    return correct, sum(len(recs) for recs, _ in runs)
 
 
 def test_criterion_end_to_end_detection():
@@ -272,7 +278,7 @@ def test_criterion_end_to_end_detection():
                      layers=(LayerSpec(base_temp=285.0, velocity=(1, 0)),
                              LayerSpec(base_temp=265.0, velocity=(-1, 1))))
            for s in range(5)]
-    correct, total = _run_suite(one + two, beta=650.0)
+    correct, total = _score(_suite_runs(one + two, beta=650.0))
     accuracy = 100.0 * correct / total
 
     # Change-point suite: heavy noise makes per-frame evidence marginal,
@@ -283,8 +289,11 @@ def test_criterion_end_to_end_detection():
                             LayerSpec(base_temp=266.0, velocity=(-1, 1),
                                       amplitude=1.5)))
           for s in (2, 3, 5, 6)]
-    cp_sticky, cp_total = _run_suite(cp, beta=650.0)
-    cp_flat, _ = _run_suite(cp, beta=0.0)
+    cp_runs = _suite_runs(cp, beta=650.0)
+    cp_sticky, cp_total = _score(cp_runs)
+    # beta = 0 re-decides the same per-frame evidence: no frame is refitted.
+    cp_flat, _ = _score([(decode(recs, 0.0, PipelineConfig().init_l), truth)
+                         for recs, truth in cp_runs])
     elapsed = time.time() - start
 
     ok = (accuracy >= 90.0 and cp_flat < cp_sticky and elapsed < 600.0)

@@ -168,6 +168,8 @@ def _flat_manifest(tmp_path, frames=2, drop=None):
 INPUT_ERRORS = {
     "synth-one-frame": lambda d: ["synth", "--out", str(d / "s"),
                                   "--frames", "1"],
+    "synth-zero-height": lambda d: ["synth", "--out", str(d / "s"),
+                                    "--height", "0"],
     "synth-layers-within-noise": lambda d: [
         "synth", "--out", str(d / "s"), "--layers", "2",
         "--noise-sigma", "9"],
@@ -189,6 +191,9 @@ INPUT_ERRORS = {
     "detect-negative-beta": lambda d: [
         "detect", "--manifest", _flat_manifest(d), "--beta", "-5",
         "--out", str(d / "o.jsonl")],
+    "detect-out-in-missing-dir": lambda d: [
+        "detect", "--manifest", _flat_manifest(d),
+        "--out", str(d / "nodir" / "o.jsonl")],
     "truth-without-frames": lambda d: [
         "score", "--truth", _write(d / "truth.json", "{}"),
         "--detections", _write(d / "det.jsonl",

@@ -12,8 +12,9 @@ from cloudlayers import mixtures
 from cloudlayers.flow import FlowField, WlkConfig
 from cloudlayers.imaging import Frame, SegmentationMask
 from cloudlayers.pipeline import (EPS, MODEL_ZOO, InsufficientMaskError,
-                                  PipelineConfig, _velocity_features,
-                                  process_frame, process_sequence)
+                                  PipelineConfig, _velocity_features, decide,
+                                  decode, frame_evidence, process_frame,
+                                  process_sequence)
 from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
 
@@ -94,6 +95,69 @@ def test_failed_frame_keeps_state_and_is_flagged():
     assert recs[1].flags.get("frame_failed")
     assert recs[1].error is not None
     assert recs[1].chosen_l == recs[0].chosen_l  # state carried over
+
+
+def _lines(records):
+    return [r.to_json_line() for r in records]
+
+
+def test_process_frame_decides_the_frame_evidence():
+    pairs, _ = _pairs(_two_layer_spec(frames=2))
+    (f0, m0), (f1, m1) = pairs
+    cfg = PipelineConfig(seed=0)
+    evidence = frame_evidence(f0, m0, f1, m1, cfg)
+    assert evidence.chosen_l is None
+    assert [s.l for s in evidence.scores] == [1, 2]
+    state = hmm_mod.HmmState(previous_l=1, beta=cfg.hmm_beta)
+    rec = process_frame(f0, m0, f1, m1, state, cfg)
+    assert state.previous_l == rec.chosen_l
+    assert ([s.posterior_sum for s in rec.scores]
+            == [s.posterior_sum for s in evidence.scores])
+    again = decide(evidence, hmm_mod.HmmState(previous_l=1,
+                                              beta=cfg.hmm_beta))
+    assert again.to_json_line() == rec.to_json_line()
+
+
+@pytest.fixture(scope="module")
+def noisy_records():
+    """A noisy change-point sequence whose middle transition fails (its
+    first frame's mask is smaller than one solver window), detected at the
+    default beta from L=2: the state holds 2 over the failure, then
+    switches."""
+    pairs, _ = _pairs(SynthSpec(
+        frames=5, change_point=2, noise_sigma=3.0, seed=2,
+        layers=(LayerSpec(base_temp=278.0, velocity=(1, 0), amplitude=1.5),
+                LayerSpec(base_temp=266.0, velocity=(-1, 1),
+                          amplitude=1.5))))
+    small = np.zeros(pairs[2][1].values.shape, dtype=bool)
+    small[:2, :2] = True
+    pairs[2] = (pairs[2][0], SegmentationMask(small))
+    return pairs, process_sequence(pairs, PipelineConfig(seed=0, init_l=2))
+
+
+def test_decode_at_the_same_beta_reproduces_the_records(noisy_records):
+    _, recs = noisy_records
+    cfg = PipelineConfig(seed=0, init_l=2)
+    assert recs[2].flags == {"frame_failed": True}
+    assert [r.chosen_l for r in recs] == [2, 2, 2, 1]
+    assert _lines(decode(recs, cfg.hmm_beta, cfg.init_l)) == _lines(recs)
+
+
+def test_decode_at_another_beta_equals_a_refit(noisy_records):
+    pairs, recs = noisy_records
+    flat = process_sequence(pairs, PipelineConfig(seed=0, hmm_beta=0.0))
+    assert _lines(decode(recs, 0.0, 1)) == _lines(flat)
+
+
+@pytest.mark.parametrize("init_l", [1, 2])
+def test_decode_keeps_the_state_over_a_failed_frame(noisy_records, init_l):
+    _, recs = noisy_records
+    beta = 650.0
+    decoded = decode(recs, beta, init_l)
+    assert decoded[2].chosen_l == decoded[1].chosen_l
+    # The frame after the failure is scored against the kept state.
+    for s in decoded[3].scores:
+        assert s.psi == (-beta if s.l == decoded[1].chosen_l else beta)
 
 
 @pytest.mark.parametrize("exc,caught", [

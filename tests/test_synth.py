@@ -99,6 +99,9 @@ def test_spec_validation():
         SynthSpec(layers=())
     with pytest.raises(ValueError):
         SynthSpec(frames=1)
+    for shape in [(0, 80), (60,), (60, 80.0), 60]:
+        with pytest.raises(ValueError, match="shape"):
+            SynthSpec(shape=shape)
     with pytest.raises(ValueError):
         SynthSpec(change_point=2)  # needs two layers
     with pytest.raises(ValueError):
