@@ -34,22 +34,46 @@ ones. An iteration then makes a few passes over contiguous length-N rows:
   its responsibility mass. These feed the surrogate objective, the MAP
   weights, the M-step means and the warm-start guard of each M-step.
 
-The surrogate objective recorded per iteration is
+A run maximizes the observed-data MAP objective
+
+    l = sum_i log sum_l pi_l p(x_i | theta_l) + sum_l (alpha_l - 1) log pi_l,
+
+which no EM step lowers (Dempster, Laird & Rubin 1977). It takes l from
+the E-step's own terms: a row's largest log-weight minus the log of its
+responsibility (``odll``). EM is the map F = M-step after E-step, and each
+E-step is one call of ``e_step``. SQUAREM (Varadhan & Roland 2008)
+accelerates it in cycles on the vector theta = [logit pi, every cluster's
+natural parameters]:
+
+- theta1 = F(theta0) and theta2 = F(theta1); r = theta1 - theta0 and
+  v = theta2 - theta1 - r;
+- a = min(-1, -|r| / |v|) and theta' = theta0 - 2 a r + a^2 v, mapped back
+  to parameters by each family's inverse of its natural form;
+- the next cycle starts at F(theta') if theta' lies in every family's
+  domain, keeps both weights in (0, 1) and has l(theta') >= l(theta0);
+  otherwise, and whenever a = -1 (where theta' is theta2), at theta2.
+
+So l never falls from one cycle start to the next. A run stops on
+"tolerance" when l gains less than ``Q_REL_TOL`` relative over the first
+step of a cycle or over a whole cycle, and on "cap" after
+``MAX_OUTER_ITERS`` E-steps. A one-cluster run stops after two E-steps.
+
+A fit records, at each cycle start and at the state it stops in, l
+(``ll_trace``) and the surrogate objective
 
     Q = sum_i sum_l gamma_il [log pi_l + log p(x_i | theta_l)]
         + sum_l (alpha_l - 1) log pi_l
 
-i.e. the expected complete-data log-likelihood plus the (unnormalized)
-Dirichlet log-prior, which vanishes exactly when all alpha_l = 1. Each run
-stops when Q changes by less than ``Q_REL_TOL`` relative ("tolerance"), when
-it dips below its previous value by more than rounding ("dip"; the run keeps
-the state before the dip), or after ``MAX_OUTER_ITERS`` iterations ("cap").
+(``q_trace``): the expected complete-data log-likelihood plus the
+(unnormalized) Dirichlet log-prior, which vanishes exactly when all
+alpha_l = 1. An E-step can lower Q, but not l. The fit's Q is its last.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import psi as _psi, zeta as _zeta
@@ -289,6 +313,12 @@ def _gamma_natural(p):
     return (a - 1.0, -1.0 / b), a * math.log(b) + math.lgamma(a)
 
 
+def _gamma_from_natural(eta):
+    if eta[0] > -1.0 and eta[1] < 0.0:
+        return GammaParams(alpha=eta[0] + 1.0, beta=-1.0 / eta[1])
+    return None
+
+
 def _gamma_m_step(s, start):
     a = _gamma_shape(math.log(s[1]) - s[0])
     return GammaParams(alpha=a, beta=clamp_positive(s[1] / a))
@@ -306,6 +336,12 @@ def _beta_natural(p):
     return (a - 1.0, b - 1.0), _log_beta_fn(a, b)
 
 
+def _beta_from_natural(eta):
+    if eta[0] > -1.0 and eta[1] > -1.0:
+        return BetaParams(alpha=eta[0] + 1.0, beta=eta[1] + 1.0)
+    return None
+
+
 def _von_mises_statistic(x):
     x = np.asarray(x, float)
     return np.column_stack([np.cos(x), np.sin(x)])
@@ -315,6 +351,13 @@ def _von_mises_natural(p):
     k = p.kappa
     return ((k * math.cos(p.mu), k * math.sin(p.mu)),
             LOG_2PI + log_bessel_i0(k))
+
+
+def _von_mises_from_natural(eta):
+    kappa = math.hypot(eta[0], eta[1])
+    if kappa > 0.0:
+        return VonMisesParams(mu=math.atan2(eta[1], eta[0]), kappa=kappa)
+    return None
 
 
 def _von_mises_m_step(s, start):
@@ -338,6 +381,14 @@ def _bivariate_gamma_natural(p):
             math.lgamma(a) + math.lgamma(c) - a * math.log(b))
 
 
+def _bivariate_gamma_from_natural(eta):
+    # The last natural parameter, the coefficient of xy, is always -1.
+    alpha, beta, a = eta[0] - eta[1], -eta[2], eta[1] + 1.0
+    if alpha > 0.0 and beta > 0.0 and a > 0.0:
+        return BivariateGammaParams(alpha=alpha, beta=beta, a=a)
+    return None
+
+
 def _bivariate_gamma_m_step(s, start):
     a = _gamma_shape(math.log(s[2]) - s[0])
     return BivariateGammaParams(alpha=a, beta=clamp_positive(a / s[2]),
@@ -349,6 +400,7 @@ class _Family:
     statistic: object  # x -> T(x), shape (N, k); raises on support violations
     natural: object    # params -> (eta, A), log p(x) = T(x) @ eta - A
     m_step: object     # (mean of T, warm start or None) -> maximizing params
+    from_natural: object  # eta -> params, or None outside the family's domain
 
 
 def _gaussian_family(center, floor):
@@ -386,17 +438,29 @@ def _gaussian_family(center, floor):
         cov = second - np.outer(dm, dm)
         return GaussianParams(mean=c + dm, cov=_floor_covariance(cov, floor))
 
-    return _Family(statistic, natural, m_step)
+    def from_natural(eta):
+        prec = np.empty((d, d))
+        prec[iu, ju] = prec[ju, iu] = np.divide(eta[d:], quad)
+        vals, vecs = np.linalg.eigh(prec)
+        if not vals.min() > 0:
+            return None
+        cov = (vecs / vals) @ vecs.T
+        return GaussianParams(mean=c + cov @ eta[:d], cov=cov)
+
+    return _Family(statistic, natural, m_step, from_natural)
 
 
 _FAMILIES = {
-    "gamma": _Family(_gamma_statistic, _gamma_natural, _gamma_m_step),
-    "beta": _Family(_beta_statistic, _beta_natural, _beta_m_step),
+    "gamma": _Family(_gamma_statistic, _gamma_natural, _gamma_m_step,
+                     _gamma_from_natural),
+    "beta": _Family(_beta_statistic, _beta_natural, _beta_m_step,
+                    _beta_from_natural),
     "von_mises": _Family(_von_mises_statistic, _von_mises_natural,
-                         _von_mises_m_step),
+                         _von_mises_m_step, _von_mises_from_natural),
     "bivariate_gamma": _Family(_bivariate_gamma_statistic,
                                _bivariate_gamma_natural,
-                               _bivariate_gamma_m_step),
+                               _bivariate_gamma_m_step,
+                               _bivariate_gamma_from_natural),
 }
 
 
@@ -554,10 +618,11 @@ class MixtureFit:
     weights: np.ndarray     # pi, shape (L,)
     responsibilities: np.ndarray  # gamma, shape (N, L)
     log_dens: np.ndarray    # per-sample per-cluster log-likelihood, (N, L)
-    q_trace: list
+    q_trace: list           # Q at each cycle start and the final state
     converged: bool
     restart_id: int
-    stop: str               # "tolerance", "dip" or "cap"; see module doc
+    stop: str               # "tolerance" or "cap"; see module doc
+    ll_trace: list          # the objective l at the same states
     flagged_rows: int = 0
 
     @property
@@ -577,6 +642,7 @@ class MixtureFit:
             "weights": self.weights.tolist(),
             "params": [[enc(p) for p in row] for row in self.params],
             "q_trace": [float(q) for q in self.q_trace],
+            "ll_trace": [float(v) for v in self.ll_trace],
             "converged": self.converged,
             "stop": self.stop,
             "restart_id": self.restart_id,
@@ -664,6 +730,27 @@ def e_step(log_dens, pi):
     return gamma, n_bad
 
 
+def odll(log_dens, gamma, pi, alpha):
+    """Observed-data log-likelihood plus the Dirichlet log-prior, from the
+    responsibilities ``gamma`` that e_step gives at (log_dens, pi).
+
+    A row's largest weight w_m = log pi_m + log p_m has responsibility
+    1 / sum_l exp(w_l - w_m), so the row's log sum_l pi_l p_l is
+    w_m - log gamma_m. A row with an infinite or NaN weight gives what a
+    log-sum-exp gives: its largest weight decides.
+    """
+    lp = np.log(pi).tolist()
+    if len(lp) == 1:
+        core = float(log_dens[:, 0].sum()) + log_dens.shape[0] * lp[0]
+    else:
+        w = np.maximum(log_dens[:, 0] + lp[0], log_dens[:, 1] + lp[1])
+        g = np.maximum(gamma[:, 0], gamma[:, 1])
+        np.log(g, out=g)
+        core = float(w.sum() - g.sum())
+    # The Dirichlet log-prior, exactly zero when all alpha = 1.
+    return core + sum((a - 1.0) * v for a, v in zip(alpha, lp) if a != 1.0)
+
+
 def m_step_weights(gamma, dirichlet_alpha, n, n_clusters):
     """MAP weight update; reduces bitwise to sum(gamma)/N when alpha = 1."""
     alpha = np.asarray(dirichlet_alpha, float)
@@ -733,52 +820,145 @@ def _m_step(data, sums, params, natural):
     return new_params, new_natural, np.array(coef)
 
 
+def _vector(state):
+    """The SQUAREM vector of (params, natural, coef, pi): [logit pi (two
+    clusters), every cluster's natural parameters]."""
+    coef, pi = state[2:]
+    head = [math.log(pi[1] / pi[0])] if pi.size == 2 else []
+    return np.concatenate((head, coef[:, :-1].ravel()))
+
+
+def _state(data, theta, n_clusters):
+    """(params, natural, coef, pi) at a SQUAREM vector, or None when it
+    leaves some family's domain or puts a weight outside (0, 1)."""
+    if not np.isfinite(theta).all():
+        return None
+    pi = np.ones(1)
+    if n_clusters == 2:
+        # A weight under about exp(-700) counts as 0: exp(t) overflows
+        # not far past |t| = 700.
+        if not abs(theta[0]) < 700.0:
+            return None
+        pi = 1.0 / (1.0 + np.exp([theta[0], -theta[0]]))
+        theta = theta[1:]
+    params, natural, coef = [], [], []
+    for row in theta.reshape(n_clusters, -1).tolist():
+        p_row, n_row, a_sum = [], [], 0.0
+        for comp in data.components:
+            p = comp.family.from_natural(row[comp.rows])
+            if p is None:
+                return None
+            eta, a = comp.family.natural(p)
+            p_row.append(p)
+            n_row.append((eta, a))
+            a_sum += a
+        if not math.isfinite(a_sum):
+            return None
+        params.append(p_row)
+        natural.append(n_row)
+        coef.append([v for eta, _ in n_row for v in eta] + [-a_sum])
+    return params, natural, np.array(coef), pi
+
+
+class _Eval(NamedTuple):
+    """One E-step of the EM map at ``state``, (params, natural, coef, pi)."""
+    state: tuple
+    gamma: np.ndarray
+    log_dens: np.ndarray
+    sums: np.ndarray  # (K + 1, L) statistic sums, then responsibility mass
+    q: float
+    ll: float
+    flagged: int
+
+
 def _run_em(n, data, spec, gamma):
-    """One EM run from initial responsibilities ``gamma``. Returns (params,
-    pi, gamma, log_dens, q_trace, converged, flagged_rows, stop)."""
+    """One SQUAREM-accelerated EM run from initial responsibilities
+    ``gamma``. Returns (params, pi, gamma, log_dens, q_trace, converged,
+    flagged_rows, stop, ll_trace)."""
+    alpha = spec.dirichlet_alpha
     # MAP weights are (alpha - 1 + gsum) / denom, as in m_step_weights.
-    prior = [a - 1.0 for a in spec.dirichlet_alpha]
-    denom = n - spec.n_clusters + sum(spec.dirichlet_alpha)
+    prior = [a - 1.0 for a in alpha]
+    denom = n - spec.n_clusters + sum(alpha)
     stats = data.stats
-    # The initial parameters are the M-step of the initial responsibilities.
-    sums = stats @ gamma
-    params, natural, coef = _m_step(data, sums, None, None)
-    counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
-    pi = np.array(counts) / denom
-    q_trace = []
-    best = None
-    flagged = 0
-    stop = "cap"
-    for _ in range(MAX_OUTER_ITERS):
+    empty = 1e-8 * n  # responsibility mass of an empty cluster
+
+    def weights(sums):
+        counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
+        return np.array(counts) / denom
+
+    def m_step(state, sums):
+        # The map's M-step, from the sums of an E-step at ``state``.
+        if sums[-1].min() <= empty:
+            raise _EmptyClusterError("empty cluster during EM")
+        return (*_m_step(data, sums, *state[:2]), weights(sums))
+
+    def evaluate(state):
+        coef, pi = state[2:]
         # Row l is cluster l's log-density [T, 1] @ [eta_l, -A_l]; the
         # transpose is (N, L) with contiguous columns.
         ld = coef @ stats
-        log_dens = ld.T
-        gamma, nbad = e_step(log_dens, pi)
-        flagged = max(flagged, nbad)
+        gamma, nbad = e_step(ld.T, pi)
         sums = stats @ gamma
-        gsum = sums[-1].tolist()
-        counts = [p + g for p, g in zip(prior, gsum)]
+        counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
         # sum_l gamma_l . log_dens_l + (alpha_l - 1 + gsum_l) log pi_l
         q = float(np.vdot(gamma.T, ld)) + sum(
             c * math.log(p) for c, p in zip(counts, pi.tolist()))
-        if q_trace and q - q_trace[-1] < -1e-12 * (1.0 + abs(q_trace[-1])):
-            # Surrogate dipped below the ascent slack near a stationary
-            # point: stop and keep the best recorded state.
-            stop = "dip"
-            break
-        q_trace.append(q)
-        best = (params, pi, gamma, log_dens)
-        if (len(q_trace) > 1
-                and abs(q - q_trace[-2]) < Q_REL_TOL * (1.0 + abs(q))):
+        return _Eval(state, gamma, ld.T, sums, q,
+                     odll(ld.T, gamma, pi, alpha), nbad)
+
+    def small(ev, start):
+        # Whether l gained under the tolerance since ``start``.
+        return ev.ll - start.ll < Q_REL_TOL * (1.0 + abs(ev.ll))
+
+    # The first state is the M-step of the initial responsibilities.
+    sums = stats @ gamma
+    state = (*_m_step(data, sums, None, None), weights(sums))
+    trace = []  # (q, l, flagged rows) at each cycle start, then the last
+    evals = 0
+    ev0 = None
+    stop = "cap"
+    while True:
+        # A cycle: theta1 = F(theta0) and theta2 = F(theta1), then the
+        # extrapolation theta' = theta0 - 2 a r + a^2 v.
+        start, ev0 = ev0, evaluate(state)
+        evals += 1
+        last = ev0
+        trace.append((ev0.q, ev0.ll, ev0.flagged))
+        if start is not None and small(ev0, start):
             stop = "tolerance"
             break
-        if min(gsum) <= 1e-8 * n:
-            raise _EmptyClusterError("empty cluster during EM")
-        pi = np.array(counts) / denom
-        params, natural, coef = _m_step(data, sums, params, natural)
-    params, pi, gamma, log_dens = best
-    return params, pi, gamma, log_dens, q_trace, stop != "cap", flagged, stop
+        if evals == MAX_OUTER_ITERS:
+            break
+        s1 = m_step(state, ev0.sums)
+        ev1 = evaluate(s1)
+        evals += 1
+        converged = small(ev1, ev0)
+        if converged or evals == MAX_OUTER_ITERS:
+            last = ev1
+            trace.append((ev1.q, ev1.ll, ev1.flagged))
+            stop = "tolerance" if converged else "cap"
+            break
+        s2 = m_step(s1, ev1.sums)
+        t0 = _vector(state)
+        r = _vector(s1) - t0
+        v = _vector(s2) - t0 - 2.0 * r
+        nr, nv = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+        state = s2
+        # a = min(-1, -|r| / |v|), and theta' is theta2 at a = -1. The last
+        # map evaluation is kept for theta2.
+        if nr > nv > 0.0 and evals + 1 < MAX_OUTER_ITERS:
+            k = nr / nv  # -a
+            ext = _state(data, t0 + 2.0 * k * r + k * k * v, spec.n_clusters)
+            if ext is not None:
+                ev = evaluate(ext)
+                evals += 1
+                # An empty cluster would end the run: theta' is invalid.
+                if ev.ll >= ev0.ll and ev.sums[-1].min() > empty:
+                    state = m_step(ext, ev.sums)
+    q_trace, ll_trace, flagged = (list(v) for v in zip(*trace))
+    params, _, _, pi = last.state
+    return (params, pi, last.gamma, last.log_dens, q_trace, stop != "cap",
+            max(flagged), stop, ll_trace)
 
 
 def fit(features, spec, init_seed=0, restarts=3):
@@ -800,8 +980,8 @@ def fit(features, spec, init_seed=0, restarts=3):
         mode = "split" if r == 0 else "random"
         gamma0 = _initial_gamma(n, spec.n_clusters, mode, primary, rng)
         try:
-            (params, pi, gamma, log_dens, q_trace, conv, flagged,
-             stop) = _run_em(n, data, spec, gamma0)
+            (params, pi, gamma, log_dens, q_trace, conv, flagged, stop,
+             ll_trace) = _run_em(n, data, spec, gamma0)
         except _EmptyClusterError as exc:
             failures.append(str(exc))
             continue
@@ -810,7 +990,7 @@ def fit(features, spec, init_seed=0, restarts=3):
                                   responsibilities=gamma, log_dens=log_dens,
                                   q_trace=q_trace, converged=conv,
                                   restart_id=r, stop=stop,
-                                  flagged_rows=flagged)
+                                  ll_trace=ll_trace, flagged_rows=flagged)
     if best_fit is None:
         families = ", ".join(k for _, k in spec.components)
         raise FitError(f"all restarts degenerate for families: {families}")

@@ -7,6 +7,7 @@ the asserts; a failing criterion fails its test.
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from cloudlayers.flow import DerivativeStack, WlkConfig, derivatives, \
     intensity_image, wlk_solve
 from cloudlayers.hmm import HmmState, score_from_sum, step
 from cloudlayers.mixtures import (BetaParams, BivariateGammaParams,
-                                  GammaParams, MixtureSpec, VonMisesParams,
-                                  e_step, fit, log_pdf, log_pdf_gradient,
-                                  m_step_weights)
+                                  FitError, GammaParams, MixtureSpec,
+                                  VonMisesParams, e_step, fit, log_pdf,
+                                  log_pdf_gradient, m_step_weights)
 from cloudlayers.numerics import finite_diff_gradient
 from cloudlayers.pipeline import PipelineConfig, decode, process_sequence
 from cloudlayers.selection import CRITERIA, metrics, select
@@ -100,6 +101,7 @@ def test_criterion_em_ascent():
     start = time.time()
     worst_dip = 0.0
     n_fits = 0
+    stops = Counter()
     for kind in ("gamma", "bivariate_gamma", "von_mises", "beta",
                  "gaussian"):
         for trial in range(50):
@@ -108,16 +110,19 @@ def test_criterion_em_ascent():
                                dirichlet_alpha=(1.0, 1.0))
             try:
                 f = fit(feats, spec, init_seed=trial, restarts=2)
-            except Exception:
-                continue  # degenerate restarts carry no Q trace to check
-            q = np.asarray(f.q_trace)
-            dips = np.diff(q) + 1e-9 * (1 + np.abs(q[:-1]))
+            except FitError:
+                continue  # every restart degenerated: no trace to check
+            # The observed-data objective, which EM cannot lower.
+            ll = np.asarray(f.ll_trace)
+            dips = np.diff(ll) + 1e-9 * (1 + np.abs(ll[:-1]))
             worst_dip = min(worst_dip, float(dips.min(initial=0.0)))
             n_fits += 1
+            stops[f.stop] += 1
     elapsed = time.time() - start
     ok = worst_dip >= 0.0 and elapsed < 60.0 and n_fits >= 200
-    _report(f"EM ascent ({n_fits} fits, worst slack-adjusted dip "
-            f"{worst_dip:.2e}, {elapsed:.1f}s)", ok)
+    by_stop = ", ".join(f"{k} {v}" for k, v in sorted(stops.items()))
+    _report(f"EM ascent ({n_fits} fits: {by_stop}; worst slack-adjusted "
+            f"dip {worst_dip:.2e}, {elapsed:.1f}s)", ok)
 
 
 # ---------------------------------------------------------------------------

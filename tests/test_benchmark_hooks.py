@@ -29,7 +29,8 @@ def test_every_hook_exists():
 
 
 def test_run_em_result_keeps_converged_at_index_five():
-    # The tracer's restart note reads result[5] as the converged flag.
+    # The tracer's restart note reads result[5] as the converged flag; the
+    # objective trace comes last.
     assert ("mixtures", "_run_em") in {(m, a) for m, a, _ in _hooks()}
     x = np.random.default_rng(36).gamma(2, 1, 100) + 1e-6
     spec = mixtures.MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
@@ -39,3 +40,4 @@ def test_run_em_result_keeps_converged_at_index_five():
     result = mixtures._run_em(n, data, spec, gamma)
     assert isinstance(result, tuple)
     assert isinstance(result[5], bool)
+    assert len(result[-1]) == len(result[4])

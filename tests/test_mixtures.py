@@ -8,6 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 import scipy.stats
+from scipy.special import logsumexp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from cloudlayers.mixtures import (BetaParams, BivariateGammaParams, FitError,
                                   SupportError, VonMisesParams, cdll, e_step,
                                   fit, log_dirichlet_prior, log_pdf,
                                   log_pdf_gradient, m_step_params,
-                                  m_step_weights, resolve_labels)
+                                  m_step_weights, odll, resolve_labels)
 from cloudlayers.numerics import PARAM_CEIL, finite_diff_gradient
 
 # ---------------------------------------------------------------------------
@@ -488,15 +489,16 @@ def test_fit_recovers_separated_gaussians():
     np.testing.assert_allclose(f.weights.sum(), 1.0, atol=1e-12)
 
 
-def test_fit_q_trace_is_monotone():
+def test_fit_ll_trace_is_monotone():
     rng = np.random.default_rng(16)
     feats = {"x": np.clip(rng.beta(2, 5, 400), 1e-6, 1 - 1e-6)}
     spec = MixtureSpec(n_clusters=2, components=(("x", "beta"),),
                        dirichlet_alpha=(1.0, 1.0))
     f = fit(feats, spec, init_seed=1)
-    q = np.asarray(f.q_trace)
-    assert np.all(np.diff(q) >= -1e-9 * (1 + np.abs(q[:-1])))
-    assert f.q == q[-1]
+    ll = np.asarray(f.ll_trace)
+    assert len(ll) == len(f.q_trace) > 2
+    assert np.all(np.diff(ll) >= -1e-9 * (1 + np.abs(ll[:-1])))
+    assert f.q == f.q_trace[-1]
 
 
 def test_fit_is_deterministic_in_seed():
@@ -591,13 +593,50 @@ def _start(kind, x):
     return _STARTS[kind]
 
 
-def _reference_fit(features, spec, init_seed, restarts=3):
+def _log_posterior(log_dens, pi, alpha):
+    """The observed-data MAP objective, written out with logsumexp."""
+    return (float(logsumexp(log_dens + np.log(pi), axis=1).sum())
+            + log_dirichlet_prior(pi, alpha))
+
+
+def _plain_em(xs, kinds, spec, gamma, steps=None):
     """Plain MAP-EM from the public steps, one cluster and component at a
-    time: log_pdf, e_step, cdll, m_step_weights and m_step_params. Returns
-    the winning (restart id, Q trace)."""
-    xs = [np.asarray(features[f], float) for f, _ in spec.components]
-    kinds = [k for _, k in spec.components]
+    time: log_pdf, e_step, m_step_weights and m_step_params. Runs ``steps``
+    E-steps, or without a count stops when an E-step finds the objective
+    gained less than the fit's tolerance. Returns (objective trace, Q
+    trace)."""
     n, ncl, alpha = xs[0].shape[0], spec.n_clusters, spec.dirichlet_alpha
+    params = [[m_step_params(x, gamma[:, l], _start(k, x))
+               for x, k in zip(xs, kinds)] for l in range(ncl)]
+    pi = m_step_weights(gamma, alpha, n, ncl)
+    ll_trace, q_trace = [], []
+    for _ in range(steps or mixtures.MAX_OUTER_ITERS):
+        log_dens = np.column_stack([
+            sum(log_pdf(p, x) for p, x in zip(params[l], xs))
+            for l in range(ncl)])
+        gamma, _ = e_step(log_dens, pi)
+        ll = _log_posterior(log_dens, pi, alpha)
+        ll_trace.append(ll)
+        q_trace.append(cdll(log_dens, gamma, pi, alpha))
+        if (steps is None and len(ll_trace) > 1 and ll - ll_trace[-2]
+                < mixtures.Q_REL_TOL * (1 + abs(ll))):
+            break
+        pi = m_step_weights(gamma, alpha, n, ncl)
+        params = [[m_step_params(x, gamma[:, l], params[l][c])
+                   for c, x in enumerate(xs)] for l in range(ncl)]
+    return ll_trace, q_trace
+
+
+def _columns(features, spec):
+    return ([np.asarray(features[f], float) for f, _ in spec.components],
+            [k for _, k in spec.components])
+
+
+def _reference_fit(features, spec, init_seed, restarts=3):
+    """Plain MAP-EM over the fit's initializations; the restart with the
+    highest final Q wins. Returns the winner's final objective."""
+    xs, kinds = _columns(features, spec)
+    n, ncl = xs[0].shape[0], spec.n_clusters
     rng = np.random.default_rng(init_seed)
     best = None
     for r in range(1 if ncl == 1 else restarts):
@@ -605,31 +644,20 @@ def _reference_fit(features, spec, init_seed, restarts=3):
         gamma = mixtures._initial_gamma(n, ncl, mode,
                                         mixtures._as_columns(xs[0])[:, 0], rng)
         try:
-            params = [[m_step_params(x, gamma[:, l], _start(k, x))
-                       for x, k in zip(xs, kinds)] for l in range(ncl)]
-            pi = m_step_weights(gamma, alpha, n, ncl)
-            q_trace = []
-            for _ in range(mixtures.MAX_OUTER_ITERS):
-                log_dens = np.column_stack([
-                    sum(log_pdf(p, x) for p, x in zip(params[l], xs))
-                    for l in range(ncl)])
-                gamma, _ = e_step(log_dens, pi)
-                q = cdll(log_dens, gamma, pi, alpha)
-                if (q_trace and q - q_trace[-1]
-                        < -1e-12 * (1 + abs(q_trace[-1]))):
-                    break
-                q_trace.append(q)
-                if (len(q_trace) > 1 and abs(q - q_trace[-2])
-                        < mixtures.Q_REL_TOL * (1 + abs(q))):
-                    break
-                pi = m_step_weights(gamma, alpha, n, ncl)
-                params = [[m_step_params(x, gamma[:, l], params[l][c])
-                           for c, x in enumerate(xs)] for l in range(ncl)]
+            ll_trace, q_trace = _plain_em(xs, kinds, spec, gamma)
         except mixtures._EmptyClusterError:
             continue
-        if best is None or q_trace[-1] > best[1][-1]:
-            best = (r, q_trace)
-    return best
+        if best is None or q_trace[-1] > best[1]:
+            best = (ll_trace[-1], q_trace[-1])
+    return best[0]
+
+
+def _fit_objective(f, features):
+    """A fit's objective at its parameters, from log_pdf and logsumexp."""
+    xs, _ = _columns(features, f.spec)
+    log_dens = np.column_stack([sum(log_pdf(p, x) for p, x in zip(row, xs))
+                                for row in f.params])
+    return _log_posterior(log_dens, f.weights, f.spec.dirichlet_alpha)
 
 
 def _reference_case(name, rng, n=300):
@@ -659,6 +687,12 @@ _REFERENCE_SPECS = {
 }
 
 
+# How far the fit's winning objective may fall below plain EM's, relative
+# to its size. Both stop once a gain falls under Q_REL_TOL relative, and
+# plain EM creeps, so it stops at least as far from its limit.
+REFERENCE_REL_TOL = 1e-4
+
+
 @pytest.mark.parametrize("name", ["gamma", "beta", "von_mises",
                                   "bivariate_gamma", "gaussian", "factorized"])
 @pytest.mark.parametrize("n_clusters", [1, 2])
@@ -670,24 +704,95 @@ def test_fit_matches_plain_reference_em(name, n_clusters):
         spec = MixtureSpec(n_clusters=n_clusters, components=comps,
                            dirichlet_alpha=(1.0 + seed,) * n_clusters)
         f = fit(feats, spec, init_seed=seed)
-        restart_id, q_trace = _reference_fit(feats, spec, seed)
-        assert f.restart_id == restart_id
-        assert len(f.q_trace) == len(q_trace)
-        np.testing.assert_allclose(f.q_trace, q_trace, rtol=1e-9)
+        ll = np.asarray(f.ll_trace)
+        assert np.all(np.diff(ll) >= -1e-9 * (1 + np.abs(ll[:-1])))
+        # The recorded objective is the fit's own, Dirichlet term included.
+        objective = _fit_objective(f, feats)
+        assert ll[-1] == pytest.approx(objective, rel=1e-9)
+        reference = _reference_fit(feats, spec, seed)
+        slack = REFERENCE_REL_TOL * (1 + abs(reference))
+        assert objective >= reference - slack
 
 
-def test_split_restart_stops_on_q_dip():
-    # The recorded Q is the expected complete-data log-likelihood, which an
-    # E-step can lower; here it falls at the second iteration.
-    rng = np.random.default_rng(0)
-    x = np.clip(rng.beta(2, 5, 200), 1e-6, 1 - 1e-6)
-    spec = MixtureSpec(n_clusters=2, components=(("x", "beta"),),
+def _fallback_case(monkeypatch, name, edit):
+    """Fit ``name``'s reference case with every extrapolated vector passed
+    through ``edit`` first. Returns the fit, plain EM's objective trace over
+    twice the fit's trace, and the states _state built."""
+    feats = _reference_case(name, np.random.default_rng(38))
+    spec = MixtureSpec(n_clusters=2, components=(("x", name),),
                        dirichlet_alpha=(1.0, 1.0))
-    f = fit({"x": x}, spec, init_seed=0, restarts=1)
-    assert f.stop == "dip"
-    assert f.converged
-    assert len(f.q_trace) == 1
-    assert f.to_json_dict()["stop"] == "dip"
+    real, built = mixtures._state, []
+
+    def edited(data, theta, n_clusters):
+        theta = theta.copy()
+        edit(theta)
+        built.append(real(data, theta, n_clusters))
+        return built[-1]
+
+    monkeypatch.setattr(mixtures, "_state", edited)
+    f = fit(feats, spec, init_seed=0, restarts=1)
+    xs, kinds = _columns(feats, spec)
+    gamma = mixtures._initial_gamma(xs[0].shape[0], 2, "split",
+                                    mixtures._as_columns(xs[0])[:, 0], None)
+    ll_trace, _ = _plain_em(xs, kinds, spec, gamma, steps=2 * len(f.ll_trace))
+    return f, ll_trace, built
+
+
+def _assert_fell_back_to_theta2(f, ll_trace):
+    # Every cycle restarted at theta2: its starts are plain EM's even steps.
+    starts = f.ll_trace[:-1]
+    assert len(starts) >= 2
+    np.testing.assert_allclose(starts, ll_trace[0:2 * len(starts):2],
+                               rtol=1e-9)
+
+
+def _set(i, value):
+    def edit(theta):
+        theta[i] = value
+    return edit
+
+
+# theta is [logit pi, cluster 0's natural parameters, cluster 1's].
+@pytest.mark.parametrize("name, edit", [
+    ("beta", _set(1, -1.5)),             # alpha = eta0 + 1 <= 0
+    ("gamma", _set(2, 0.1)),             # eta1 = -1 / scale >= 0
+    ("bivariate_gamma", _set(2, -1.5)),  # shape a = eta1 + 1 <= 0
+    ("gaussian", _set(2, 0.5)),          # precision -2 eta1 not positive
+    ("gamma", _set(0, 800.0)),           # a weight of exp(-800)
+], ids=["beta", "gamma", "bivariate_gamma", "gaussian", "weights"])
+def test_extrapolation_outside_the_domain_falls_back(monkeypatch, name, edit):
+    f, ll_trace, built = _fallback_case(monkeypatch, name, edit)
+    assert built and all(state is None for state in built)
+    _assert_fell_back_to_theta2(f, ll_trace)
+
+
+def test_extrapolation_that_lowers_the_objective_falls_back(monkeypatch):
+    def one_cluster_twice(theta):
+        theta[3:5] = theta[1:3]  # cluster 1 takes cluster 0's parameters
+
+    f, ll_trace, built = _fallback_case(monkeypatch, "gamma",
+                                        one_cluster_twice)
+    assert built and all(state is not None for state in built)
+    _assert_fell_back_to_theta2(f, ll_trace)
+
+
+def test_odll_matches_logsumexp():
+    rng = np.random.default_rng(37)
+    for ncl, alpha in ((1, (2.0,)), (2, (1.0, 1.0)), (2, (1.5, 4.0))):
+        log_dens = rng.normal(scale=30.0, size=(200, ncl))
+        pi = rng.dirichlet(np.ones(ncl))
+        gamma, _ = e_step(log_dens, pi)
+        assert odll(log_dens, gamma, pi, alpha) == pytest.approx(
+            _log_posterior(log_dens, pi, alpha), rel=1e-12)
+    inf, nan = np.inf, np.nan
+    pi = np.array([0.3, 0.7])
+    for row in ([inf, 1.0], [1.0, -inf], [-inf, -inf], [-inf, 2.0],
+                [inf, -inf], [inf, inf], [nan, 1.0], [-inf, nan]):
+        log_dens = np.array([row, [0.5, -3.0]])
+        gamma, _ = e_step(log_dens, pi)
+        np.testing.assert_allclose(odll(log_dens, gamma, pi, (1.0, 2.0)),
+                                   _log_posterior(log_dens, pi, (1.0, 2.0)),
+                                   rtol=1e-12)
 
 
 def test_iteration_cap_stop(monkeypatch):
@@ -700,6 +805,20 @@ def test_iteration_cap_stop(monkeypatch):
     f = fit({"x": x}, spec, init_seed=0)
     assert (f.stop, f.converged, len(f.q_trace)) == ("cap", False, 1)
     assert f.to_json_dict()["stop"] == "cap"
+    # The cap counts map evaluations, each one e_step call.
+    calls = []
+    real = mixtures.e_step
+    monkeypatch.setattr(mixtures, "e_step",
+                        lambda *args: calls.append(1) or real(*args))
+    feats = _reference_case("gamma", np.random.default_rng(35))
+    spec = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
+                       dirichlet_alpha=(1.0, 1.0))
+    for cap in (7, 8, 9):
+        calls.clear()
+        monkeypatch.setattr(mixtures, "MAX_OUTER_ITERS", cap)
+        f = fit(feats, spec, init_seed=0, restarts=1)
+        assert (f.stop, f.converged, len(calls)) == ("cap", False, cap)
+        assert len(f.ll_trace) == len(f.q_trace)
 
 
 def test_fit_json_dump_round_trips():
@@ -713,3 +832,4 @@ def test_fit_json_dump_round_trips():
     assert doc["n_clusters"] == 1
     assert doc["params"][0][0]["kind"] == "gamma"
     assert doc["q_trace"][-1] == pytest.approx(f.q)
+    assert doc["ll_trace"] == pytest.approx(f.ll_trace)
