@@ -28,7 +28,10 @@ ones. An iteration then makes a few passes over contiguous length-N rows:
 - E-step: a log-domain softmax. For two clusters it works on the difference
   d = w1 - w0 of the log-weights alone: the row-max form's terms are
   exp(min(d, 0)) and exp(-max(d, 0)), so it needs no row max, and its
-  results are the same bit for bit;
+  results are the same bit for bit. The same terms give each row's
+  log sum_l exp(w_l) = w0 + max(d, 0) + log(exp(min(d, 0)) +
+  exp(-max(d, 0))), so the E-step also returns the observed-data
+  log-likelihood;
 - shared statistics: one product of the stacked statistics with the
   responsibilities gives every cluster's sums of T and, from the ones row,
   its responsibility mass. These feed the surrogate objective, the MAP
@@ -38,24 +41,31 @@ A run maximizes the observed-data MAP objective
 
     l = sum_i log sum_l pi_l p(x_i | theta_l) + sum_l (alpha_l - 1) log pi_l,
 
-which no EM step lowers (Dempster, Laird & Rubin 1977). It takes l from
-the E-step's own terms: a row's largest log-weight minus the log of its
-responsibility (``odll``). EM is the map F = M-step after E-step, and each
-E-step is one call of ``e_step``. SQUAREM (Varadhan & Roland 2008)
-accelerates it in cycles on the vector theta = [logit pi, every cluster's
-natural parameters]:
+which no EM step lowers (Dempster, Laird & Rubin 1977): the E-step's
+log-likelihood plus the Dirichlet term. EM is the map F = M-step after
+E-step, and each E-step is one call of ``e_step``. SQUAREM (Varadhan &
+Roland 2008) accelerates it in cycles on the vector theta = [logit pi, every
+cluster's natural parameters]:
 
 - theta1 = F(theta0) and theta2 = F(theta1); r = theta1 - theta0 and
   v = theta2 - theta1 - r;
-- a = min(-1, -|r| / |v|) and theta' = theta0 - 2 a r + a^2 v, mapped back
-  to parameters by each family's inverse of its natural form;
+- the step length k = |r| / |v|, clamped to [1, step_max], and
+  theta' = theta0 + 2 k r + k^2 v, mapped back to parameters by each
+  family's inverse of its natural form;
 - the next cycle starts at F(theta') if theta' lies in every family's
   domain, keeps both weights in (0, 1) and has l(theta') >= l(theta0);
-  otherwise, and whenever a = -1 (where theta' is theta2), at theta2.
+  otherwise, and whenever k = 1 (where theta' is theta2), at theta2.
 
-So l never falls from one cycle start to the next. A run stops on
-"tolerance" when l gains less than ``Q_REL_TOL`` relative over the first
-step of a cycle or over a whole cycle, and on "cap" after
+So l never falls from one cycle start to the next. The bound step_max
+follows the SQUAREM reference implementation (Du & Varadhan 2020): it starts
+each run at ``STEP_MAX0``, and after a step at the bound it grows by
+``STEP_GROWTH`` if theta' was kept and shrinks by that factor, never under
+``STEP_MAX0``, if it was not. Without it, steps on the flat ridge of a
+two-cluster fit of one population overshoot and are thrown away, each at
+the cost of an E-step.
+
+A run stops on "tolerance" when l gains less than ``Q_REL_TOL`` relative
+over the first step of a cycle or over a whole cycle, and on "cap" after
 ``MAX_OUTER_ITERS`` E-steps. A one-cluster run stops after two E-steps.
 
 A fit records, at each cycle start and at the state it stops in, l
@@ -66,7 +76,10 @@ A fit records, at each cycle start and at the state it stops in, l
 
 (``q_trace``): the expected complete-data log-likelihood plus the
 (unnormalized) Dirichlet log-prior, which vanishes exactly when all
-alpha_l = 1. An E-step can lower Q, but not l. The fit's Q is its last.
+alpha_l = 1. Since sum_i gamma_il log p_il = [eta_l, -A_l] @ (the sums of
+cluster l), Q comes from the shared statistics, with no pass over the
+samples. An E-step can lower Q, but not l. The fit's Q is its last, and
+``e_steps`` counts the E-steps of its run.
 """
 
 from __future__ import annotations
@@ -623,6 +636,7 @@ class MixtureFit:
     restart_id: int
     stop: str               # "tolerance" or "cap"; see module doc
     ll_trace: list          # the objective l at the same states
+    e_steps: int            # E-steps of this restart's run
     flagged_rows: int = 0
 
     @property
@@ -643,6 +657,7 @@ class MixtureFit:
             "params": [[enc(p) for p in row] for row in self.params],
             "q_trace": [float(q) for q in self.q_trace],
             "ll_trace": [float(v) for v in self.ll_trace],
+            "e_steps": self.e_steps,
             "converged": self.converged,
             "stop": self.stop,
             "restart_id": self.restart_id,
@@ -695,16 +710,20 @@ def e_step(log_dens, pi):
     """Responsibilities from per-cluster log densities; log-domain softmax.
 
     Rows where every cluster has zero likelihood become uniform and are
-    counted. Returns (gamma, flagged_row_count); gamma has contiguous
-    columns. One cluster takes every row, and counts its non-finite ones.
+    counted. Returns (gamma, flagged_row_count, log_lik); gamma has
+    contiguous columns, and log_lik = sum_i log sum_l pi_l p_il is the
+    observed-data log-likelihood. One cluster takes every row, and counts
+    its non-finite ones.
     """
     lp = np.log(pi)
     # Work column by column: numpy loops over the short row axis cost
     # several times more than over the long sample axis, for the same values.
     logw = [log_dens[:, l] + lp[l] for l in range(lp.size)]
     if lp.size == 1:
+        with np.errstate(invalid="ignore"):  # inf - inf on flagged rows
+            log_lik = float(logw[0].sum())
         return (np.ones(log_dens.shape, order="F"),
-                int(np.count_nonzero(~np.isfinite(logw[0]))))
+                int(np.count_nonzero(~np.isfinite(logw[0]))), log_lik)
     gamma = np.empty(log_dens.shape, order="F")
     # The row-max softmax gives the larger weight exp(0) = 1 and the
     # smaller exp(-|w1 - w0|): exp(min(d, 0)) and exp(-max(d, 0)) are those
@@ -715,6 +734,8 @@ def e_step(log_dens, pi):
     e1 = np.minimum(d, 0.0)
     np.exp(e1, out=e1)
     e0 = np.maximum(d, 0.0)
+    # A row's log sum_l exp(w_l) is w0 + max(d, 0) + log(e0 + e1).
+    shift = float(e0.sum())
     np.negative(e0, out=e0)
     np.exp(e0, out=e0)
     s = e0 + e1
@@ -722,33 +743,20 @@ def e_step(log_dens, pi):
     np.divide(e1, s, out=gamma[:, 1])
     # d is finite on every row unless some weight is infinite or NaN.
     if finite:
-        return gamma, 0
-    bad = ~np.isfinite(np.maximum(logw[0], logw[1]))
+        np.log(s, out=s)
+        return gamma, 0, float(logw[0].sum()) + shift + float(s.sum())
+    # A row's largest weight w_m has responsibility 1 / sum_l exp(w_l - w_m),
+    # so its log sum_l exp(w_l) is w_m - log gamma_m. On a row with an
+    # infinite or NaN weight this is what a log-sum-exp gives: the largest
+    # weight decides.
+    w = np.maximum(logw[0], logw[1])
+    bad = ~np.isfinite(w)
     n_bad = int(bad.sum())
     if n_bad:
         gamma[bad] = 0.5
-    return gamma, n_bad
-
-
-def odll(log_dens, gamma, pi, alpha):
-    """Observed-data log-likelihood plus the Dirichlet log-prior, from the
-    responsibilities ``gamma`` that e_step gives at (log_dens, pi).
-
-    A row's largest weight w_m = log pi_m + log p_m has responsibility
-    1 / sum_l exp(w_l - w_m), so the row's log sum_l pi_l p_l is
-    w_m - log gamma_m. A row with an infinite or NaN weight gives what a
-    log-sum-exp gives: its largest weight decides.
-    """
-    lp = np.log(pi).tolist()
-    if len(lp) == 1:
-        core = float(log_dens[:, 0].sum()) + log_dens.shape[0] * lp[0]
-    else:
-        w = np.maximum(log_dens[:, 0] + lp[0], log_dens[:, 1] + lp[1])
-        g = np.maximum(gamma[:, 0], gamma[:, 1])
-        np.log(g, out=g)
-        core = float(w.sum() - g.sum())
-    # The Dirichlet log-prior, exactly zero when all alpha = 1.
-    return core + sum((a - 1.0) * v for a, v in zip(alpha, lp) if a != 1.0)
+    g = np.log(np.maximum(gamma[:, 0], gamma[:, 1]))
+    with np.errstate(invalid="ignore"):
+        return gamma, n_bad, float(w.sum() - g.sum())
 
 
 def m_step_weights(gamma, dirichlet_alpha, n, n_clusters):
@@ -766,6 +774,10 @@ def cdll(log_dens, gamma, pi, alpha):
 
 MAX_OUTER_ITERS = 300
 Q_REL_TOL = 1e-6
+# The SQUAREM step-length bound's start and factor; see the module doc. They
+# are ``step.max0`` and ``mstep`` of Du & Varadhan (2020).
+STEP_MAX0 = 1.0
+STEP_GROWTH = 4.0
 
 
 def _initial_gamma(n, n_clusters, mode, primary, rng):
@@ -777,7 +789,6 @@ def _initial_gamma(n, n_clusters, mode, primary, rng):
         below = primary <= med
         gamma[below, 0] = 0.95
         gamma[~below, 1] = 0.95
-        gamma /= gamma.sum(axis=1, keepdims=True)
         return gamma
     gamma = rng.dirichlet(np.ones(n_clusters), size=n)
     return gamma
@@ -874,7 +885,7 @@ class _Eval(NamedTuple):
 def _run_em(n, data, spec, gamma):
     """One SQUAREM-accelerated EM run from initial responsibilities
     ``gamma``. Returns (params, pi, gamma, log_dens, q_trace, converged,
-    flagged_rows, stop, ll_trace)."""
+    flagged_rows, stop, e_steps, ll_trace)."""
     alpha = spec.dirichlet_alpha
     # MAP weights are (alpha - 1 + gsum) / denom, as in m_step_weights.
     prior = [a - 1.0 for a in alpha]
@@ -897,14 +908,17 @@ def _run_em(n, data, spec, gamma):
         # Row l is cluster l's log-density [T, 1] @ [eta_l, -A_l]; the
         # transpose is (N, L) with contiguous columns.
         ld = coef @ stats
-        gamma, nbad = e_step(ld.T, pi)
+        gamma, nbad, log_lik = e_step(ld.T, pi)
         sums = stats @ gamma
+        log_pi = np.log(pi).tolist()
         counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
-        # sum_l gamma_l . log_dens_l + (alpha_l - 1 + gsum_l) log pi_l
-        q = float(np.vdot(gamma.T, ld)) + sum(
-            c * math.log(p) for c, p in zip(counts, pi.tolist()))
-        return _Eval(state, gamma, ld.T, sums, q,
-                     odll(ld.T, gamma, pi, alpha), nbad)
+        # sum_i gamma_il log p_il is [eta_l, -A_l] @ sums[:, l], so
+        # Q = sum_l coef_l . sums_l + (alpha_l - 1 + gsum_l) log pi_l.
+        q = float(np.vdot(coef, sums.T)) + sum(
+            c * lp for c, lp in zip(counts, log_pi))
+        # The Dirichlet log-prior, exactly zero when all alpha = 1.
+        ll = log_lik + sum(p * lp for p, lp in zip(prior, log_pi) if p)
+        return _Eval(state, gamma, ld.T, sums, q, ll, nbad)
 
     def small(ev, start):
         # Whether l gained under the tolerance since ``start``.
@@ -917,9 +931,10 @@ def _run_em(n, data, spec, gamma):
     evals = 0
     ev0 = None
     stop = "cap"
+    step_max = STEP_MAX0
     while True:
         # A cycle: theta1 = F(theta0) and theta2 = F(theta1), then the
-        # extrapolation theta' = theta0 - 2 a r + a^2 v.
+        # extrapolation theta' = theta0 + 2 k r + k^2 v.
         start, ev0 = ev0, evaluate(state)
         evals += 1
         last = ev0
@@ -944,21 +959,29 @@ def _run_em(n, data, spec, gamma):
         v = _vector(s2) - t0 - 2.0 * r
         nr, nv = float(np.linalg.norm(r)), float(np.linalg.norm(v))
         state = s2
-        # a = min(-1, -|r| / |v|), and theta' is theta2 at a = -1. The last
-        # map evaluation is kept for theta2.
-        if nr > nv > 0.0 and evals + 1 < MAX_OUTER_ITERS:
-            k = nr / nv  # -a
+        # k = -a = |r| / |v|, clamped to [1, step_max]; theta' is theta2 at
+        # k = 1, and the last map evaluation is kept for it.
+        k = max(1.0, min(nr / nv, step_max)) if nv > 0.0 else 1.0
+        if k > 1.0 and evals + 1 < MAX_OUTER_ITERS:
             ext = _state(data, t0 + 2.0 * k * r + k * k * v, spec.n_clusters)
+            ev = None
             if ext is not None:
                 ev = evaluate(ext)
                 evals += 1
-                # An empty cluster would end the run: theta' is invalid.
-                if ev.ll >= ev0.ll and ev.sums[-1].min() > empty:
-                    state = m_step(ext, ev.sums)
+            # An empty cluster would end the run: theta' is invalid.
+            if (ev is not None and ev.ll >= ev0.ll
+                    and ev.sums[-1].min() > empty):
+                state = m_step(ext, ev.sums)
+            else:
+                if k == step_max:
+                    step_max = max(STEP_MAX0, step_max / STEP_GROWTH)
+                k = 1.0
+        if k == step_max:
+            step_max *= STEP_GROWTH
     q_trace, ll_trace, flagged = (list(v) for v in zip(*trace))
     params, _, _, pi = last.state
     return (params, pi, last.gamma, last.log_dens, q_trace, stop != "cap",
-            max(flagged), stop, ll_trace)
+            max(flagged), stop, evals, ll_trace)
 
 
 def fit(features, spec, init_seed=0, restarts=3):
@@ -981,7 +1004,7 @@ def fit(features, spec, init_seed=0, restarts=3):
         gamma0 = _initial_gamma(n, spec.n_clusters, mode, primary, rng)
         try:
             (params, pi, gamma, log_dens, q_trace, conv, flagged, stop,
-             ll_trace) = _run_em(n, data, spec, gamma0)
+             e_steps, ll_trace) = _run_em(n, data, spec, gamma0)
         except _EmptyClusterError as exc:
             failures.append(str(exc))
             continue
@@ -990,7 +1013,8 @@ def fit(features, spec, init_seed=0, restarts=3):
                                   responsibilities=gamma, log_dens=log_dens,
                                   q_trace=q_trace, converged=conv,
                                   restart_id=r, stop=stop,
-                                  ll_trace=ll_trace, flagged_rows=flagged)
+                                  ll_trace=ll_trace, e_steps=e_steps,
+                                  flagged_rows=flagged)
     if best_fit is None:
         families = ", ".join(k for _, k in spec.components)
         raise FitError(f"all restarts degenerate for families: {families}")

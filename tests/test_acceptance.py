@@ -136,7 +136,7 @@ def test_criterion_map_to_ml_reduction():
         n = rng.integers(5, 400)
         log_dens = rng.normal(scale=4.0, size=(n, 2))
         pi = rng.dirichlet([1.0, 1.0])
-        gamma, _ = e_step(log_dens, pi)
+        gamma, _, _ = e_step(log_dens, pi)
         ml = gamma.sum(axis=0) / n
         mapw = m_step_weights(gamma, np.ones(2), n, 2)
         ok = ok and np.array_equal(ml, mapw)

@@ -18,7 +18,7 @@ from cloudlayers.mixtures import (BetaParams, BivariateGammaParams, FitError,
                                   SupportError, VonMisesParams, cdll, e_step,
                                   fit, log_dirichlet_prior, log_pdf,
                                   log_pdf_gradient, m_step_params,
-                                  m_step_weights, odll, resolve_labels)
+                                  m_step_weights, resolve_labels)
 from cloudlayers.numerics import PARAM_CEIL, finite_diff_gradient
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def test_e_step_two_cluster_example():
     # log densities chosen so softmax is computable by hand.
     log_dens = np.array([[0.0, 0.0], [math.log(3.0), 0.0]])
     pi = np.array([0.5, 0.5])
-    gamma, flagged = e_step(log_dens, pi)
+    gamma, flagged, _ = e_step(log_dens, pi)
     assert flagged == 0
     np.testing.assert_allclose(gamma[0], [0.5, 0.5])
     np.testing.assert_allclose(gamma[1], [0.75, 0.25])
@@ -238,7 +238,7 @@ def test_e_step_two_cluster_example():
 
 def test_e_step_flags_all_minus_inf_rows():
     log_dens = np.array([[-np.inf, -np.inf], [0.0, 0.0]])
-    gamma, flagged = e_step(log_dens, np.array([0.3, 0.7]))
+    gamma, flagged, _ = e_step(log_dens, np.array([0.3, 0.7]))
     assert flagged == 1
     np.testing.assert_allclose(gamma[0], [0.5, 0.5])
 
@@ -267,14 +267,14 @@ def test_e_step_matches_row_reduction_bitwise(n_clusters):
         log_dens[9::19, -1] = -np.inf
         log_dens[10::23] = np.inf
         pi = rng.dirichlet(np.ones(n_clusters))
-        gamma, flagged = e_step(log_dens, pi)
+        gamma, flagged, _ = e_step(log_dens, pi)
         with np.errstate(invalid="ignore"):
             ref_gamma, ref_flagged = _row_reduction_e_step(log_dens, pi)
         assert flagged == ref_flagged > 0
         assert np.array_equal(gamma, ref_gamma)
         # Finite rows only: the path without flagged rows.
         finite = rng.normal(scale=50.0, size=(500, n_clusters))
-        gamma, flagged = e_step(finite, pi)
+        gamma, flagged, _ = e_step(finite, pi)
         ref_gamma, ref_flagged = _row_reduction_e_step(finite, pi)
         assert flagged == ref_flagged == 0
         assert np.array_equal(gamma, ref_gamma)
@@ -286,7 +286,7 @@ def test_e_step_rows_lie_on_simplex(seed):
     rng = np.random.default_rng(seed)
     log_dens = rng.normal(scale=5.0, size=(17, 2))
     pi = rng.dirichlet([1.0, 1.0])
-    gamma, _ = e_step(log_dens, pi)
+    gamma, _, _ = e_step(log_dens, pi)
     assert np.all(gamma >= 0) and np.all(gamma <= 1)
     np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
@@ -614,7 +614,7 @@ def _plain_em(xs, kinds, spec, gamma, steps=None):
         log_dens = np.column_stack([
             sum(log_pdf(p, x) for p, x in zip(params[l], xs))
             for l in range(ncl)])
-        gamma, _ = e_step(log_dens, pi)
+        gamma, _, _ = e_step(log_dens, pi)
         ll = _log_posterior(log_dens, pi, alpha)
         ll_trace.append(ll)
         q_trace.append(cdll(log_dens, gamma, pi, alpha))
@@ -776,40 +776,51 @@ def test_extrapolation_that_lowers_the_objective_falls_back(monkeypatch):
     _assert_fell_back_to_theta2(f, ll_trace)
 
 
-def test_odll_matches_logsumexp():
+def test_e_step_log_lik_matches_logsumexp():
     rng = np.random.default_rng(37)
-    for ncl, alpha in ((1, (2.0,)), (2, (1.0, 1.0)), (2, (1.5, 4.0))):
+    cases = ((1, (2.0,)), (2, (1.0, 1.0)), (2, (1.5, 4.0)))
+    for ncl, _ in cases:
         log_dens = rng.normal(scale=30.0, size=(200, ncl))
         pi = rng.dirichlet(np.ones(ncl))
-        gamma, _ = e_step(log_dens, pi)
-        assert odll(log_dens, gamma, pi, alpha) == pytest.approx(
-            _log_posterior(log_dens, pi, alpha), rel=1e-12)
+        _, _, log_lik = e_step(log_dens, pi)
+        assert log_lik == pytest.approx(
+            _log_posterior(log_dens, pi, np.ones(ncl)), rel=1e-12)
     inf, nan = np.inf, np.nan
     pi = np.array([0.3, 0.7])
     for row in ([inf, 1.0], [1.0, -inf], [-inf, -inf], [-inf, 2.0],
                 [inf, -inf], [inf, inf], [nan, 1.0], [-inf, nan]):
         log_dens = np.array([row, [0.5, -3.0]])
-        gamma, _ = e_step(log_dens, pi)
-        np.testing.assert_allclose(odll(log_dens, gamma, pi, (1.0, 2.0)),
-                                   _log_posterior(log_dens, pi, (1.0, 2.0)),
+        _, _, log_lik = e_step(log_dens, pi)
+        np.testing.assert_allclose(log_lik,
+                                   _log_posterior(log_dens, pi, (1.0, 1.0)),
                                    rtol=1e-12)
+    # A run adds the Dirichlet term: the l it records last is the objective
+    # at the log-densities and weights it returns.
+    x = rng.gamma(2, 1, 200) + 1e-6
+    for ncl, alpha in cases:
+        spec = MixtureSpec(n_clusters=ncl, components=(("x", "gamma"),),
+                           dirichlet_alpha=alpha)
+        f = fit({"x": x}, spec, init_seed=0)
+        assert f.ll_trace[-1] == pytest.approx(
+            _log_posterior(f.log_dens, f.weights, alpha), rel=1e-12)
 
 
 def test_iteration_cap_stop(monkeypatch):
-    x = np.random.default_rng(35).gamma(2, 1, 200) + 1e-6
-    spec = MixtureSpec(n_clusters=1, components=(("x", "gamma"),),
-                       dirichlet_alpha=(1.0,))
-    f = fit({"x": x}, spec, init_seed=0)
-    assert (f.stop, f.converged, len(f.q_trace)) == ("tolerance", True, 2)
-    monkeypatch.setattr(mixtures, "MAX_OUTER_ITERS", 1)
-    f = fit({"x": x}, spec, init_seed=0)
-    assert (f.stop, f.converged, len(f.q_trace)) == ("cap", False, 1)
-    assert f.to_json_dict()["stop"] == "cap"
     # The cap counts map evaluations, each one e_step call.
     calls = []
     real = mixtures.e_step
     monkeypatch.setattr(mixtures, "e_step",
                         lambda *args: calls.append(1) or real(*args))
+    x = np.random.default_rng(35).gamma(2, 1, 200) + 1e-6
+    spec = MixtureSpec(n_clusters=1, components=(("x", "gamma"),),
+                       dirichlet_alpha=(1.0,))
+    f = fit({"x": x}, spec, init_seed=0)
+    assert (f.stop, f.converged, len(f.q_trace)) == ("tolerance", True, 2)
+    assert f.e_steps == len(calls) == 2
+    monkeypatch.setattr(mixtures, "MAX_OUTER_ITERS", 1)
+    f = fit({"x": x}, spec, init_seed=0)
+    assert (f.stop, f.converged, len(f.q_trace)) == ("cap", False, 1)
+    assert f.to_json_dict()["stop"] == "cap"
     feats = _reference_case("gamma", np.random.default_rng(35))
     spec = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
                        dirichlet_alpha=(1.0, 1.0))
@@ -818,7 +829,70 @@ def test_iteration_cap_stop(monkeypatch):
         monkeypatch.setattr(mixtures, "MAX_OUTER_ITERS", cap)
         f = fit(feats, spec, init_seed=0, restarts=1)
         assert (f.stop, f.converged, len(calls)) == ("cap", False, cap)
+        assert f.e_steps == cap
         assert len(f.ll_trace) == len(f.q_trace)
+
+
+def test_one_population_two_cluster_fit_stops_on_tolerance():
+    # Gamma trial 8 of acceptance criterion 2: one population, fitted with
+    # two clusters, where unbounded extrapolation ran to the E-step cap.
+    rng = np.random.default_rng(7)
+    for _ in range(9):
+        x = rng.gamma(rng.uniform(1, 4), rng.uniform(0.5, 3), 300) + 1e-9
+    spec = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
+                       dirichlet_alpha=(1.0, 1.0))
+    f = fit({"x": x}, spec, init_seed=8, restarts=2)
+    assert (f.stop, f.converged) == ("tolerance", True)
+    assert f.e_steps < mixtures.MAX_OUTER_ITERS
+
+
+def test_squarem_step_length_schedule(monkeypatch):
+    """k = max(1, min(|r| / |v|, step_max)), with step_max from STEP_MAX0
+    growing by STEP_GROWTH on a kept step at the bound and shrinking by it,
+    never under STEP_MAX0, on a rejected one."""
+    vectors, built = [], []
+    real_vector, real_state = mixtures._vector, mixtures._state
+
+    def vector(state):
+        vectors.append(real_vector(state))
+        return vectors[-1]
+
+    def state(data, theta, n_clusters):
+        built.append((len(vectors), theta, real_state(data, theta, n_clusters)))
+        return built[-1][2]
+
+    monkeypatch.setattr(mixtures, "_vector", vector)
+    monkeypatch.setattr(mixtures, "_state", state)
+    # A two-cluster fit of one population, whose ridge gives long steps.
+    x = np.random.default_rng(1).normal(size=300)
+    spec = MixtureSpec(n_clusters=2, components=(("x", "gaussian"),),
+                       dirichlet_alpha=(1.0, 1.0))
+    fit({"x": x}, spec, init_seed=0, restarts=1)
+    # Each cycle takes the vectors of theta0, theta1 and theta2, in turn.
+    cycles = [vectors[i:i + 3] for i in range(0, len(vectors), 3)]
+    extrapolated = {at: (theta, ext) for at, theta, ext in built}
+    assert 3 not in extrapolated  # the first cycle makes no extrapolation
+    step_max, grown, shrunk = mixtures.STEP_MAX0, 0, 0
+    # A cycle's outcome shows in the next one's start, so the last has none.
+    for i, (t0, t1, t2) in enumerate(cycles[:-1]):
+        r, v = t1 - t0, t2 - 2.0 * t1 + t0
+        k = max(1.0, min(np.linalg.norm(r) / np.linalg.norm(v), step_max))
+        assert (3 * i + 3 in extrapolated) == (k > 1.0)
+        if k > 1.0:
+            theta, ext = extrapolated[3 * i + 3]
+            np.testing.assert_allclose(theta, t0 + 2.0 * k * r + k * k * v,
+                                       rtol=1e-12, atol=1e-12)
+            # A rejected step restarts at theta2 itself.
+            if ext is None or np.array_equal(cycles[i + 1][0], t2):
+                if k == step_max:
+                    step_max = max(mixtures.STEP_MAX0,
+                                   step_max / mixtures.STEP_GROWTH)
+                    shrunk += 1
+                k = 1.0
+        if k == step_max:
+            step_max *= mixtures.STEP_GROWTH
+            grown += 1
+    assert grown > 1 and shrunk > 0
 
 
 def test_fit_json_dump_round_trips():
@@ -833,3 +907,4 @@ def test_fit_json_dump_round_trips():
     assert doc["params"][0][0]["kind"] == "gamma"
     assert doc["q_trace"][-1] == pytest.approx(f.q)
     assert doc["ll_trace"] == pytest.approx(f.ll_trace)
+    assert doc["e_steps"] == f.e_steps == 2
