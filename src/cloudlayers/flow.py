@@ -12,6 +12,10 @@ half-width w, with per-sample weights read from the layer's posterior grid:
 
     v = (X Gamma X^T + tau I)^-1 X Gamma y,   y = -It.
 
+The entries of each layer's 2x2 system are window sums of six per-pixel
+products, all read by slicing from one integral image of the six, padded
+with zeros so that windows clipped at the grid's edges need no gathers.
+
 These kernels carry a gain: a unit intensity gradient produces Ix = 2 while a
 rigid unit displacement produces It = 4 of the opposite sign, so the raw WLS
 solution equals -2 times the true pixel displacement. The solver rescales its
@@ -107,19 +111,30 @@ def derivatives(prev, nxt):
     return DerivativeStack(ix=ix, iy=iy, it=it)
 
 
-def _window_sum(a, w):
-    """Clipped box sum of half-width w via an integral image."""
-    m, n = a.shape
-    c = np.zeros((m + 1, n + 1))
-    c[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-    i = np.arange(m)
-    j = np.arange(n)
-    i0 = np.clip(i - w, 0, m)
-    i1 = np.clip(i + w + 1, 0, m)
-    j0 = np.clip(j - w, 0, n)
-    j1 = np.clip(j + w + 1, 0, n)
-    return (c[np.ix_(i1, j1)] - c[np.ix_(i0, j1)]
-            - c[np.ix_(i1, j0)] + c[np.ix_(i0, j0)])
+def _window_sums(planes, w):
+    """Clipped box sums of half-width w of each plane in ``planes``, a
+    sequence of (m, n) arrays; returns one (len(planes), m, n) array.
+
+    One integral image covers every plane, that of the planes padded with
+    w + 1 rows and columns of zeros before the grid and w after it. A
+    window's corners are then plain slices at offsets 0 and 2w + 1, even
+    where it leaves the grid. Padding adds exact zeros, so the padded image
+    is 0 before the grid and repeats its last row and column after it: each
+    corner holds the same bits as the clipped corner of the unpadded image.
+    """
+    m, n = planes[0].shape
+    s = np.stack(planes)
+    np.cumsum(s, axis=1, out=s)
+    np.cumsum(s, axis=2, out=s)
+    c = np.zeros((len(planes), m + 2 * w + 1, n + 2 * w + 1))
+    grid = c[:, w + 1:, w + 1:]
+    grid[:, :m, :n] = s
+    grid[:, m:, :n] = s[:, -1:]
+    grid[:, :, n:] = grid[:, :, n - 1:n]
+    lo_i, hi_i = slice(0, m), slice(2 * w + 1, 2 * w + 1 + m)
+    lo_j, hi_j = slice(0, n), slice(2 * w + 1, 2 * w + 1 + n)
+    return (c[:, hi_i, hi_j] - c[:, lo_i, hi_j]
+            - c[:, hi_i, lo_j] + c[:, lo_i, lo_j])
 
 
 # Relative determinant threshold below which the 2x2 system is treated as
@@ -145,12 +160,13 @@ def wlk_solve(deriv, weights, cfg):
             raise ValueError("weight grid shape differs from derivatives")
         if np.any(g < -1e-12) or np.any(g > 1 + 1e-12):
             raise ValueError("posterior weights must lie in [0, 1]")
-        a11 = _window_sum(g * deriv.ix * deriv.ix, w) + tau
-        a22 = _window_sum(g * deriv.iy * deriv.iy, w) + tau
-        a12 = _window_sum(g * deriv.ix * deriv.iy, w)
-        b1 = _window_sum(g * deriv.ix * y, w)
-        b2 = _window_sum(g * deriv.iy * y, w)
-        wsum = _window_sum(g, w)
+        gx = g * deriv.ix
+        gy = g * deriv.iy
+        a11, a22, a12, b1, b2, wsum = _window_sums(
+            (gx * deriv.ix, gy * deriv.iy, gx * deriv.iy, gx * y, gy * y, g),
+            w)
+        a11 = a11 + tau
+        a22 = a22 + tau
 
         det = a11 * a22 - a12 * a12
         scale = np.maximum(np.maximum(a11, a22), 1e-300)

@@ -19,19 +19,19 @@ exponential families: each has a statistic T(x), a log-density
 
 One EM run works on data prepared once per fit: the statistics of every
 component stacked as the rows of one (K + 1, N) array, with a last row of
-ones. An iteration then makes a few passes over contiguous length-N rows:
+ones, and their sums over the samples. An iteration then makes a few passes
+over contiguous length-N rows:
 
-- log-densities: each cluster carries its natural parameters, with -A in the
-  last place, from the M-step that produced them, so one matrix product gives
-  the (L, N) log-densities. Transposed, this is an (N, L) array with
-  contiguous columns;
-- E-step: a log-domain softmax. For two clusters it works on the difference
-  d = w1 - w0 of the log-weights alone: the row-max form's terms are
-  exp(min(d, 0)) and exp(-max(d, 0)), so it needs no row max, and its
-  results are the same bit for bit. The same terms give each row's
-  log sum_l exp(w_l) = w0 + max(d, 0) + log(exp(min(d, 0)) +
-  exp(-max(d, 0))), so the E-step also returns the observed-data
-  log-likelihood;
+- E-step: each cluster carries its natural parameters, with -A in the last
+  place, from the M-step that produced them, so log pi_l + log p(x | theta_l)
+  is [T, 1] @ c_l once log pi_l is added to the last coefficient. For two
+  clusters one product gives the log-odds d = (c1 - c0) @ [T, 1], and one
+  exp the responsibilities gamma_1 = 1 / (1 + exp(-d)) and gamma_0 =
+  1 - gamma_1. The observed-data log-likelihood is
+  c1 . sum_i [T_i, 1] + sum_i log(1 + exp(-d_i)), so no (N, L) array of
+  log-densities is built; a run builds the ``log_dens`` it returns once.
+  Should a weight be infinite or NaN, or exp(-d) overflow, the E-step takes
+  the row-max form of the log-domain softmax instead;
 - shared statistics: one product of the stacked statistics with the
   responsibilities gives every cluster's sums of T and, from the ones row,
   its responsibility mass. These feed the surrogate objective, the MAP
@@ -276,10 +276,10 @@ def _beta_m_step(s, start):
         a, b = 0.5 + g1 / slack, 0.5 + g2 / slack
     f = _beta_objective(s, a, b)
     for _ in range(NEWTON_MAX_ITERS):
-        # One special-function call per three arguments costs less than three.
-        args = [a, b, a + b]
-        psa, psb, dab = _psi(args).tolist()
-        ta, tb, t = _zeta(2.0, args).tolist()
+        # Scalar psi calls cost less than one call on a list of the three
+        # arguments; for zeta, which has two arguments, the list costs less.
+        psa, psb, dab = _digamma(a), _digamma(b), _digamma(a + b)
+        ta, tb, t = _zeta(2.0, [a, b, a + b]).tolist()
         g1 = s[0] - psa + dab
         g2 = s[1] - psb + dab
         h11 = ta - t
@@ -676,6 +676,7 @@ class _Component:
 class _FitData:
     components: tuple
     stats: np.ndarray  # (K + 1, N): every component's T(x).T, then ones
+    totals: np.ndarray  # (K + 1,): stats summed over the samples
 
 
 def _component_data(features, spec):
@@ -695,7 +696,8 @@ def _component_data(features, spec):
         blocks.append(t.T)
         k += t.shape[1]
     blocks.append(np.ones((1, n)))
-    return n, _FitData(tuple(comps), np.concatenate(blocks))
+    stats = np.concatenate(blocks)
+    return n, _FitData(tuple(comps), stats, stats.sum(axis=1))
 
 
 def log_dirichlet_prior(pi, alpha):
@@ -706,30 +708,60 @@ def log_dirichlet_prior(pi, alpha):
     return float(np.sum((alpha - 1.0) * np.log(pi)))
 
 
-def e_step(log_dens, pi):
-    """Responsibilities from per-cluster log densities; log-domain softmax.
+def e_step(coef, pi, stats, totals):
+    """Responsibilities of the clusters whose log-densities are coef @ stats.
 
+    Row l of ``coef`` (L, K + 1) holds cluster l's coefficients of the
+    stacked statistics ``stats`` (K + 1, N), whose last row is ones, and
+    ``totals`` is ``stats`` summed over samples. Returns (gamma,
+    flagged_row_count, log_lik): gamma (N, L) has contiguous columns, and
+    log_lik = sum_i log sum_l pi_l p_il is the observed-data log-likelihood.
     Rows where every cluster has zero likelihood become uniform and are
-    counted. Returns (gamma, flagged_row_count, log_lik); gamma has
-    contiguous columns, and log_lik = sum_i log sum_l pi_l p_il is the
-    observed-data log-likelihood. One cluster takes every row, and counts
-    its non-finite ones.
+    counted. One cluster takes every row, and counts its non-finite ones.
+
+    Two clusters work on the log-odds d = w1 - w0 of the log-weights
+    w_l = log pi_l + log p_il, one product with log pi folded into the
+    coefficient of the ones row: gamma_1 = 1 / (1 + exp(-d)), gamma_0 =
+    1 - gamma_1, and log_lik = sum_i w1 + log(1 + exp(-d)), where
+    sum_i w1 = c1 . totals. If that log_lik is not finite, because some
+    weight is infinite or NaN or some exp(-d) overflows, the call takes the
+    row-max form of ``_e_step_row_max``.
     """
-    lp = np.log(pi)
-    # Work column by column: numpy loops over the short row axis cost
-    # several times more than over the long sample axis, for the same values.
-    logw = [log_dens[:, l] + lp[l] for l in range(lp.size)]
-    if lp.size == 1:
-        with np.errstate(invalid="ignore"):  # inf - inf on flagged rows
-            log_lik = float(logw[0].sum())
-        return (np.ones(log_dens.shape, order="F"),
-                int(np.count_nonzero(~np.isfinite(logw[0]))), log_lik)
-    gamma = np.empty(log_dens.shape, order="F")
-    # The row-max softmax gives the larger weight exp(0) = 1 and the
-    # smaller exp(-|w1 - w0|): exp(min(d, 0)) and exp(-max(d, 0)) are those
-    # terms, bit for bit, with no row max and no select.
+    c = np.array(coef, float)
+    c[:, -1] += np.log(pi)
+    # Overflow and inf - inf give the infinite and NaN weights dealt with here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pi.size == 1:
+            w = c[0] @ stats
+            return (np.ones((w.size, 1), order="F"),
+                    int(np.count_nonzero(~np.isfinite(w))), float(w.sum()))
+        gamma = np.empty((stats.shape[1], 2), order="F")
+        d = (c[1] - c[0]) @ stats
+        s = np.exp(-d)
+        s += 1.0
+        np.divide(1.0, s, out=gamma[:, 1])
+        np.subtract(1.0, gamma[:, 1], out=gamma[:, 0])
+        np.log(s, out=s)
+        log_lik = float(c[1] @ totals) + float(s.sum())
+        # An infinite or NaN weight, or an exp(-d) that overflowed, leaves
+        # log_lik infinite or NaN. (d = +inf on its own gives gamma_1 = 1
+        # and log(1 + 0) = 0, which is right.)
+        if math.isfinite(log_lik):
+            return gamma, 0, log_lik
+        return _e_step_row_max(*(c @ stats))
+
+
+def _e_step_row_max(w0, w1):
+    """The two-cluster E-step at log-weights w0 and w1 in the row-max form:
+    a row's larger weight gets exp(0) = 1 and the smaller exp(-|w1 - w0|).
+    Returns what ``e_step`` does; a row with an infinite or NaN weight is
+    decided by its largest weight, as in a log-sum-exp.
+    """
+    gamma = np.empty((w0.size, 2), order="F")
+    # exp(min(d, 0)) and exp(-max(d, 0)) are the row-max terms, bit for bit,
+    # with no row max and no select.
     with np.errstate(invalid="ignore"):  # inf - inf on flagged rows
-        d = logw[1] - logw[0]
+        d = w1 - w0
         finite = math.isfinite(d.sum())
     e1 = np.minimum(d, 0.0)
     np.exp(e1, out=e1)
@@ -744,12 +776,12 @@ def e_step(log_dens, pi):
     # d is finite on every row unless some weight is infinite or NaN.
     if finite:
         np.log(s, out=s)
-        return gamma, 0, float(logw[0].sum()) + shift + float(s.sum())
+        return gamma, 0, float(w0.sum()) + shift + float(s.sum())
     # A row's largest weight w_m has responsibility 1 / sum_l exp(w_l - w_m),
     # so its log sum_l exp(w_l) is w_m - log gamma_m. On a row with an
     # infinite or NaN weight this is what a log-sum-exp gives: the largest
     # weight decides.
-    w = np.maximum(logw[0], logw[1])
+    w = np.maximum(w0, w1)
     bad = ~np.isfinite(w)
     n_bad = int(bad.sum())
     if n_bad:
@@ -875,7 +907,6 @@ class _Eval(NamedTuple):
     """One E-step of the EM map at ``state``, (params, natural, coef, pi)."""
     state: tuple
     gamma: np.ndarray
-    log_dens: np.ndarray
     sums: np.ndarray  # (K + 1, L) statistic sums, then responsibility mass
     q: float
     ll: float
@@ -905,10 +936,8 @@ def _run_em(n, data, spec, gamma):
 
     def evaluate(state):
         coef, pi = state[2:]
-        # Row l is cluster l's log-density [T, 1] @ [eta_l, -A_l]; the
-        # transpose is (N, L) with contiguous columns.
-        ld = coef @ stats
-        gamma, nbad, log_lik = e_step(ld.T, pi)
+        # Cluster l's log-density is [T, 1] @ [eta_l, -A_l], row l of coef.
+        gamma, nbad, log_lik = e_step(coef, pi, stats, data.totals)
         sums = stats @ gamma
         log_pi = np.log(pi).tolist()
         counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
@@ -918,7 +947,7 @@ def _run_em(n, data, spec, gamma):
             c * lp for c, lp in zip(counts, log_pi))
         # The Dirichlet log-prior, exactly zero when all alpha = 1.
         ll = log_lik + sum(p * lp for p, lp in zip(prior, log_pi) if p)
-        return _Eval(state, gamma, ld.T, sums, q, ll, nbad)
+        return _Eval(state, gamma, sums, q, ll, nbad)
 
     def small(ev, start):
         # Whether l gained under the tolerance since ``start``.
@@ -979,8 +1008,10 @@ def _run_em(n, data, spec, gamma):
         if k == step_max:
             step_max *= STEP_GROWTH
     q_trace, ll_trace, flagged = (list(v) for v in zip(*trace))
-    params, _, _, pi = last.state
-    return (params, pi, last.gamma, last.log_dens, q_trace, stop != "cap",
+    params, _, coef, pi = last.state
+    # The (N, L) log-densities, with contiguous columns, once per run.
+    log_dens = (coef @ stats).T
+    return (params, pi, last.gamma, log_dens, q_trace, stop != "cap",
             max(flagged), stop, evals, ll_trace)
 
 

@@ -136,7 +136,9 @@ def test_criterion_map_to_ml_reduction():
         n = rng.integers(5, 400)
         log_dens = rng.normal(scale=4.0, size=(n, 2))
         pi = rng.dirichlet([1.0, 1.0])
-        gamma, _, _ = e_step(log_dens, pi)
+        # Statistics [log p_0, log p_1, 1], taken with coefficients eye(2, 3).
+        stats = np.vstack([log_dens.T, np.ones(n)])
+        gamma, _, _ = e_step(np.eye(2, 3), pi, stats, stats.sum(axis=1))
         ml = gamma.sum(axis=0) / n
         mapw = m_step_weights(gamma, np.ones(2), n, 2)
         ok = ok and np.array_equal(ml, mapw)

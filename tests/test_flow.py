@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cloudlayers.flow import (DerivativeStack, FlowField, WlkConfig,
+from cloudlayers import flow
+from cloudlayers.flow import (DerivativeStack, FlowField, WlkConfig, WlkStats,
                               derivatives, intensity_image, merge_layers,
                               wlk_solve)
 from cloudlayers.imaging import EmptyMaskError, Frame, SegmentationMask
@@ -162,6 +163,81 @@ def test_wlk_rejects_bad_weights():
         wlk_solve(d, [np.full((6, 6), 1.5)], cfg)
     with pytest.raises(ValueError):
         wlk_solve(d, [np.ones((5, 6))], cfg)
+
+
+def _oracle_window_sum(a, w):
+    """Clipped box sum of half-width w: an integral image read at the
+    clipped window corners with np.ix_ gathers."""
+    m, n = a.shape
+    c = np.zeros((m + 1, n + 1))
+    c[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+    i = np.arange(m)
+    j = np.arange(n)
+    i0 = np.clip(i - w, 0, m)
+    i1 = np.clip(i + w + 1, 0, m)
+    j0 = np.clip(j - w, 0, n)
+    j1 = np.clip(j + w + 1, 0, n)
+    return (c[np.ix_(i1, j1)] - c[np.ix_(i0, j1)]
+            - c[np.ix_(i1, j0)] + c[np.ix_(i0, j0)])
+
+
+def _oracle_wlk_solve(deriv, weights, cfg):
+    """wlk_solve with each window sum taken by ``_oracle_window_sum``."""
+    w, tau, y = cfg.window_half_width, cfg.tau, -deriv.it
+    fields, stats = [], []
+    for g in weights:
+        a11 = _oracle_window_sum(g * deriv.ix * deriv.ix, w) + tau
+        a22 = _oracle_window_sum(g * deriv.iy * deriv.iy, w) + tau
+        a12 = _oracle_window_sum(g * deriv.ix * deriv.iy, w)
+        b1 = _oracle_window_sum(g * deriv.ix * y, w)
+        b2 = _oracle_window_sum(g * deriv.iy * y, w)
+        wsum = _oracle_window_sum(g, w)
+        det = a11 * a22 - a12 * a12
+        scale = np.maximum(np.maximum(a11, a22), 1e-300)
+        empty = wsum <= 1e-12
+        singular = (det <= 1e-15 * scale * scale) & ~empty
+        bad = empty | singular
+        det_safe = np.where(bad, 1.0, det)
+        u = np.where(bad, 0.0, (a22 * b1 - a12 * b2) / det_safe)
+        v = np.where(bad, 0.0, (a11 * b2 - a12 * b1) / det_safe)
+        fields.append(FlowField(u=-0.5 * u, v=-0.5 * v))
+        stats.append(WlkStats(singular_pixels=int(singular.sum()),
+                              empty_windows=int(empty.sum())))
+    return fields, stats
+
+
+def test_window_sums_match_gathered_integral_image():
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1), (1, 90), (90, 1), (2, 3), (60, 80), (90, 90)]
+    shapes += [tuple(rng.integers(1, 91, size=2)) for _ in range(14)]
+    for m, n in shapes:
+        for w in (1, 3, 8, 20):  # 20 is wider than many of the grids
+            planes = [rng.normal(scale=100.0, size=(m, n))
+                      * (rng.uniform(size=(m, n)) < 0.6),
+                      np.zeros((m, n)),
+                      rng.uniform(size=(m, n))]
+            sums = flow._window_sums(planes, w)
+            assert sums.shape == (3, m, n)
+            for got, a in zip(sums, planes):
+                assert np.array_equal(got, _oracle_window_sum(a, w))
+
+
+def test_wlk_solve_matches_gathered_window_sums():
+    rng = np.random.default_rng(12)
+    prev = rng.uniform(0, 255, size=(37, 53))
+    nxt = np.roll(prev, (1, -1), axis=(0, 1)) + rng.normal(size=prev.shape)
+    d = derivatives(prev, nxt)
+    g = rng.uniform(size=prev.shape)
+    g[:, :9] = 0.0  # zero weight, empty windows in layer 1
+    g[20:, 30:] = 1.0  # zero weight in layer 2
+    for w in (1, 8):
+        cfg = WlkConfig(window_half_width=w)
+        fields, stats = wlk_solve(d, [g, 1.0 - g], cfg)
+        ref_fields, ref_stats = _oracle_wlk_solve(d, [g, 1.0 - g], cfg)
+        assert stats == ref_stats
+        assert stats[0].empty_windows > 0
+        for f, ref in zip(fields, ref_fields):
+            assert np.array_equal(f.u, ref.u) and np.array_equal(f.v, ref.v)
 
 
 @pytest.mark.parametrize("shift,expect", [((0, 1), (1.0, 0.0)),

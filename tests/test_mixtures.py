@@ -226,11 +226,53 @@ def test_gaussian_gradient_not_implemented():
 # E-step, weight update, CDLL
 
 
+def _as_statistics(log_dens):
+    """(coef, stats, totals) for ``e_step`` whose log-densities coef @ stats
+    are the columns of ``log_dens``, with +-inf where it has them and NaN
+    across a row that holds one.
+
+    Each cluster has two statistic rows: its finite entries with coefficient
+    1, then +-1e308 with coefficient 10 where it is +-inf, which overflows to
+    +-inf. A last row before the ones is NaN, with coefficient 1 in every
+    cluster, on rows holding a NaN: no product of finite statistics puts NaN
+    in one cluster alone. Every other product adds an exact zero.
+    """
+    ld = np.asarray(log_dens, float)
+    n, ncl = ld.shape
+    rows, coef = [], np.zeros((ncl, 2 * ncl + 2))
+    for l in range(ncl):
+        x = ld[:, l]
+        rows += [np.where(np.isfinite(x), x, 0.0),
+                 np.where(np.isinf(x), np.sign(x) * 1e308, 0.0)]
+        coef[l, 2 * l:2 * l + 2] = [1.0, 10.0]
+    rows += [np.where(np.isnan(ld).any(axis=1), np.nan, 0.0), np.ones(n)]
+    coef[:, -2] = 1.0
+    stats = np.array(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return coef, stats, stats.sum(axis=1)
+
+
+def _e_step(log_dens, pi):
+    """``e_step`` at the (N, L) log-densities ``log_dens``."""
+    coef, stats, totals = _as_statistics(log_dens)
+    return e_step(coef, pi, stats, totals)
+
+
+def test_as_statistics_reproduces_log_densities():
+    ld = np.array([[1.5, -np.inf], [np.inf, 2.0], [np.nan, -3.0],
+                   [-0.25, 7.0], [np.inf, -np.inf], [-np.inf, -np.inf]])
+    coef, stats, _ = _as_statistics(ld)
+    with np.errstate(over="ignore"):
+        got = (coef @ stats).T
+    ld[2, 1] = np.nan
+    np.testing.assert_array_equal(got, ld)
+
+
 def test_e_step_two_cluster_example():
     # log densities chosen so softmax is computable by hand.
     log_dens = np.array([[0.0, 0.0], [math.log(3.0), 0.0]])
     pi = np.array([0.5, 0.5])
-    gamma, flagged, _ = e_step(log_dens, pi)
+    gamma, flagged, _ = _e_step(log_dens, pi)
     assert flagged == 0
     np.testing.assert_allclose(gamma[0], [0.5, 0.5])
     np.testing.assert_allclose(gamma[1], [0.75, 0.25])
@@ -238,7 +280,7 @@ def test_e_step_two_cluster_example():
 
 def test_e_step_flags_all_minus_inf_rows():
     log_dens = np.array([[-np.inf, -np.inf], [0.0, 0.0]])
-    gamma, flagged, _ = e_step(log_dens, np.array([0.3, 0.7]))
+    gamma, flagged, _ = _e_step(log_dens, np.array([0.3, 0.7]))
     assert flagged == 1
     np.testing.assert_allclose(gamma[0], [0.5, 0.5])
 
@@ -255,8 +297,9 @@ def _row_reduction_e_step(log_dens, pi):
     return gamma, int(bad.sum())
 
 
-@pytest.mark.parametrize("n_clusters", [1, 2])
-def test_e_step_matches_row_reduction_bitwise(n_clusters):
+def _e_step_cases(n_clusters):
+    """(log_dens, pi, has flagged rows) for the E-step comparisons: rows
+    holding +-inf and NaN in several patterns, then finite rows only."""
     rng = np.random.default_rng(30)
     for _ in range(20):
         log_dens = rng.normal(scale=50.0, size=(500, n_clusters))
@@ -267,17 +310,45 @@ def test_e_step_matches_row_reduction_bitwise(n_clusters):
         log_dens[9::19, -1] = -np.inf
         log_dens[10::23] = np.inf
         pi = rng.dirichlet(np.ones(n_clusters))
-        gamma, flagged, _ = e_step(log_dens, pi)
+        yield log_dens, pi, True
+        yield rng.normal(scale=50.0, size=(500, n_clusters)), pi, False
+
+
+@pytest.mark.parametrize("n_clusters", [1, 2])
+def test_e_step_matches_row_reduction_bitwise(n_clusters):
+    # The row-max form, which two clusters fall back to on rows with an
+    # infinite or NaN weight, and one cluster's E-step are exact.
+    for log_dens, pi, flags in _e_step_cases(n_clusters):
+        if n_clusters == 1:
+            gamma, flagged, _ = _e_step(log_dens, pi)
+        else:
+            logw = log_dens + np.log(pi)[None, :]
+            gamma, flagged, _ = mixtures._e_step_row_max(logw[:, 0],
+                                                          logw[:, 1])
         with np.errstate(invalid="ignore"):
             ref_gamma, ref_flagged = _row_reduction_e_step(log_dens, pi)
-        assert flagged == ref_flagged > 0
+        assert flagged == ref_flagged
+        assert (flagged > 0) == flags
         assert np.array_equal(gamma, ref_gamma)
-        # Finite rows only: the path without flagged rows.
-        finite = rng.normal(scale=50.0, size=(500, n_clusters))
-        gamma, flagged, _ = e_step(finite, pi)
-        ref_gamma, ref_flagged = _row_reduction_e_step(finite, pi)
-        assert flagged == ref_flagged == 0
-        assert np.array_equal(gamma, ref_gamma)
+
+
+# Fixed before the comparison was first run: d = w1 - w0 is rounded once more
+# than in the row-max form, about 1e-14 at these magnitudes.
+LOG_ODDS_GAMMA_ATOL = 1e-12
+
+
+def test_e_step_matches_row_reduction():
+    # Two clusters take the log-odds path on finite rows and the row-max
+    # form on the rest; flagged rows are counted exactly either way.
+    for log_dens, pi, flags in _e_step_cases(2):
+        gamma, flagged, _ = _e_step(log_dens, pi)
+        with np.errstate(invalid="ignore"):
+            ref_gamma, ref_flagged = _row_reduction_e_step(log_dens, pi)
+        assert flagged == ref_flagged
+        assert (flagged > 0) == flags
+        assert gamma.flags.f_contiguous
+        np.testing.assert_allclose(gamma, ref_gamma, rtol=0,
+                                   atol=LOG_ODDS_GAMMA_ATOL)
 
 
 @settings(max_examples=100, deadline=None)
@@ -286,7 +357,7 @@ def test_e_step_rows_lie_on_simplex(seed):
     rng = np.random.default_rng(seed)
     log_dens = rng.normal(scale=5.0, size=(17, 2))
     pi = rng.dirichlet([1.0, 1.0])
-    gamma, _, _ = e_step(log_dens, pi)
+    gamma, _, _ = _e_step(log_dens, pi)
     assert np.all(gamma >= 0) and np.all(gamma <= 1)
     np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
@@ -614,7 +685,7 @@ def _plain_em(xs, kinds, spec, gamma, steps=None):
         log_dens = np.column_stack([
             sum(log_pdf(p, x) for p, x in zip(params[l], xs))
             for l in range(ncl)])
-        gamma, _, _ = e_step(log_dens, pi)
+        gamma, _, _ = _e_step(log_dens, pi)
         ll = _log_posterior(log_dens, pi, alpha)
         ll_trace.append(ll)
         q_trace.append(cdll(log_dens, gamma, pi, alpha))
@@ -782,7 +853,7 @@ def test_e_step_log_lik_matches_logsumexp():
     for ncl, _ in cases:
         log_dens = rng.normal(scale=30.0, size=(200, ncl))
         pi = rng.dirichlet(np.ones(ncl))
-        _, _, log_lik = e_step(log_dens, pi)
+        _, _, log_lik = _e_step(log_dens, pi)
         assert log_lik == pytest.approx(
             _log_posterior(log_dens, pi, np.ones(ncl)), rel=1e-12)
     inf, nan = np.inf, np.nan
@@ -790,7 +861,7 @@ def test_e_step_log_lik_matches_logsumexp():
     for row in ([inf, 1.0], [1.0, -inf], [-inf, -inf], [-inf, 2.0],
                 [inf, -inf], [inf, inf], [nan, 1.0], [-inf, nan]):
         log_dens = np.array([row, [0.5, -3.0]])
-        _, _, log_lik = e_step(log_dens, pi)
+        _, _, log_lik = _e_step(log_dens, pi)
         np.testing.assert_allclose(log_lik,
                                    _log_posterior(log_dens, pi, (1.0, 1.0)),
                                    rtol=1e-12)
@@ -817,13 +888,18 @@ def test_iteration_cap_stop(monkeypatch):
     f = fit({"x": x}, spec, init_seed=0)
     assert (f.stop, f.converged, len(f.q_trace)) == ("tolerance", True, 2)
     assert f.e_steps == len(calls) == 2
+    feats = _reference_case("gamma", np.random.default_rng(35))
+    spec2 = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
+                        dirichlet_alpha=(1.0, 1.0))
+    calls.clear()
+    f = fit(feats, spec2, init_seed=0, restarts=1)
+    assert f.stop == "tolerance"
+    assert f.e_steps == len(calls) > 9
     monkeypatch.setattr(mixtures, "MAX_OUTER_ITERS", 1)
     f = fit({"x": x}, spec, init_seed=0)
     assert (f.stop, f.converged, len(f.q_trace)) == ("cap", False, 1)
     assert f.to_json_dict()["stop"] == "cap"
-    feats = _reference_case("gamma", np.random.default_rng(35))
-    spec = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
-                       dirichlet_alpha=(1.0, 1.0))
+    spec = spec2
     for cap in (7, 8, 9):
         calls.clear()
         monkeypatch.setattr(mixtures, "MAX_OUTER_ITERS", cap)
