@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cloudlayers import synth
 from cloudlayers.synth import (COVERAGE_THRESHOLD, LayerSpec, SynthSpec,
                                generate, write_with_truth)
 
@@ -122,3 +123,80 @@ def test_write_with_truth_round_trip(tmp_path):
     doc = json.loads(truth_path.read_text())
     assert [e["l"] for e in doc["frames"]] == truth
     assert [e["t"] for e in doc["frames"]] == [0, 1, 2]
+
+
+def _mgrid_bump_field(shape, centers, scale):
+    """The elementwise bump field over a full index grid: the oracle that
+    ``synth._bump_field`` must match bit for bit."""
+    m, n = shape
+    ii, jj = np.mgrid[0:m, 0:n]
+    total = np.zeros(shape)
+    for ci, cj in centers:
+        di = (ii - ci + m / 2) % m - m / 2
+        dj = (jj - cj + n / 2) % n - n / 2
+        total += np.exp(-(di * di + dj * dj) / (2.0 * scale * scale))
+    return total
+
+
+def _set_truth(labels):
+    """The layer count of a label image, one pixel at a time: the oracle."""
+    return len({k for k in labels.ravel() if k > 0})
+
+
+@pytest.mark.parametrize("shape", [(1, 37), (29, 1), (1, 1), (7, 13),
+                                   (31, 45), (60, 80)])
+def test_bump_field_matches_mgrid_oracle(shape):
+    rng = np.random.default_rng(sum(shape))
+    m, n = shape
+    for scale in (2, 3.7, 8.0, 12.5):
+        # Centres inside the grid, past its far edges and at negative
+        # positions, as advection by any velocity puts them.
+        centers = rng.uniform([-3 * m, -3 * n], [4 * m, 4 * n], size=(7, 2))
+        centers[0] = (0.0, 0.0)
+        centers[1] = (-0.5, n + 0.25)
+        got = synth._bump_field(shape, centers, scale)
+        assert np.array_equal(got, _mgrid_bump_field(shape, centers, scale))
+
+
+def _assert_same_sequence(a, b):
+    assert len(a) == len(b)
+    for (fa, ma, la), (fb, mb, lb) in zip(a, b):
+        assert np.array_equal(fa.temperatures, fb.temperatures)
+        assert np.array_equal(ma.values, mb.values)
+        assert np.array_equal(la, lb)
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(shape=(1, 23), frames=3, seed=3),
+    SynthSpec(shape=(17, 1), frames=3, seed=4),
+    SynthSpec(shape=(21, 33), frames=4, noise_sigma=3.0, seed=5,
+              change_point=2,
+              layers=(LayerSpec(base_temp=280.0, velocity=(1.5, -0.25),
+                                n_blobs=3, blob_scale=4.5),
+                      LayerSpec(base_temp=266.0, velocity=(-2.75, 3.125),
+                                n_blobs=5, blob_scale=2.0))),
+    SynthSpec(shape=(60, 80), frames=3, noise_sigma=0.0, seed=6,
+              layers=(LayerSpec(base_temp=285.0, velocity=(0.3, 0.7)),
+                      LayerSpec(base_temp=265.0, velocity=(-1, 1)))),
+], ids=["1xN", "Nx1", "odd-change-point", "fractional-velocity"])
+def test_generate_matches_mgrid_oracle(monkeypatch, spec):
+    seq, truth = generate(spec)
+    assert truth == [_set_truth(labels) for _, _, labels in seq]
+    assert all(type(t) is int for t in truth)
+    monkeypatch.setattr(synth, "_bump_field", _mgrid_bump_field)
+    oracle_seq, oracle_truth = generate(spec)
+    _assert_same_sequence(seq, oracle_seq)
+    assert truth == oracle_truth
+
+
+def test_fully_occluded_layer_is_not_counted():
+    # The warm layer covers the whole grid, so the colder one, though
+    # active, labels no pixel.
+    spec = SynthSpec(shape=(8, 10), frames=3, noise_sigma=0.5, seed=9,
+                     layers=(LayerSpec(base_temp=285.0, velocity=(1, 0),
+                                       n_blobs=8, blob_scale=12.0),
+                             LayerSpec(base_temp=265.0, velocity=(0.5, 1),
+                                       n_blobs=4, blob_scale=3.0)))
+    seq, truth = generate(spec)
+    assert all(np.all(labels == 1) for _, _, labels in seq)
+    assert truth == [_set_truth(labels) for _, _, labels in seq] == [1] * 3
