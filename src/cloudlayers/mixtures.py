@@ -826,17 +826,38 @@ def _initial_gamma(n, n_clusters, mode, primary, rng):
     return gamma
 
 
-def _m_step(data, sums, params, natural):
+class _State(NamedTuple):
+    """An EM state: per cluster, each component's parameters and their
+    natural form (eta, A); ``coef`` (L, K + 1), whose row l holds the
+    coefficients of [T, 1] in cluster l's log-density, its natural
+    parameters then -sum(A); the weights ``pi``; and ``theta``, the state's
+    SQUAREM vector [logit pi (two clusters), every cluster's natural
+    parameters]."""
+    params: list
+    natural: list
+    coef: np.ndarray
+    pi: np.ndarray
+    theta: np.ndarray
+
+
+def _new_state(params, natural, coef, pi):
+    """The :class:`_State` of the coefficient rows ``coef``, Python floats,
+    and weights ``pi``, with its SQUAREM vector built once from the same
+    floats."""
+    head = [math.log(pi[1] / pi[0])] if pi.size == 2 else []
+    theta = np.array(head + [v for row in coef for v in row[:-1]])
+    return _State(params, natural, np.array(coef), pi, theta)
+
+
+def _m_step(data, sums, params, natural, pi):
     """Every cluster's M-step from ``sums`` (K + 1, L): column l holds
     cluster l's responsibility-weighted sums of the stacked statistics, then
     its responsibility mass.
 
     ``params[l][c]`` and ``natural[l][c]``, its (eta, A), are the warm
-    starts; ``None`` starts without one. Returns the new (params, natural,
-    coef), where row l of ``coef`` (L, K + 1) holds the coefficients of
-    [T, 1] in cluster l's log-density: its natural parameters, then -sum(A).
-    The scalar work runs on Python floats, which cost less than numpy
-    scalars.
+    starts; ``None`` starts without one. Returns the new :class:`_State` at
+    the weights ``pi``. The scalar work runs on Python floats, which cost
+    less than numpy scalars.
     """
     new_params, new_natural, coef = [], [], []
     for l, col in enumerate(sums.T.tolist()):
@@ -860,20 +881,17 @@ def _m_step(data, sums, params, natural):
         new_params.append(p_row)
         new_natural.append(n_row)
         coef.append(coef_row)
-    return new_params, new_natural, np.array(coef)
+    return _new_state(new_params, new_natural, coef, pi)
 
 
 def _vector(state):
-    """The SQUAREM vector of (params, natural, coef, pi): [logit pi (two
-    clusters), every cluster's natural parameters]."""
-    coef, pi = state[2:]
-    head = [math.log(pi[1] / pi[0])] if pi.size == 2 else []
-    return np.concatenate((head, coef[:, :-1].ravel()))
+    """The SQUAREM vector of a :class:`_State`."""
+    return state.theta
 
 
 def _state(data, theta, n_clusters):
-    """(params, natural, coef, pi) at a SQUAREM vector, or None when it
-    leaves some family's domain or puts a weight outside (0, 1)."""
+    """The :class:`_State` at a SQUAREM vector, or None when it leaves some
+    family's domain or puts a weight outside (0, 1)."""
     if not np.isfinite(theta).all():
         return None
     pi = np.ones(1)
@@ -900,12 +918,12 @@ def _state(data, theta, n_clusters):
         params.append(p_row)
         natural.append(n_row)
         coef.append([v for eta, _ in n_row for v in eta] + [-a_sum])
-    return params, natural, np.array(coef), pi
+    return _new_state(params, natural, coef, pi)
 
 
 class _Eval(NamedTuple):
-    """One E-step of the EM map at ``state``, (params, natural, coef, pi)."""
-    state: tuple
+    """One E-step of the EM map at a :class:`_State`."""
+    state: _State
     gamma: np.ndarray
     sums: np.ndarray  # (K + 1, L) statistic sums, then responsibility mass
     q: float
@@ -932,10 +950,10 @@ def _run_em(n, data, spec, gamma):
         # The map's M-step, from the sums of an E-step at ``state``.
         if sums[-1].min() <= empty:
             raise _EmptyClusterError("empty cluster during EM")
-        return (*_m_step(data, sums, *state[:2]), weights(sums))
+        return _m_step(data, sums, state.params, state.natural, weights(sums))
 
     def evaluate(state):
-        coef, pi = state[2:]
+        coef, pi = state.coef, state.pi
         # Cluster l's log-density is [T, 1] @ [eta_l, -A_l], row l of coef.
         gamma, nbad, log_lik = e_step(coef, pi, stats, data.totals)
         sums = stats @ gamma
@@ -955,7 +973,7 @@ def _run_em(n, data, spec, gamma):
 
     # The first state is the M-step of the initial responsibilities.
     sums = stats @ gamma
-    state = (*_m_step(data, sums, None, None), weights(sums))
+    state = _m_step(data, sums, None, None, weights(sums))
     trace = []  # (q, l, flagged rows) at each cycle start, then the last
     evals = 0
     ev0 = None
@@ -986,7 +1004,8 @@ def _run_em(n, data, spec, gamma):
         t0 = _vector(state)
         r = _vector(s1) - t0
         v = _vector(s2) - t0 - 2.0 * r
-        nr, nv = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+        # Bit for bit np.linalg.norm, without its Python-level overhead.
+        nr, nv = math.sqrt(float(r.dot(r))), math.sqrt(float(v.dot(v)))
         state = s2
         # k = -a = |r| / |v|, clamped to [1, step_max]; theta' is theta2 at
         # k = 1, and the last map evaluation is kept for it.
@@ -1008,7 +1027,7 @@ def _run_em(n, data, spec, gamma):
         if k == step_max:
             step_max *= STEP_GROWTH
     q_trace, ll_trace, flagged = (list(v) for v in zip(*trace))
-    params, _, coef, pi = last.state
+    params, coef, pi = last.state.params, last.state.coef, last.state.pi
     # The (N, L) log-densities, with contiguous columns, once per run.
     log_dens = (coef @ stats).T
     return (params, pi, last.gamma, log_dens, q_trace, stop != "cap",
