@@ -30,8 +30,9 @@ over contiguous length-N rows:
   1 - gamma_1. The observed-data log-likelihood is
   c1 . sum_i [T_i, 1] + sum_i log(1 + exp(-d_i)), so no (N, L) array of
   log-densities is built; a run builds the ``log_dens`` it returns once.
-  Should a weight be infinite or NaN, or exp(-d) overflow, the E-step takes
-  the row-max form of the log-domain softmax instead;
+  A row whose exp(-d) overflows adds -d to the log-likelihood. Should a
+  weight be infinite or NaN, the E-step takes the row-max form of the
+  log-domain softmax instead;
 - shared statistics: one product of the stacked statistics with the
   responsibilities gives every cluster's sums of T and, from the ones row,
   its responsibility mass. These feed the surrogate objective, the MAP
@@ -723,9 +724,10 @@ def e_step(coef, pi, stats, totals):
     w_l = log pi_l + log p_il, one product with log pi folded into the
     coefficient of the ones row: gamma_1 = 1 / (1 + exp(-d)), gamma_0 =
     1 - gamma_1, and log_lik = sum_i w1 + log(1 + exp(-d)), where
-    sum_i w1 = c1 . totals. If that log_lik is not finite, because some
-    weight is infinite or NaN or some exp(-d) overflows, the call takes the
-    row-max form of ``_e_step_row_max``.
+    sum_i w1 = c1 . totals. A row whose exp(-d) overflows adds -d in place
+    of log(1 + exp(-d)). If log_lik is still not finite, because some
+    weight is infinite or NaN, the call takes the row-max form of
+    ``_e_step_row_max``.
     """
     c = np.array(coef, float)
     c[:, -1] += np.log(pi)
@@ -742,10 +744,17 @@ def e_step(coef, pi, stats, totals):
         np.divide(1.0, s, out=gamma[:, 1])
         np.subtract(1.0, gamma[:, 1], out=gamma[:, 0])
         np.log(s, out=s)
-        log_lik = float(c[1] @ totals) + float(s.sum())
-        # An infinite or NaN weight, or an exp(-d) that overflowed, leaves
-        # log_lik infinite or NaN. (d = +inf on its own gives gamma_1 = 1
-        # and log(1 + 0) = 0, which is right.)
+        w1_sum = float(c[1] @ totals)
+        log_lik = w1_sum + float(s.sum())
+        if not math.isfinite(log_lik):
+            # Where exp(-d) overflowed, d < -709.78 and log(1 + exp(-d)) is
+            # -d to well under an ulp; such a row's gammas, 0 and 1, are
+            # already right. (d = +inf on its own gives gamma_1 = 1 and
+            # log(1 + 0) = 0, which is right too.) An infinite or NaN weight
+            # still leaves log_lik infinite or NaN.
+            over = np.isinf(s)
+            s[over] = -d[over]
+            log_lik = w1_sum + float(s.sum())
         if math.isfinite(log_lik):
             return gamma, 0, log_lik
         return _e_step_row_max(*(c @ stats))

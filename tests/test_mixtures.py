@@ -299,7 +299,9 @@ def _row_reduction_e_step(log_dens, pi):
 
 def _e_step_cases(n_clusters):
     """(log_dens, pi, has flagged rows) for the E-step comparisons: rows
-    holding +-inf and NaN in several patterns, then finite rows only."""
+    holding +-inf and NaN in several patterns, then finite rows only, then
+    for two clusters finite rows some of whose log-odds d = w1 - w0 fall
+    below -709.78, where exp(-d) overflows."""
     rng = np.random.default_rng(30)
     for _ in range(20):
         log_dens = rng.normal(scale=50.0, size=(500, n_clusters))
@@ -311,7 +313,14 @@ def _e_step_cases(n_clusters):
         log_dens[10::23] = np.inf
         pi = rng.dirichlet(np.ones(n_clusters))
         yield log_dens, pi, True
-        yield rng.normal(scale=50.0, size=(500, n_clusters)), pi, False
+        finite = rng.normal(scale=50.0, size=(500, n_clusters))
+        yield finite, pi, False
+        if n_clusters == 2:
+            overflow = finite.copy()
+            overflow[4::9] = [0.0, -800.0]
+            overflow[8::15] = [5.0, -1e4]
+            overflow[12::31] = [800.0, 0.0]
+            yield overflow, pi, False
 
 
 @pytest.mark.parametrize("n_clusters", [1, 2])
@@ -337,11 +346,23 @@ def test_e_step_matches_row_reduction_bitwise(n_clusters):
 LOG_ODDS_GAMMA_ATOL = 1e-12
 
 
-def test_e_step_matches_row_reduction():
-    # Two clusters take the log-odds path on finite rows and the row-max
-    # form on the rest; flagged rows are counted exactly either way.
+def _count_row_max_calls(monkeypatch):
+    """The list that gets one entry per ``_e_step_row_max`` call."""
+    calls, real = [], mixtures._e_step_row_max
+    monkeypatch.setattr(mixtures, "_e_step_row_max",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_e_step_matches_row_reduction(monkeypatch):
+    # Two clusters take the log-odds path when every weight is finite, also
+    # where exp(-d) overflows, and the row-max form otherwise; flagged rows
+    # are counted exactly either way.
+    calls = _count_row_max_calls(monkeypatch)
     for log_dens, pi, flags in _e_step_cases(2):
+        calls.clear()
         gamma, flagged, _ = _e_step(log_dens, pi)
+        assert bool(calls) == flags
         with np.errstate(invalid="ignore"):
             ref_gamma, ref_flagged = _row_reduction_e_step(log_dens, pi)
         assert flagged == ref_flagged
@@ -847,7 +868,8 @@ def test_extrapolation_that_lowers_the_objective_falls_back(monkeypatch):
     _assert_fell_back_to_theta2(f, ll_trace)
 
 
-def test_e_step_log_lik_matches_logsumexp():
+def test_e_step_log_lik_matches_logsumexp(monkeypatch):
+    calls = _count_row_max_calls(monkeypatch)
     rng = np.random.default_rng(37)
     cases = ((1, (2.0,)), (2, (1.0, 1.0)), (2, (1.5, 4.0)))
     for ncl, _ in cases:
@@ -858,10 +880,19 @@ def test_e_step_log_lik_matches_logsumexp():
             _log_posterior(log_dens, pi, np.ones(ncl)), rel=1e-12)
     inf, nan = np.inf, np.nan
     pi = np.array([0.3, 0.7])
-    for row in ([inf, 1.0], [1.0, -inf], [-inf, -inf], [-inf, 2.0],
-                [inf, -inf], [inf, inf], [nan, 1.0], [-inf, nan]):
+    # Rows with an infinite or NaN weight take the row-max form, except
+    # d = w1 - w0 = +inf, whose log-odds terms are exact; finite rows whose
+    # exp(-d) overflows, with d < -709.78, do not take it.
+    for row, row_max in (([inf, 1.0], True), ([1.0, -inf], True),
+                         ([-inf, -inf], True), ([-inf, 2.0], False),
+                         ([inf, -inf], True), ([inf, inf], True),
+                         ([nan, 1.0], True), ([-inf, nan], True),
+                         ([0.0, -800.0], False), ([5.0, -1e4], False),
+                         ([800.0, 0.0], False)):
         log_dens = np.array([row, [0.5, -3.0]])
+        calls.clear()
         _, _, log_lik = _e_step(log_dens, pi)
+        assert bool(calls) == row_max
         np.testing.assert_allclose(log_lik,
                                    _log_posterior(log_dens, pi, (1.0, 1.0)),
                                    rtol=1e-12)
