@@ -30,9 +30,8 @@ over contiguous length-N rows:
   1 - gamma_1. The observed-data log-likelihood is
   c1 . sum_i [T_i, 1] + sum_i log(1 + exp(-d_i)), so no (N, L) array of
   log-densities is built; a run builds the ``log_dens`` it returns once.
-  A row whose exp(-d) overflows adds -d to the log-likelihood. Should a
-  weight be infinite or NaN, the E-step takes the row-max form of the
-  log-domain softmax instead;
+  A row whose exp(-d) overflows adds -d to the log-likelihood. ``fit``
+  rejects a feature with a non-finite value, so the statistics are finite;
 - shared statistics: one product of the stacked statistics with the
   responsibilities gives every cluster's sums of T and, from the ones row,
   its responsibility mass. These feed the surrogate objective, the MAP
@@ -638,7 +637,6 @@ class MixtureFit:
     stop: str               # "tolerance" or "cap"; see module doc
     ll_trace: list          # the objective l at the same states
     e_steps: int            # E-steps of this restart's run
-    flagged_rows: int = 0
 
     @property
     def q(self):
@@ -662,7 +660,6 @@ class MixtureFit:
             "converged": self.converged,
             "stop": self.stop,
             "restart_id": self.restart_id,
-            "flagged_rows": self.flagged_rows,
         }
 
 
@@ -681,7 +678,8 @@ class _FitData:
 
 
 def _component_data(features, spec):
-    """(n, _FitData): T is computed and the support checked once per fit."""
+    """(n, _FitData): the features are checked finite, T is computed and
+    the support checked once per fit."""
     comps, blocks = [], []
     n = None
     k = 0
@@ -691,6 +689,8 @@ def _component_data(features, spec):
             n = x.shape[0]
         elif x.shape[0] != n:
             raise ValueError("feature lengths differ")
+        if not np.isfinite(x).all():
+            raise SupportError(f"feature {fname!r} holds non-finite values")
         family = _family(kind, x)
         t = family.statistic(x)
         comps.append(_Component(family, x, slice(k, k + t.shape[1])))
@@ -714,29 +714,28 @@ def e_step(coef, pi, stats, totals):
 
     Row l of ``coef`` (L, K + 1) holds cluster l's coefficients of the
     stacked statistics ``stats`` (K + 1, N), whose last row is ones, and
-    ``totals`` is ``stats`` summed over samples. Returns (gamma,
-    flagged_row_count, log_lik): gamma (N, L) has contiguous columns, and
-    log_lik = sum_i log sum_l pi_l p_il is the observed-data log-likelihood.
-    Rows where every cluster has zero likelihood become uniform and are
-    counted. One cluster takes every row, and counts its non-finite ones.
+    ``totals`` is ``stats`` summed over samples. Returns (gamma, log_lik):
+    gamma (N, L) has contiguous columns, and log_lik = sum_i log sum_l
+    pi_l p_il is the observed-data log-likelihood. One cluster takes every
+    row.
 
     Two clusters work on the log-odds d = w1 - w0 of the log-weights
     w_l = log pi_l + log p_il, one product with log pi folded into the
     coefficient of the ones row: gamma_1 = 1 / (1 + exp(-d)), gamma_0 =
     1 - gamma_1, and log_lik = sum_i w1 + log(1 + exp(-d)), where
     sum_i w1 = c1 . totals. A row whose exp(-d) overflows adds -d in place
-    of log(1 + exp(-d)). If log_lik is still not finite, because some
-    weight is infinite or NaN, the call takes the row-max form of
-    ``_e_step_row_max``.
+    of log(1 + exp(-d)).
     """
     c = np.array(coef, float)
     c[:, -1] += np.log(pi)
-    # Overflow and inf - inf give the infinite and NaN weights dealt with here.
+    if pi.size == 1:
+        w = c[0] @ stats
+        return np.ones((w.size, 1), order="F"), float(w.sum())
+    # The statistics are finite, but an extrapolated state's finite
+    # coefficients can still overflow in these products. Such a state's
+    # log_lik is -inf or NaN, which fails the run's test
+    # l(theta') >= l(theta0).
     with np.errstate(over="ignore", invalid="ignore"):
-        if pi.size == 1:
-            w = c[0] @ stats
-            return (np.ones((w.size, 1), order="F"),
-                    int(np.count_nonzero(~np.isfinite(w))), float(w.sum()))
         gamma = np.empty((stats.shape[1], 2), order="F")
         d = (c[1] - c[0]) @ stats
         s = np.exp(-d)
@@ -749,55 +748,11 @@ def e_step(coef, pi, stats, totals):
         if not math.isfinite(log_lik):
             # Where exp(-d) overflowed, d < -709.78 and log(1 + exp(-d)) is
             # -d to well under an ulp; such a row's gammas, 0 and 1, are
-            # already right. (d = +inf on its own gives gamma_1 = 1 and
-            # log(1 + 0) = 0, which is right too.) An infinite or NaN weight
-            # still leaves log_lik infinite or NaN.
+            # already right.
             over = np.isinf(s)
             s[over] = -d[over]
             log_lik = w1_sum + float(s.sum())
-        if math.isfinite(log_lik):
-            return gamma, 0, log_lik
-        return _e_step_row_max(*(c @ stats))
-
-
-def _e_step_row_max(w0, w1):
-    """The two-cluster E-step at log-weights w0 and w1 in the row-max form:
-    a row's larger weight gets exp(0) = 1 and the smaller exp(-|w1 - w0|).
-    Returns what ``e_step`` does; a row with an infinite or NaN weight is
-    decided by its largest weight, as in a log-sum-exp.
-    """
-    gamma = np.empty((w0.size, 2), order="F")
-    # exp(min(d, 0)) and exp(-max(d, 0)) are the row-max terms, bit for bit,
-    # with no row max and no select.
-    with np.errstate(invalid="ignore"):  # inf - inf on flagged rows
-        d = w1 - w0
-        finite = math.isfinite(d.sum())
-    e1 = np.minimum(d, 0.0)
-    np.exp(e1, out=e1)
-    e0 = np.maximum(d, 0.0)
-    # A row's log sum_l exp(w_l) is w0 + max(d, 0) + log(e0 + e1).
-    shift = float(e0.sum())
-    np.negative(e0, out=e0)
-    np.exp(e0, out=e0)
-    s = e0 + e1
-    np.divide(e0, s, out=gamma[:, 0])
-    np.divide(e1, s, out=gamma[:, 1])
-    # d is finite on every row unless some weight is infinite or NaN.
-    if finite:
-        np.log(s, out=s)
-        return gamma, 0, float(w0.sum()) + shift + float(s.sum())
-    # A row's largest weight w_m has responsibility 1 / sum_l exp(w_l - w_m),
-    # so its log sum_l exp(w_l) is w_m - log gamma_m. On a row with an
-    # infinite or NaN weight this is what a log-sum-exp gives: the largest
-    # weight decides.
-    w = np.maximum(w0, w1)
-    bad = ~np.isfinite(w)
-    n_bad = int(bad.sum())
-    if n_bad:
-        gamma[bad] = 0.5
-    g = np.log(np.maximum(gamma[:, 0], gamma[:, 1]))
-    with np.errstate(invalid="ignore"):
-        return gamma, n_bad, float(w.sum() - g.sum())
+    return gamma, log_lik
 
 
 def m_step_weights(gamma, dirichlet_alpha, n, n_clusters):
@@ -937,13 +892,12 @@ class _Eval(NamedTuple):
     sums: np.ndarray  # (K + 1, L) statistic sums, then responsibility mass
     q: float
     ll: float
-    flagged: int
 
 
 def _run_em(n, data, spec, gamma):
     """One SQUAREM-accelerated EM run from initial responsibilities
     ``gamma``. Returns (params, pi, gamma, log_dens, q_trace, converged,
-    flagged_rows, stop, e_steps, ll_trace)."""
+    stop, e_steps, ll_trace)."""
     alpha = spec.dirichlet_alpha
     # MAP weights are (alpha - 1 + gsum) / denom, as in m_step_weights.
     prior = [a - 1.0 for a in alpha]
@@ -964,7 +918,7 @@ def _run_em(n, data, spec, gamma):
     def evaluate(state):
         coef, pi = state.coef, state.pi
         # Cluster l's log-density is [T, 1] @ [eta_l, -A_l], row l of coef.
-        gamma, nbad, log_lik = e_step(coef, pi, stats, data.totals)
+        gamma, log_lik = e_step(coef, pi, stats, data.totals)
         sums = stats @ gamma
         log_pi = np.log(pi).tolist()
         counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
@@ -974,7 +928,7 @@ def _run_em(n, data, spec, gamma):
             c * lp for c, lp in zip(counts, log_pi))
         # The Dirichlet log-prior, exactly zero when all alpha = 1.
         ll = log_lik + sum(p * lp for p, lp in zip(prior, log_pi) if p)
-        return _Eval(state, gamma, sums, q, ll, nbad)
+        return _Eval(state, gamma, sums, q, ll)
 
     def small(ev, start):
         # Whether l gained under the tolerance since ``start``.
@@ -983,7 +937,7 @@ def _run_em(n, data, spec, gamma):
     # The first state is the M-step of the initial responsibilities.
     sums = stats @ gamma
     state = _m_step(data, sums, None, None, weights(sums))
-    trace = []  # (q, l, flagged rows) at each cycle start, then the last
+    trace = []  # (q, l) at each cycle start, then the last
     evals = 0
     ev0 = None
     stop = "cap"
@@ -994,7 +948,7 @@ def _run_em(n, data, spec, gamma):
         start, ev0 = ev0, evaluate(state)
         evals += 1
         last = ev0
-        trace.append((ev0.q, ev0.ll, ev0.flagged))
+        trace.append((ev0.q, ev0.ll))
         if start is not None and small(ev0, start):
             stop = "tolerance"
             break
@@ -1006,7 +960,7 @@ def _run_em(n, data, spec, gamma):
         converged = small(ev1, ev0)
         if converged or evals == MAX_OUTER_ITERS:
             last = ev1
-            trace.append((ev1.q, ev1.ll, ev1.flagged))
+            trace.append((ev1.q, ev1.ll))
             stop = "tolerance" if converged else "cap"
             break
         s2 = m_step(s1, ev1.sums)
@@ -1035,12 +989,12 @@ def _run_em(n, data, spec, gamma):
                 k = 1.0
         if k == step_max:
             step_max *= STEP_GROWTH
-    q_trace, ll_trace, flagged = (list(v) for v in zip(*trace))
+    q_trace, ll_trace = (list(v) for v in zip(*trace))
     params, coef, pi = last.state.params, last.state.coef, last.state.pi
     # The (N, L) log-densities, with contiguous columns, once per run.
     log_dens = (coef @ stats).T
-    return (params, pi, last.gamma, log_dens, q_trace, stop != "cap",
-            max(flagged), stop, evals, ll_trace)
+    return (params, pi, last.gamma, log_dens, q_trace, stop != "cap", stop,
+            evals, ll_trace)
 
 
 def fit(features, spec, init_seed=0, restarts=3):
@@ -1062,8 +1016,8 @@ def fit(features, spec, init_seed=0, restarts=3):
         mode = "split" if r == 0 else "random"
         gamma0 = _initial_gamma(n, spec.n_clusters, mode, primary, rng)
         try:
-            (params, pi, gamma, log_dens, q_trace, conv, flagged, stop,
-             e_steps, ll_trace) = _run_em(n, data, spec, gamma0)
+            (params, pi, gamma, log_dens, q_trace, conv, stop, e_steps,
+             ll_trace) = _run_em(n, data, spec, gamma0)
         except _EmptyClusterError as exc:
             failures.append(str(exc))
             continue
@@ -1072,8 +1026,7 @@ def fit(features, spec, init_seed=0, restarts=3):
                                   responsibilities=gamma, log_dens=log_dens,
                                   q_trace=q_trace, converged=conv,
                                   restart_id=r, stop=stop,
-                                  ll_trace=ll_trace, e_steps=e_steps,
-                                  flagged_rows=flagged)
+                                  ll_trace=ll_trace, e_steps=e_steps)
     if best_fit is None:
         families = ", ".join(k for _, k in spec.components)
         raise FitError(f"all restarts degenerate for families: {families}")

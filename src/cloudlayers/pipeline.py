@@ -177,7 +177,7 @@ def frame_evidence(prev, prev_mask, cur, cur_mask, cfg):
     temp_feats = _temperature_features(prev, prev_mask, cfg)
 
     flags = {"degenerate_restarts": 0, "singular_pixels": 0,
-             "empty_windows": 0, "flagged_rows": 0}
+             "empty_windows": 0}
     deriv = flow_mod.derivatives(flow_mod.intensity_image(prev, prev_mask),
                                  flow_mod.intensity_image(cur, cur_mask))
 
@@ -202,7 +202,6 @@ def frame_evidence(prev, prev_mask, cur, cur_mask, cfg):
             vfit = mixtures.fit(vel_feats, vspec,
                                 init_seed=_fit_hypothesis_seed(cfg.seed, prev.index, l, 1),
                                 restarts=cfg.restarts)
-            flags["flagged_rows"] += tfit.flagged_rows + vfit.flagged_rows
 
             posterior_sum = float(tfit.q + vfit.q)
             scores.append(hmm_mod.HypothesisScore(l, posterior_sum, 0.0,

@@ -138,7 +138,7 @@ def test_criterion_map_to_ml_reduction():
         pi = rng.dirichlet([1.0, 1.0])
         # Statistics [log p_0, log p_1, 1], taken with coefficients eye(2, 3).
         stats = np.vstack([log_dens.T, np.ones(n)])
-        gamma, _, _ = e_step(np.eye(2, 3), pi, stats, stats.sum(axis=1))
+        gamma, _ = e_step(np.eye(2, 3), pi, stats, stats.sum(axis=1))
         ml = gamma.sum(axis=0) / n
         mapw = m_step_weights(gamma, np.ones(2), n, 2)
         ok = ok and np.array_equal(ml, mapw)

@@ -228,28 +228,12 @@ def test_gaussian_gradient_not_implemented():
 
 def _as_statistics(log_dens):
     """(coef, stats, totals) for ``e_step`` whose log-densities coef @ stats
-    are the columns of ``log_dens``, with +-inf where it has them and NaN
-    across a row that holds one.
-
-    Each cluster has two statistic rows: its finite entries with coefficient
-    1, then +-1e308 with coefficient 10 where it is +-inf, which overflows to
-    +-inf. A last row before the ones is NaN, with coefficient 1 in every
-    cluster, on rows holding a NaN: no product of finite statistics puts NaN
-    in one cluster alone. Every other product adds an exact zero.
-    """
+    are the columns of ``log_dens``: the statistics [log_dens.T; ones] with
+    coefficients eye(L, L + 1), whose products add exact zeros."""
     ld = np.asarray(log_dens, float)
     n, ncl = ld.shape
-    rows, coef = [], np.zeros((ncl, 2 * ncl + 2))
-    for l in range(ncl):
-        x = ld[:, l]
-        rows += [np.where(np.isfinite(x), x, 0.0),
-                 np.where(np.isinf(x), np.sign(x) * 1e308, 0.0)]
-        coef[l, 2 * l:2 * l + 2] = [1.0, 10.0]
-    rows += [np.where(np.isnan(ld).any(axis=1), np.nan, 0.0), np.ones(n)]
-    coef[:, -2] = 1.0
-    stats = np.array(rows)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return coef, stats, stats.sum(axis=1)
+    stats = np.vstack([ld.T, np.ones(n)])
+    return np.eye(ncl, ncl + 1), stats, stats.sum(axis=1)
 
 
 def _e_step(log_dens, pi):
@@ -258,118 +242,52 @@ def _e_step(log_dens, pi):
     return e_step(coef, pi, stats, totals)
 
 
-def test_as_statistics_reproduces_log_densities():
-    ld = np.array([[1.5, -np.inf], [np.inf, 2.0], [np.nan, -3.0],
-                   [-0.25, 7.0], [np.inf, -np.inf], [-np.inf, -np.inf]])
-    coef, stats, _ = _as_statistics(ld)
-    with np.errstate(over="ignore"):
-        got = (coef @ stats).T
-    ld[2, 1] = np.nan
-    np.testing.assert_array_equal(got, ld)
-
-
 def test_e_step_two_cluster_example():
     # log densities chosen so softmax is computable by hand.
     log_dens = np.array([[0.0, 0.0], [math.log(3.0), 0.0]])
     pi = np.array([0.5, 0.5])
-    gamma, flagged, _ = _e_step(log_dens, pi)
-    assert flagged == 0
+    gamma, _ = _e_step(log_dens, pi)
     np.testing.assert_allclose(gamma[0], [0.5, 0.5])
     np.testing.assert_allclose(gamma[1], [0.75, 0.25])
-
-
-def test_e_step_flags_all_minus_inf_rows():
-    log_dens = np.array([[-np.inf, -np.inf], [0.0, 0.0]])
-    gamma, flagged, _ = _e_step(log_dens, np.array([0.3, 0.7]))
-    assert flagged == 1
-    np.testing.assert_allclose(gamma[0], [0.5, 0.5])
 
 
 def _row_reduction_e_step(log_dens, pi):
     """Reference E-step reducing along the row axis."""
     logw = log_dens + np.log(pi)[None, :]
-    m = logw.max(axis=1, keepdims=True)
-    bad = ~np.isfinite(m[:, 0])
-    m[bad] = 0.0
-    e = np.exp(logw - m)
-    s = e.sum(axis=1, keepdims=True)
-    gamma = np.where(bad[:, None], 1.0 / pi.size, e / np.where(s == 0, 1.0, s))
-    return gamma, int(bad.sum())
+    e = np.exp(logw - logw.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _e_step_cases(n_clusters):
-    """(log_dens, pi, has flagged rows) for the E-step comparisons: rows
-    holding +-inf and NaN in several patterns, then finite rows only, then
-    for two clusters finite rows some of whose log-odds d = w1 - w0 fall
-    below -709.78, where exp(-d) overflows."""
+    """(log_dens, pi) for the E-step comparisons: finite rows, then for two
+    clusters finite rows some of whose log-odds d = w1 - w0 fall below
+    -709.78, where exp(-d) overflows."""
     rng = np.random.default_rng(30)
     for _ in range(20):
-        log_dens = rng.normal(scale=50.0, size=(500, n_clusters))
-        log_dens[::7] = -np.inf
-        log_dens[3::11, 0] = -np.inf
-        log_dens[5::13, -1] = np.inf
-        log_dens[6::17, 0] = np.nan
-        log_dens[9::19, -1] = -np.inf
-        log_dens[10::23] = np.inf
         pi = rng.dirichlet(np.ones(n_clusters))
-        yield log_dens, pi, True
         finite = rng.normal(scale=50.0, size=(500, n_clusters))
-        yield finite, pi, False
+        yield finite, pi
         if n_clusters == 2:
             overflow = finite.copy()
             overflow[4::9] = [0.0, -800.0]
             overflow[8::15] = [5.0, -1e4]
             overflow[12::31] = [800.0, 0.0]
-            yield overflow, pi, False
-
-
-@pytest.mark.parametrize("n_clusters", [1, 2])
-def test_e_step_matches_row_reduction_bitwise(n_clusters):
-    # The row-max form, which two clusters fall back to on rows with an
-    # infinite or NaN weight, and one cluster's E-step are exact.
-    for log_dens, pi, flags in _e_step_cases(n_clusters):
-        if n_clusters == 1:
-            gamma, flagged, _ = _e_step(log_dens, pi)
-        else:
-            logw = log_dens + np.log(pi)[None, :]
-            gamma, flagged, _ = mixtures._e_step_row_max(logw[:, 0],
-                                                          logw[:, 1])
-        with np.errstate(invalid="ignore"):
-            ref_gamma, ref_flagged = _row_reduction_e_step(log_dens, pi)
-        assert flagged == ref_flagged
-        assert (flagged > 0) == flags
-        assert np.array_equal(gamma, ref_gamma)
+            yield overflow, pi
 
 
 # Fixed before the comparison was first run: d = w1 - w0 is rounded once more
-# than in the row-max form, about 1e-14 at these magnitudes.
+# than in the row-max reference, about 1e-14 at these magnitudes.
 LOG_ODDS_GAMMA_ATOL = 1e-12
 
 
-def _count_row_max_calls(monkeypatch):
-    """The list that gets one entry per ``_e_step_row_max`` call."""
-    calls, real = [], mixtures._e_step_row_max
-    monkeypatch.setattr(mixtures, "_e_step_row_max",
-                        lambda *args: calls.append(1) or real(*args))
-    return calls
-
-
-def test_e_step_matches_row_reduction(monkeypatch):
-    # Two clusters take the log-odds path when every weight is finite, also
-    # where exp(-d) overflows, and the row-max form otherwise; flagged rows
-    # are counted exactly either way.
-    calls = _count_row_max_calls(monkeypatch)
-    for log_dens, pi, flags in _e_step_cases(2):
-        calls.clear()
-        gamma, flagged, _ = _e_step(log_dens, pi)
-        assert bool(calls) == flags
-        with np.errstate(invalid="ignore"):
-            ref_gamma, ref_flagged = _row_reduction_e_step(log_dens, pi)
-        assert flagged == ref_flagged
-        assert (flagged > 0) == flags
+@pytest.mark.parametrize("n_clusters", [1, 2])
+def test_e_step_matches_row_reduction(n_clusters):
+    # Two clusters work on the log-odds, also where exp(-d) overflows.
+    for log_dens, pi in _e_step_cases(n_clusters):
+        gamma, _ = _e_step(log_dens, pi)
         assert gamma.flags.f_contiguous
-        np.testing.assert_allclose(gamma, ref_gamma, rtol=0,
-                                   atol=LOG_ODDS_GAMMA_ATOL)
+        np.testing.assert_allclose(gamma, _row_reduction_e_step(log_dens, pi),
+                                   rtol=0, atol=LOG_ODDS_GAMMA_ATOL)
 
 
 @settings(max_examples=100, deadline=None)
@@ -378,7 +296,7 @@ def test_e_step_rows_lie_on_simplex(seed):
     rng = np.random.default_rng(seed)
     log_dens = rng.normal(scale=5.0, size=(17, 2))
     pi = rng.dirichlet([1.0, 1.0])
-    gamma, _, _ = _e_step(log_dens, pi)
+    gamma, _ = _e_step(log_dens, pi)
     assert np.all(gamma >= 0) and np.all(gamma <= 1)
     np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
 
@@ -624,6 +542,27 @@ def test_fit_errors():
         fit({"x": np.array([1.0])}, spec, init_seed=0)
 
 
+@pytest.mark.parametrize("kind", ["gamma", "beta", "von_mises",
+                                  "bivariate_gamma", "gaussian_1d",
+                                  "gaussian_2d"])
+@pytest.mark.parametrize("n_clusters", [1, 2])
+def test_non_finite_feature_fails_at_the_fit_boundary(kind, n_clusters):
+    # A non-finite value would give a NaN Q, or an error outside the frame
+    # data errors, so the fit rejects it before computing any statistic.
+    _, x = _form_case(kind, np.random.default_rng(39))
+    family = "gaussian" if kind.startswith("gaussian") else kind
+    spec = MixtureSpec(n_clusters=n_clusters,
+                       components=(("ok", "gamma"), ("bad", family)),
+                       dirichlet_alpha=(1.0,) * n_clusters)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = x.copy()
+        bad.flat[bad.size - 1] = value
+        feats = {"ok": np.linspace(0.5, 3.0, x.shape[0]), "bad": bad}
+        with pytest.raises(SupportError,
+                           match="feature 'bad' holds non-finite values"):
+            fit(feats, spec, init_seed=0)
+
+
 def test_mixture_spec_validation():
     with pytest.raises(ValueError):
         MixtureSpec(n_clusters=3, components=(("x", "gamma"),),
@@ -706,7 +645,7 @@ def _plain_em(xs, kinds, spec, gamma, steps=None):
         log_dens = np.column_stack([
             sum(log_pdf(p, x) for p, x in zip(params[l], xs))
             for l in range(ncl)])
-        gamma, _, _ = _e_step(log_dens, pi)
+        gamma, _ = _e_step(log_dens, pi)
         ll = _log_posterior(log_dens, pi, alpha)
         ll_trace.append(ll)
         q_trace.append(cdll(log_dens, gamma, pi, alpha))
@@ -862,37 +801,33 @@ def test_extrapolation_that_lowers_the_objective_falls_back(monkeypatch):
     def one_cluster_twice(theta):
         theta[3:5] = theta[1:3]  # cluster 1 takes cluster 0's parameters
 
-    f, ll_trace, built = _fallback_case(monkeypatch, "gamma",
-                                        one_cluster_twice)
-    assert built and all(state is not None for state in built)
-    _assert_fell_back_to_theta2(f, ll_trace)
+    def overflowing_weights(theta):
+        # Finite natural parameters whose log-densities overflow: l is -inf
+        # or NaN.
+        theta[1], theta[3] = 1e308, -1e308
+
+    for name, edit in (("gamma", one_cluster_twice),
+                       ("von_mises", overflowing_weights)):
+        with monkeypatch.context() as mp:
+            f, ll_trace, built = _fallback_case(mp, name, edit)
+        assert built and all(state is not None for state in built)
+        _assert_fell_back_to_theta2(f, ll_trace)
 
 
-def test_e_step_log_lik_matches_logsumexp(monkeypatch):
-    calls = _count_row_max_calls(monkeypatch)
+def test_e_step_log_lik_matches_logsumexp():
     rng = np.random.default_rng(37)
     cases = ((1, (2.0,)), (2, (1.0, 1.0)), (2, (1.5, 4.0)))
     for ncl, _ in cases:
         log_dens = rng.normal(scale=30.0, size=(200, ncl))
         pi = rng.dirichlet(np.ones(ncl))
-        _, _, log_lik = _e_step(log_dens, pi)
+        _, log_lik = _e_step(log_dens, pi)
         assert log_lik == pytest.approx(
             _log_posterior(log_dens, pi, np.ones(ncl)), rel=1e-12)
-    inf, nan = np.inf, np.nan
     pi = np.array([0.3, 0.7])
-    # Rows with an infinite or NaN weight take the row-max form, except
-    # d = w1 - w0 = +inf, whose log-odds terms are exact; finite rows whose
-    # exp(-d) overflows, with d < -709.78, do not take it.
-    for row, row_max in (([inf, 1.0], True), ([1.0, -inf], True),
-                         ([-inf, -inf], True), ([-inf, 2.0], False),
-                         ([inf, -inf], True), ([inf, inf], True),
-                         ([nan, 1.0], True), ([-inf, nan], True),
-                         ([0.0, -800.0], False), ([5.0, -1e4], False),
-                         ([800.0, 0.0], False)):
+    # A row whose exp(-d) overflows, with d < -709.78, adds -d.
+    for row in ([0.0, -800.0], [5.0, -1e4], [800.0, 0.0]):
         log_dens = np.array([row, [0.5, -3.0]])
-        calls.clear()
-        _, _, log_lik = _e_step(log_dens, pi)
-        assert bool(calls) == row_max
+        _, log_lik = _e_step(log_dens, pi)
         np.testing.assert_allclose(log_lik,
                                    _log_posterior(log_dens, pi, (1.0, 1.0)),
                                    rtol=1e-12)
