@@ -89,10 +89,10 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import psi as _psi, zeta as _zeta
+from scipy.special import zeta as _zeta
 
 from .numerics import (MIN_ARG, PARAM_CEIL, bessel_i_ratio, clamp_positive,
-                       digamma, log_bessel_i0)
+                       digamma, log_bessel_i0, trigamma)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -176,15 +176,6 @@ NEWTON_MAX_ITERS = 100
 BETA_GAIN_RTOL = 1e-12
 
 
-def _digamma(x):
-    return float(_psi(x))
-
-
-def _trigamma(x):
-    # zeta(2, x) is psi'(x); scalar polygamma(1, x) costs ~10x more.
-    return float(_zeta(2.0, x))
-
-
 def _newton(x, update):
     """Iterate x <- update(x) from x > 0 until a step under NEWTON_RTOL * x,
     halving x instead of leaving the positive axis. Returns x clamped to
@@ -213,14 +204,14 @@ def _gamma_shape(gap):
         return PARAM_CEIL
 
     def update(a):
-        resid = math.log(a) - _digamma(a) - gap
-        return 1.0 / (1.0 / a + resid / (a * a * (1.0 / a - _trigamma(a))))
+        resid = math.log(a) - digamma(a) - gap
+        return 1.0 / (1.0 / a + resid / (a * a * (1.0 / a - trigamma(a))))
 
     start = (3.0 - gap + math.sqrt((gap - 3.0) ** 2 + 24.0 * gap)) / (12.0 * gap)
     return _newton(start, update)
 
 
-_PSI_CEIL = _digamma(PARAM_CEIL)
+_PSI_CEIL = digamma(PARAM_CEIL)
 
 
 def _inverse_digamma(y):
@@ -228,7 +219,7 @@ def _inverse_digamma(y):
     if not y < _PSI_CEIL:
         return PARAM_CEIL
     start = math.exp(y) + 0.5 if y >= -2.22 else -1.0 / (y + np.euler_gamma)
-    return _newton(start, lambda x: x - (_digamma(x) - y) / _trigamma(x))
+    return _newton(start, lambda x: x - (digamma(x) - y) / trigamma(x))
 
 
 def _von_mises_kappa(r):
@@ -277,8 +268,9 @@ def _beta_m_step(s, start):
     f = _beta_objective(s, a, b)
     for _ in range(NEWTON_MAX_ITERS):
         # Scalar psi calls cost less than one call on a list of the three
-        # arguments; for zeta, which has two arguments, the list costs less.
-        psa, psb, dab = _digamma(a), _digamma(b), _digamma(a + b)
+        # arguments. For the trigammas zeta(2, .), which has two arguments,
+        # one call on the list costs less than three of ``trigamma``.
+        psa, psb, dab = digamma(a), digamma(b), digamma(a + b)
         ta, tb, t = _zeta(2.0, [a, b, a + b]).tolist()
         g1 = s[0] - psa + dab
         g2 = s[1] - psb + dab
@@ -566,19 +558,21 @@ def _mean_log_density(s, eta, a):
     return sum(si * ei for si, ei in zip(s, eta)) - a
 
 
-def _exact_m_step(family, s, params, eta, a):
-    """The family's M-step at mean statistic s, warm-started from ``params``
-    whose natural form is (eta, a). Returns the new (params, eta, a).
+def _exact_m_step(family, s, warm):
+    """The family's M-step at mean statistic s, as a (params, eta, A) triple
+    of the new parameters and their natural form.
 
-    The warm start came from the previous EM iteration; it is kept when the
-    new point would lower the objective s @ eta - a, so no M-step lowers Q.
+    ``warm``, the previous EM iteration's triple, is the warm start; it is
+    returned when the new point would lower the objective s @ eta - A, so no
+    M-step lowers Q. With ``warm`` None the M-step starts cold, unguarded.
     """
-    new = family.m_step(s, params)
-    new_eta, new_a = family.natural(new)
-    obj = _mean_log_density(s, new_eta, new_a)
-    if not math.isfinite(obj) or obj < _mean_log_density(s, eta, a):
-        return params, eta, a
-    return new, new_eta, new_a
+    new = family.m_step(s, None if warm is None else warm[0])
+    eta, a = family.natural(new)
+    if warm is not None:
+        obj = _mean_log_density(s, eta, a)
+        if not math.isfinite(obj) or obj < _mean_log_density(s, *warm[1:]):
+            return warm
+    return new, eta, a
 
 
 def m_step_params(x, gamma_l, params):
@@ -595,7 +589,7 @@ def m_step_params(x, gamma_l, params):
         raise _EmptyClusterError("cluster responsibility mass vanished")
     family = _family(params.kind, x)
     s = ((g @ family.statistic(x)) / gsum).tolist()
-    return _exact_m_step(family, s, params, *family.natural(params))[0]
+    return _exact_m_step(family, s, (params, *family.natural(params)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -791,61 +785,52 @@ def _initial_gamma(n, n_clusters, mode, primary, rng):
 
 
 class _State(NamedTuple):
-    """An EM state: per cluster, each component's parameters and their
-    natural form (eta, A); ``coef`` (L, K + 1), whose row l holds the
-    coefficients of [T, 1] in cluster l's log-density, its natural
-    parameters then -sum(A); the weights ``pi``; and ``theta``, the state's
-    SQUAREM vector [logit pi (two clusters), every cluster's natural
-    parameters]."""
-    params: list
-    natural: list
+    """An EM state. ``rows[l][c]`` is the (params, eta, A) triple of
+    component c in cluster l: its parameters and their natural form.
+    ``coef`` (L, K + 1) has in row l the coefficients of [T, 1] in cluster
+    l's log-density, its etas then -sum(A); ``pi`` holds the weights; and
+    ``theta`` is the state's SQUAREM vector [logit pi (two clusters), every
+    cluster's etas]."""
+    rows: list
     coef: np.ndarray
     pi: np.ndarray
     theta: np.ndarray
 
 
-def _new_state(params, natural, coef, pi):
-    """The :class:`_State` of the coefficient rows ``coef``, Python floats,
-    and weights ``pi``, with its SQUAREM vector built once from the same
+def _new_state(rows, pi):
+    """The :class:`_State` of the triples ``rows`` and weights ``pi``. Its
+    coefficients and SQUAREM vector are built once, from the same Python
     floats."""
+    coef = []
+    for row in rows:
+        coef_row, a_sum = [], 0.0
+        for _, eta, a in row:
+            coef_row += eta
+            a_sum += a
+        coef_row.append(-a_sum)
+        coef.append(coef_row)
     head = [math.log(pi[1] / pi[0])] if pi.size == 2 else []
     theta = np.array(head + [v for row in coef for v in row[:-1]])
-    return _State(params, natural, np.array(coef), pi, theta)
+    return _State(rows, np.array(coef), pi, theta)
 
 
-def _m_step(data, sums, params, natural, pi):
+def _m_step(data, sums, rows, pi):
     """Every cluster's M-step from ``sums`` (K + 1, L): column l holds
     cluster l's responsibility-weighted sums of the stacked statistics, then
     its responsibility mass.
 
-    ``params[l][c]`` and ``natural[l][c]``, its (eta, A), are the warm
-    starts; ``None`` starts without one. Returns the new :class:`_State` at
+    ``rows[l][c]`` is the warm (params, eta, A) triple of component c in
+    cluster l, or None for a cold start. Returns the new :class:`_State` at
     the weights ``pi``. The scalar work runs on Python floats, which cost
     less than numpy scalars.
     """
-    new_params, new_natural, coef = [], [], []
-    for l, col in enumerate(sums.T.tolist()):
+    new_rows = []
+    for warm_row, col in zip(rows, sums.T.tolist()):
         gsum = col[-1]
         means = [v / gsum for v in col[:-1]]
-        p_row, n_row, coef_row, a_sum = [], [], [], 0.0
-        for c, comp in enumerate(data.components):
-            family = comp.family
-            s = means[comp.rows]
-            if params is None:
-                p = family.m_step(s, None)
-                eta, a = family.natural(p)
-            else:
-                p, eta, a = _exact_m_step(family, s, params[l][c],
-                                          *natural[l][c])
-            p_row.append(p)
-            n_row.append((eta, a))
-            coef_row += eta
-            a_sum += a
-        coef_row.append(-a_sum)
-        new_params.append(p_row)
-        new_natural.append(n_row)
-        coef.append(coef_row)
-    return _new_state(new_params, new_natural, coef, pi)
+        new_rows.append([_exact_m_step(comp.family, means[comp.rows], warm)
+                         for comp, warm in zip(data.components, warm_row)])
+    return _new_state(new_rows, pi)
 
 
 def _vector(state):
@@ -855,7 +840,7 @@ def _vector(state):
 
 def _state(data, theta, n_clusters):
     """The :class:`_State` at a SQUAREM vector, or None when it leaves some
-    family's domain or puts a weight outside (0, 1)."""
+    family's domain, puts a weight outside (0, 1) or has a non-finite A."""
     if not np.isfinite(theta).all():
         return None
     pi = np.ones(1)
@@ -866,23 +851,17 @@ def _state(data, theta, n_clusters):
             return None
         pi = 1.0 / (1.0 + np.exp([theta[0], -theta[0]]))
         theta = theta[1:]
-    params, natural, coef = [], [], []
-    for row in theta.reshape(n_clusters, -1).tolist():
-        p_row, n_row, a_sum = [], [], 0.0
+    rows = []
+    for eta_row in theta.reshape(n_clusters, -1).tolist():
+        row = []
         for comp in data.components:
-            p = comp.family.from_natural(row[comp.rows])
+            p = comp.family.from_natural(eta_row[comp.rows])
             if p is None:
                 return None
-            eta, a = comp.family.natural(p)
-            p_row.append(p)
-            n_row.append((eta, a))
-            a_sum += a
-        if not math.isfinite(a_sum):
-            return None
-        params.append(p_row)
-        natural.append(n_row)
-        coef.append([v for eta, _ in n_row for v in eta] + [-a_sum])
-    return _new_state(params, natural, coef, pi)
+            row.append((p, *comp.family.natural(p)))
+        rows.append(row)
+    state = _new_state(rows, pi)
+    return state if np.isfinite(state.coef[:, -1]).all() else None
 
 
 class _Eval(NamedTuple):
@@ -913,7 +892,7 @@ def _run_em(n, data, spec, gamma):
         # The map's M-step, from the sums of an E-step at ``state``.
         if sums[-1].min() <= empty:
             raise _EmptyClusterError("empty cluster during EM")
-        return _m_step(data, sums, state.params, state.natural, weights(sums))
+        return _m_step(data, sums, state.rows, weights(sums))
 
     def evaluate(state):
         coef, pi = state.coef, state.pi
@@ -934,9 +913,10 @@ def _run_em(n, data, spec, gamma):
         # Whether l gained under the tolerance since ``start``.
         return ev.ll - start.ll < Q_REL_TOL * (1.0 + abs(ev.ll))
 
-    # The first state is the M-step of the initial responsibilities.
+    # The first state is the cold M-step of the initial responsibilities.
     sums = stats @ gamma
-    state = _m_step(data, sums, None, None, weights(sums))
+    cold = [[None] * len(data.components)] * spec.n_clusters
+    state = _m_step(data, sums, cold, weights(sums))
     trace = []  # (q, l) at each cycle start, then the last
     evals = 0
     ev0 = None
@@ -990,7 +970,8 @@ def _run_em(n, data, spec, gamma):
         if k == step_max:
             step_max *= STEP_GROWTH
     q_trace, ll_trace = (list(v) for v in zip(*trace))
-    params, coef, pi = last.state.params, last.state.coef, last.state.pi
+    coef, pi = last.state.coef, last.state.pi
+    params = [[p for p, _, _ in row] for row in last.state.rows]
     # The (N, L) log-densities, with contiguous columns, once per run.
     log_dens = (coef @ stats).T
     return (params, pi, last.gamma, log_dens, q_trace, stop != "cap", stop,
@@ -1003,23 +984,24 @@ def fit(features, spec, init_seed=0, restarts=3):
     The first initialization splits the primary scalar feature at its median;
     the rest use random responsibilities. A one-cluster fit has a single
     initialization (all responsibilities 1) and runs once. Raises
-    :class:`FitError` if every restart degenerates.
+    :class:`FitError` if every restart degenerates, and ``ValueError`` for
+    ``restarts`` under 1.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     n, data = _component_data(features, spec)
     if n < spec.n_clusters:
         raise FitError("fewer samples than clusters")
     primary = _as_columns(data.components[0].x)[:, 0]
     rng = np.random.default_rng(init_seed)
     best_fit = None
-    failures = []
-    for r in range(1 if spec.n_clusters == 1 else max(1, restarts)):
+    for r in range(1 if spec.n_clusters == 1 else restarts):
         mode = "split" if r == 0 else "random"
         gamma0 = _initial_gamma(n, spec.n_clusters, mode, primary, rng)
         try:
             (params, pi, gamma, log_dens, q_trace, conv, stop, e_steps,
              ll_trace) = _run_em(n, data, spec, gamma0)
-        except _EmptyClusterError as exc:
-            failures.append(str(exc))
+        except _EmptyClusterError:
             continue
         if best_fit is None or q_trace[-1] > best_fit.q:
             best_fit = MixtureFit(spec=spec, params=params, weights=pi,

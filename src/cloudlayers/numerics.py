@@ -1,6 +1,7 @@
-"""Special functions and small numerical kernels shared by the likelihood families.
+"""Scalar special functions and the parameter clamp of the M-steps.
 
-Everything here is a pure function of its arguments, so unrestricted
+Each special function takes one float, rejects one <= 0 and returns a Python
+float. Everything here is a pure function of its arguments, so unrestricted
 concurrent use is safe.
 """
 
@@ -22,44 +23,37 @@ PARAM_CEIL = 1e6
 
 
 def _check_positive(x, name):
-    # Floats skip the array round trip: the M-steps call these kernels on
-    # scalars inside their Newton loops.
-    if isinstance(x, float):
-        if x <= 0:
-            raise ValueError(f"{name} must be strictly positive")
-        return x
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0):
+    if x <= 0:
         raise ValueError(f"{name} must be strictly positive")
-    return arr
+    return x
 
 
-def clamp_positive(x, min_arg=MIN_ARG, ceil=PARAM_CEIL):
-    """Clamp a positivity-constrained parameter into [min_arg, ceil]."""
-    if isinstance(x, float):
-        return min(max(x, min_arg), ceil)
-    return np.clip(x, min_arg, ceil)
+def clamp_positive(x):
+    """Clamp a positivity-constrained parameter into [MIN_ARG, PARAM_CEIL]."""
+    return min(max(x, MIN_ARG), PARAM_CEIL)
 
 
 def digamma(x):
     """psi(x) = Gamma'(x) / Gamma(x) for x > 0."""
-    return _sp.psi(_check_positive(x, "x"))
+    return float(_sp.psi(_check_positive(x, "x")))
+
+
+def trigamma(x):
+    """psi'(x) for x > 0."""
+    # zeta(2, x) is psi'(x); scalar polygamma(1, x) costs ~10x more.
+    return float(_sp.zeta(2.0, _check_positive(x, "x")))
 
 
 def log_bessel_i0(kappa):
     """log I0(kappa), overflow-free for arbitrarily large kappa."""
     k = _check_positive(kappa, "kappa")
-    if isinstance(k, float):
-        return math.log(_sp.i0e(k)) + k
-    return np.log(_sp.i0e(k)) + k
+    return math.log(_sp.i0e(k)) + k
 
 
 def bessel_i_ratio(kappa):
     """I1(kappa) / I0(kappa), computed in the scaled domain."""
     k = _check_positive(kappa, "kappa")
-    if isinstance(k, float):
-        return float(_sp.i1e(k)) / float(_sp.i0e(k))
-    return _sp.i1e(k) / _sp.i0e(k)
+    return float(_sp.i1e(k)) / float(_sp.i0e(k))
 
 
 def finite_diff_gradient(f, x, h=1e-6):

@@ -86,6 +86,10 @@ class PipelineConfig:
             raise ValueError("hmm_beta must be nonnegative")
         if self.init_l not in (1, 2):
             raise ValueError("init_l must be 1 or 2")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -191,6 +191,12 @@ INPUT_ERRORS = {
     "detect-negative-beta": lambda d: [
         "detect", "--manifest", _flat_manifest(d), "--beta", "-5",
         "--out", str(d / "o.jsonl")],
+    "detect-negative-seed": lambda d: [
+        "detect", "--manifest", _flat_manifest(d), "--seed", "-1",
+        "--out", str(d / "o.jsonl")],
+    "detect-zero-restarts": lambda d: [
+        "detect", "--manifest", _flat_manifest(d), "--restarts", "0",
+        "--out", str(d / "o.jsonl")],
     "detect-out-in-missing-dir": lambda d: [
         "detect", "--manifest", _flat_manifest(d),
         "--out", str(d / "nodir" / "o.jsonl")],

@@ -443,6 +443,14 @@ def test_m_step_von_mises_point_mass_is_clamped_not_stationary():
     assert score[1] > 0  # the likelihood still rises past the ceiling
 
 
+def test_m_step_keeps_a_warm_start_it_cannot_beat():
+    # The ceiling holds the M-step's kappa under a point mass's optimum, so
+    # a warm start past the ceiling has the higher objective and is kept.
+    x = np.full(50, -1.2)
+    start = VonMisesParams(-1.2, 4.0 * PARAM_CEIL)
+    assert m_step_params(x, np.ones(50), start) is start
+
+
 def test_one_cluster_fit_runs_em_once(monkeypatch):
     calls = []
     run_em = mixtures._run_em
@@ -540,6 +548,9 @@ def test_fit_errors():
                        dirichlet_alpha=(1.0, 1.0))
     with pytest.raises(FitError):
         fit({"x": np.array([1.0])}, spec, init_seed=0)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts"):
+            fit({"x": np.arange(1.0, 9.0)}, spec, restarts=restarts)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "beta", "von_mises",
@@ -743,6 +754,36 @@ def test_fit_matches_plain_reference_em(name, n_clusters):
         reference = _reference_fit(feats, spec, seed)
         slack = REFERENCE_REL_TOL * (1 + abs(reference))
         assert objective >= reference - slack
+
+
+@pytest.mark.parametrize("name", ["gamma", "beta", "von_mises",
+                                  "bivariate_gamma", "gaussian_2d",
+                                  "factorized"])
+@pytest.mark.parametrize("n_clusters", [1, 2])
+def test_state_round_trips_through_its_natural_form(name, n_clusters):
+    # _state maps a SQUAREM vector back through each family's from_natural
+    # and natural; at an M-step's own vector it must rebuild that state.
+    rng = np.random.default_rng(40)
+    if name == "gaussian_2d":
+        z = rng.random(300) < 0.4
+        feats = {"x": rng.normal(size=(300, 2)) * [1.0, 3.0]
+                 + np.where(z, 4.0, 0.0)[:, None]}
+    else:
+        feats = _reference_case(name, rng)
+    comps = _REFERENCE_SPECS.get(name, (("x", name.removesuffix("_2d")),))
+    spec = MixtureSpec(n_clusters=n_clusters, components=comps,
+                       dirichlet_alpha=(1.0,) * n_clusters)
+    n, data = mixtures._component_data(feats, spec)
+    gamma = mixtures._initial_gamma(n, n_clusters, "split",
+                                    mixtures._as_columns(feats["x"])[:, 0],
+                                    None)
+    sums = data.stats @ gamma
+    cold = [[None] * len(comps)] * n_clusters
+    state = mixtures._m_step(data, sums, cold, sums[-1] / n)
+    rebuilt = mixtures._state(data, mixtures._vector(state), n_clusters)
+    assert rebuilt is not None
+    np.testing.assert_allclose(rebuilt.coef, state.coef, rtol=1e-9)
+    np.testing.assert_allclose(rebuilt.pi, state.pi, rtol=1e-9)
 
 
 def _fallback_case(monkeypatch, name, edit):

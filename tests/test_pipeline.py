@@ -195,6 +195,11 @@ def test_config_validation():
         PipelineConfig(alpha0=0.5)
     with pytest.raises(ValueError):
         PipelineConfig(init_l=3)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts"):
+            PipelineConfig(restarts=restarts)
+    with pytest.raises(ValueError, match="seed"):
+        PipelineConfig(seed=-1)
 
 
 def test_model_zoo_ids_are_well_formed():
