@@ -12,8 +12,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import pipeline, synth
 from .flow import WlkConfig
 from .imaging import load_sequence

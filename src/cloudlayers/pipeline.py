@@ -1,7 +1,7 @@
 """Per-frame evidence, then the sequential decision. ``frame_evidence`` is
-pure: features -> mixture fits under both hypotheses -> weighted flow ->
-velocity mixtures -> metrics, in an undecided record. ``decide`` applies the
-sticky HMM prior to it; ``decode`` re-decides records at any ``beta``.
+pure and total: features -> mixture fits under both hypotheses -> weighted
+flow -> velocity mixtures -> metrics in an undecided record, or a failed one.
+``decide`` applies the sticky HMM prior; ``decode`` re-decides at any ``beta``.
 
 Model ids name a temperature component (whose posteriors weight the flow
 solver) and one or more velocity components fitted on the merged flow field.
@@ -32,8 +32,8 @@ class InsufficientMaskError(ValueError):
 # and flow speeds above zero.
 EPS = 1e-6
 
-# What a frame's own data can make frame_evidence raise. process_sequence
-# records these as failed frames; anything else is a fault and propagates.
+# What a frame's own data can raise. frame_evidence returns these as the
+# frame's failed record; anything else is a fault and propagates.
 FRAME_DATA_ERRORS = (InsufficientMaskError, mixtures.FitError,
                      DegenerateNormalizationError, EmptyMaskError,
                      mixtures.SupportError)
@@ -146,22 +146,22 @@ def _velocity_features(field, mask, temp_features, model):
     return feats
 
 
-def _fit_hypothesis_seed(base_seed, t, l, component):
-    ss = np.random.SeedSequence(entropy=base_seed,
-                                spawn_key=(t, l, component))
-    return ss.generate_state(1)[0]
+def _fit(features, components, alpha, t, l, role, cfg):
+    """An ``l``-cluster MAP mixture, Dirichlet ``alpha`` per cluster, seeded
+    from ``(cfg.seed, t, l, role)``: role 0 fits temperature, 1 velocity."""
+    spec = mixtures.MixtureSpec(n_clusters=l, components=components,
+                                dirichlet_alpha=(alpha,) * l)
+    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(t, l, role))
+    return mixtures.fit(features, spec, init_seed=seed.generate_state(1)[0],
+                        restarts=cfg.restarts)
 
 
 def fit_temperature(temp_feats, t, l, cfg):
     """The temperature mixture of frame ``t`` under ``l`` layers, as a
     detection record holds it: seeded from ``(cfg.seed, t, l)`` and with
     cluster 1 the warmest."""
-    t_feat, t_kind = MODEL_ZOO[cfg.model].temperature
-    tspec = mixtures.MixtureSpec(n_clusters=l, components=((t_feat, t_kind),),
-                                 dirichlet_alpha=(cfg.alpha0,) * l)
-    tfit = mixtures.fit(temp_feats, tspec,
-                        init_seed=_fit_hypothesis_seed(cfg.seed, t, l, 0),
-                        restarts=cfg.restarts)
+    tfit = _fit(temp_feats, (MODEL_ZOO[cfg.model].temperature,), cfg.alpha0,
+                t, l, 0, cfg)
     gsum = tfit.responsibilities.sum(axis=0)
     means = (tfit.responsibilities.T @ temp_feats["_raw_temp"]) / gsum
     return mixtures.resolve_labels(tfit, means)
@@ -170,7 +170,18 @@ def fit_temperature(temp_feats, t, l, cfg):
 def frame_evidence(prev, prev_mask, cur, cur_mask, cfg):
     """The undecided record of the transition prev -> cur: ``chosen_l`` is
     None and each score holds its hypothesis's posterior sum, ``-inf`` where
-    its fits failed. Raises ``FRAME_DATA_ERRORS`` on unusable frame data."""
+    its fits failed. If the frame's data raise ``FRAME_DATA_ERRORS`` or both
+    hypotheses fail, the failed record: flag ``frame_failed`` and the error."""
+    try:
+        return _evidence(prev, prev_mask, cur, cur_mask, cfg)
+    except FRAME_DATA_ERRORS as exc:
+        return DetectionRecord(
+            t=prev.index, chosen_l=None, scores=[], metric_reports=[],
+            fits={}, flow_summary={}, flags={"frame_failed": True},
+            error=str(exc))
+
+
+def _evidence(prev, prev_mask, cur, cur_mask, cfg):
     model = MODEL_ZOO[cfg.model]
     w_full = cfg.wlk.window_width
     if prev_mask.n_cloud < w_full * w_full:
@@ -200,12 +211,8 @@ def frame_evidence(prev, prev_mask, cur, cur_mask, cfg):
                 flags["empty_windows"] += st.empty_windows
 
             vel_feats = _velocity_features(merged, prev_mask, temp_feats, model)
-            vspec = mixtures.MixtureSpec(n_clusters=l,
-                                         components=model.velocity,
-                                         dirichlet_alpha=(cfg.alpha1,) * l)
-            vfit = mixtures.fit(vel_feats, vspec,
-                                init_seed=_fit_hypothesis_seed(cfg.seed, prev.index, l, 1),
-                                restarts=cfg.restarts)
+            vfit = _fit(vel_feats, model.velocity, cfg.alpha1, prev.index, l,
+                        1, cfg)
 
             posterior_sum = float(tfit.q + vfit.q)
             scores.append(hmm_mod.HypothesisScore(l, posterior_sum, 0.0,
@@ -266,20 +273,11 @@ def process_frame(prev, prev_mask, cur, cur_mask, state, cfg):
 
 def process_sequence(sequence, cfg):
     """Records for frames 0..T-2 (each scores the transition t -> t+1);
-    the HMM state is threaded sequentially. A frame whose data raise one of
-    ``FRAME_DATA_ERRORS`` gets a failed record and leaves the state
-    unchanged; any other exception propagates."""
+    the HMM state is threaded sequentially, and a failed frame leaves it
+    unchanged."""
     if len(sequence) < 2:
         raise ValueError("a sequence needs at least 2 frames")
     state = hmm_mod.HmmState(previous_l=cfg.init_l, beta=cfg.hmm_beta)
-    records = []
-    for (prev, prev_mask), (cur, cur_mask) in zip(sequence, sequence[1:]):
-        try:
-            rec = process_frame(prev, prev_mask, cur, cur_mask, state, cfg)
-        except FRAME_DATA_ERRORS as exc:
-            rec = decide(DetectionRecord(
-                t=prev.index, chosen_l=None, scores=[], metric_reports=[],
-                fits={}, flow_summary={}, flags={"frame_failed": True},
-                error=str(exc)), state)
-        records.append(rec)
-    return records
+    pairs = zip(sequence, sequence[1:])
+    return [process_frame(prev, prev_mask, cur, cur_mask, state, cfg)
+            for (prev, prev_mask), (cur, cur_mask) in pairs]

@@ -16,7 +16,7 @@ of either must keep both orders.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,8 @@ class SynthSpec:
                                  ">= 4x noise_sigma")
         if self.change_point is not None and len(self.layers) != 2:
             raise ValueError("a change point requires two layers")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _bump_field(shape, centers, scale):

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cloudlayers import mixtures
+from cloudlayers import mixtures, pipeline
+from cloudlayers.imaging import SegmentationMask
+from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -41,3 +43,27 @@ def test_run_em_result_keeps_converged_at_index_five():
     assert isinstance(result, tuple)
     assert isinstance(result[5], bool)
     assert len(result[-1]) == len(result[4])
+
+
+def test_process_sequence_calls_process_frame_once_per_transition(
+        monkeypatch):
+    # end_to_end times frames by replacing pipeline.process_frame; a
+    # process_sequence that bypassed the attribute would time no frame.
+    seq, _ = generate(SynthSpec(frames=4, seed=7, layers=(
+        LayerSpec(base_temp=278.0, velocity=(1, 0)),)))
+    pairs = [(f, m) for f, m, _ in seq]
+    small = np.zeros(pairs[1][1].values.shape, dtype=bool)
+    small[:2, :2] = True
+    pairs[1] = (pairs[1][0], SegmentationMask(small))  # transition 1 fails
+    entry, returned = pipeline.process_frame, []
+
+    def counted(*args, **kwargs):
+        returned.append(entry(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(pipeline, "process_frame", counted)
+    records = pipeline.process_sequence(pairs, pipeline.PipelineConfig())
+    assert len(returned) == len(pairs) - 1 == 3
+    assert all(r is s for r, s in zip(records, returned))
+    assert [bool(r.flags.get("frame_failed")) for r in records] == [
+        False, True, False]

@@ -170,6 +170,8 @@ INPUT_ERRORS = {
                                   "--frames", "1"],
     "synth-zero-height": lambda d: ["synth", "--out", str(d / "s"),
                                     "--height", "0"],
+    "synth-negative-seed": lambda d: ["synth", "--out", str(d / "s"),
+                                      "--seed", "-1"],
     "synth-layers-within-noise": lambda d: [
         "synth", "--out", str(d / "s"), "--layers", "2",
         "--noise-sigma", "9"],

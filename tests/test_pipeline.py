@@ -11,9 +11,9 @@ from cloudlayers import hmm as hmm_mod
 from cloudlayers import mixtures
 from cloudlayers.flow import FlowField, WlkConfig
 from cloudlayers.imaging import Frame, SegmentationMask
-from cloudlayers.pipeline import (EPS, MODEL_ZOO, InsufficientMaskError,
-                                  PipelineConfig, _velocity_features, decide,
-                                  decode, frame_evidence, process_frame,
+from cloudlayers.pipeline import (EPS, MODEL_ZOO, PipelineConfig,
+                                  _velocity_features, decide, decode,
+                                  frame_evidence, process_frame,
                                   process_sequence)
 from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
@@ -73,17 +73,25 @@ def test_detection_is_deterministic():
     assert [r.to_json_line() for r in a] == [r.to_json_line() for r in b]
 
 
-def test_insufficient_mask_raises():
+def test_insufficient_mask_fails_the_frame():
     rng = np.random.default_rng(0)
     temps = rng.uniform(250, 290, size=(30, 30))
     mask = np.zeros((30, 30), dtype=bool)
     mask[:3, :3] = True  # 9 px < one 17 x 17 window
     f0 = Frame(temps, index=0)
     f1 = Frame(temps, index=1)
-    state = hmm_mod.HmmState(previous_l=1, beta=0.0)
-    with pytest.raises(InsufficientMaskError):
-        process_frame(f0, SegmentationMask(mask), f1, SegmentationMask(mask),
-                      state, PipelineConfig(seed=0))
+    m = SegmentationMask(mask)
+    cfg = PipelineConfig(seed=0)
+    evidence = frame_evidence(f0, m, f1, m, cfg)
+    assert evidence.chosen_l is None
+    assert evidence.flags == {"frame_failed": True}
+    assert evidence.error == "frame 0: 9 masked pixels < 289"
+    assert (evidence.scores, evidence.metric_reports, evidence.fits,
+            evidence.flow_summary) == ([], [], {}, {})
+    state = hmm_mod.HmmState(previous_l=2, beta=0.0)
+    rec = process_frame(f0, m, f1, m, state, cfg)
+    assert rec.chosen_l == state.previous_l == 2
+    assert state == hmm_mod.HmmState(previous_l=2, beta=0.0)
 
 
 def test_failed_frame_keeps_state_and_is_flagged():
@@ -94,8 +102,51 @@ def test_failed_frame_keeps_state_and_is_flagged():
     pairs[1] = (pairs[1][0], SegmentationMask(small))
     recs = process_sequence(pairs, PipelineConfig(seed=0))
     assert recs[1].flags.get("frame_failed")
-    assert recs[1].error is not None
     assert recs[1].chosen_l == recs[0].chosen_l  # state carried over
+    assert recs[1].to_json_line() == (
+        '{"chosen_l": 1, "error": "frame 1: 4 masked pixels < 289", '
+        '"fits": {}, "flags": {"frame_failed": true}, "flow_summary": {}, '
+        '"metrics": [], "scores": [], "t": 1}')
+
+
+def _fail_fits(monkeypatch, n_clusters):
+    """Make ``mixtures.fit`` raise ``FitError`` for the given cluster
+    counts and fit as usual otherwise."""
+    fit = mixtures.fit
+
+    def failing_fit(features, spec, **kwargs):
+        if spec.n_clusters in n_clusters:
+            raise mixtures.FitError("all restarts degenerate")
+        return fit(features, spec, **kwargs)
+
+    monkeypatch.setattr(mixtures, "fit", failing_fit)
+
+
+def test_a_failed_hypothesis_scores_minus_infinity(monkeypatch):
+    _fail_fits(monkeypatch, (2,))
+    (f0, m0), (f1, m1) = _pairs(_two_layer_spec(frames=2))[0]
+    state = hmm_mod.HmmState(previous_l=2, beta=650.0)
+    rec = process_frame(f0, m0, f1, m1, state, PipelineConfig(seed=0))
+    assert set(rec.fits) == set(rec.flow_summary) == {"L1"}
+    assert len(rec.metric_reports) == 1
+    assert [s.l for s in rec.scores] == [1, 2]
+    assert rec.scores[1].posterior_sum == -np.inf
+    assert np.isfinite(rec.scores[0].posterior_sum)
+    assert rec.flags["degenerate_restarts"] == 1
+    assert "frame_failed" not in rec.flags
+    assert rec.error == "L2: all restarts degenerate"
+    assert rec.chosen_l == state.previous_l == 1
+
+
+def test_both_hypotheses_failing_fails_the_frame(monkeypatch):
+    _fail_fits(monkeypatch, (1, 2))
+    (f0, m0), (f1, m1) = _pairs(_two_layer_spec(frames=2))[0]
+    state = hmm_mod.HmmState(previous_l=2, beta=650.0)
+    rec = process_frame(f0, m0, f1, m1, state, PipelineConfig(seed=0))
+    assert rec.flags == {"frame_failed": True}
+    assert rec.error.startswith("both hypotheses failed")
+    assert rec.scores == rec.metric_reports == []
+    assert rec.chosen_l == state.previous_l == 2
 
 
 def _lines(records):

@@ -109,6 +109,8 @@ def test_spec_validation():
         SynthSpec(noise_sigma=10.0,
                   layers=(LayerSpec(base_temp=280.0),
                           LayerSpec(base_temp=270.0)))  # 10 K < 4 * sigma
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SynthSpec(seed=-1)
 
 
 def test_write_with_truth_round_trip(tmp_path):
