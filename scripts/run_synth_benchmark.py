@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark the detector on synthetic suites and compare transition priors.
+"""Benchmark the detector on synthetic suites: the sequential prior against
+the Bayesian metrics.
 
 Runs the default pipeline once over each of a one-layer suite, a two-layer
-suite and a noisy change-point suite, then decodes those records at every
-``--betas`` value (default 650, the sticky sequential prior, and 0, per-frame
-maximum likelihood) and prints per-suite accuracy. The time column is the
-suite's single fitting pass, with its sequences generated before the clock
-starts; decoding at a further beta refits nothing. The e-steps column is the
-mean per frame of the E-steps that the winning restart of each of the frame's
-fits took, read from the records.
+suite and a noisy change-point suite. From those records, with no refit, it
+prints per-suite accuracy under each rule:
+
+- ``beta=<b>``: the records decoded at every ``--betas`` value (default 650,
+  the sticky sequential prior, and 0, per-frame posterior sums). A failed
+  frame keeps the previous layer count, as ``cloudlayers score`` reads it;
+- each of ``selection.CRITERIA`` (ML, BIC, AIC, CLC, ICL): ``selection.select``
+  over each frame's metric reports. A record holds one report per hypothesis
+  whose fits succeeded, in the order of its sorted ``fits`` keys, so a frame
+  with one report counts as that hypothesis. A failed frame counts as wrong.
+
+The time column is the suite's single fitting pass, with its sequences
+generated before the clock starts. The e-steps column is the mean per frame
+of the E-steps that the winning restart of each of the frame's fits took,
+read from the records.
 """
 
 import argparse
@@ -16,6 +25,7 @@ import json
 from time import perf_counter
 
 from cloudlayers.pipeline import PipelineConfig, decode, process_sequence
+from cloudlayers.selection import CRITERIA, select
 from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
 
@@ -52,11 +62,19 @@ def e_steps_per_frame(runs):
     return steps / sum(len(recs) for recs, _ in runs)
 
 
-def score_at(runs, beta, init_l):
+def criterion_choices(recs, criterion):
+    """The layer count ``criterion`` picks on each record, None where the
+    frame failed."""
+    return [int(sorted(r.fits)[select(r.metric_reports, criterion) - 1][1:])
+            if r.metric_reports else None for r in recs]
+
+
+def score(runs, choose):
+    """(correct, total) frames of the runs under ``choose``, which maps a
+    sequence's records to one layer count per record."""
     correct = total = 0
     for recs, truth in runs:
-        recs = decode(recs, beta, init_l)
-        correct += sum(r.chosen_l == truth[r.t] for r in recs)
+        correct += sum(l == truth[r.t] for r, l in zip(recs, choose(recs)))
         total += len(recs)
     return correct, total
 
@@ -74,7 +92,7 @@ def main():
     suites = build_suites(args.sequences, args.frames)
     cfg = PipelineConfig(seed=args.seed, model=args.model)
     print(f"model {args.model}, pipeline seed {args.seed}")
-    print(f"{'suite':>14} {'beta':>8} {'correct':>9} {'accuracy':>9} "
+    print(f"{'suite':>14} {'rule':>8} {'correct':>9} {'accuracy':>9} "
           f"{'time':>7} {'e-steps':>8}")
     for name, specs in suites.items():
         sequences = [generate(spec) for spec in specs]
@@ -82,9 +100,15 @@ def main():
         runs = fit_suite(sequences, cfg)
         elapsed = perf_counter() - t0
         e_steps = e_steps_per_frame(runs)
-        for beta in args.betas:
-            correct, total = score_at(runs, beta, cfg.init_l)
-            print(f"{name:>14} {beta:>8.0f} {correct:>5}/{total:<3} "
+        rules = [(f"beta={beta:.0f}",
+                  lambda recs, beta=beta: [r.chosen_l for r in decode(
+                      recs, beta, cfg.init_l)])
+                 for beta in args.betas]
+        rules += [(c, lambda recs, c=c: criterion_choices(recs, c))
+                  for c in CRITERIA]
+        for rule, choose in rules:
+            correct, total = score(runs, choose)
+            print(f"{name:>14} {rule:>8} {correct:>5}/{total:<3} "
                   f"{100.0 * correct / total:>8.2f}% {elapsed:>6.1f}s "
                   f"{e_steps:>8.1f}")
 

@@ -138,8 +138,11 @@ def _cmd_fit(args):
     if args.t not in by_t:
         raise _InputError(f"frame index {args.t} not in sequence")
     frame, mask = by_t[args.t]
-    feats = pipeline._temperature_features(frame, mask, cfg)
-    fit = pipeline.fit_temperature(feats, args.t, args.l, cfg)
+    try:
+        feats = pipeline._temperature_features(frame, mask, cfg)
+        fit = pipeline.fit_temperature(feats, args.t, args.l, cfg)
+    except pipeline.FRAME_DATA_ERRORS as exc:
+        raise _InputError(f"frame {args.t}: {exc}")
     text = json.dumps(fit.to_json_dict(), sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -25,6 +25,7 @@ synthetic-translation tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class WlkConfig:
     def __post_init__(self):
         if self.window_half_width < 1:
             raise ValueError("window_half_width must be >= 1")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError("tau must be finite and >= 0")
 
     @property
     def window_width(self):

@@ -10,6 +10,7 @@ advantage of b to exceed 2 * beta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -38,8 +39,8 @@ class HmmState:
     def __post_init__(self):
         if self.previous_l not in (1, 2):
             raise ValueError("previous_l must be 1 or 2")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
 
 
 def score_from_sum(l, posterior_sum, state):

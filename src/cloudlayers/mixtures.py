@@ -110,7 +110,8 @@ class _EmptyClusterError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Family parameters
+# Family parameters. Each class names its family (``kind``) and counts one
+# cluster's free parameters (``n_params``), which model selection charges.
 
 @dataclass(frozen=True)
 class GammaParams:
@@ -118,6 +119,7 @@ class GammaParams:
     beta: float  # scale: density carries exp(-x / beta)
 
     kind = "gamma"
+    n_params = 2
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,7 @@ class BivariateGammaParams:
     a: float
 
     kind = "bivariate_gamma"
+    n_params = 3
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,7 @@ class VonMisesParams:
     kappa: float
 
     kind = "von_mises"
+    n_params = 2
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,7 @@ class BetaParams:
     beta: float
 
     kind = "beta"
+    n_params = 2
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,11 @@ class GaussianParams:
     cov: np.ndarray
 
     kind = "gaussian"
+
+    @property
+    def n_params(self):
+        d = self.mean.size
+        return d + d * (d + 1) // 2
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.atleast_1d(np.asarray(self.mean, float)))
@@ -612,8 +622,8 @@ class MixtureSpec:
             alpha = np.full(self.n_clusters, float(alpha))
         if alpha.size != self.n_clusters:
             raise ValueError("one Dirichlet alpha per cluster required")
-        if np.any(alpha < 1.0):
-            raise ValueError("Dirichlet alphas must be >= 1")
+        if not np.all((alpha >= 1.0) & (alpha < np.inf)):
+            raise ValueError("Dirichlet alphas must be finite and >= 1")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "dirichlet_alpha", tuple(alpha.tolist()))
 

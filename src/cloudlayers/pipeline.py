@@ -13,6 +13,7 @@ velocity feature does.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,10 +81,10 @@ class PipelineConfig:
             raise ValueError(
                 f"unknown model {self.model!r}; valid ids: "
                 + ", ".join(sorted(MODEL_ZOO)))
-        if self.alpha0 < 1 or self.alpha1 < 1:
-            raise ValueError("Dirichlet alphas must be >= 1")
-        if self.hmm_beta < 0:
-            raise ValueError("hmm_beta must be nonnegative")
+        if not (1 <= self.alpha0 < math.inf and 1 <= self.alpha1 < math.inf):
+            raise ValueError("Dirichlet alphas must be finite and >= 1")
+        if not 0 <= self.hmm_beta < math.inf:
+            raise ValueError("hmm_beta must be finite and >= 0")
         if self.init_l not in (1, 2):
             raise ValueError("init_l must be 1 or 2")
         if self.restarts < 1:
@@ -217,14 +218,7 @@ def _evidence(prev, prev_mask, cur, cur_mask, cfg):
             posterior_sum = float(tfit.q + vfit.q)
             scores.append(hmm_mod.HypothesisScore(l, posterior_sum, 0.0,
                                                   posterior_sum))
-            tm, vm = selection.metrics(tfit), selection.metrics(vfit)
-            reports.append(selection.MetricReport(
-                log_q=tm.log_q + vm.log_q,
-                n_params=tm.n_params + vm.n_params,
-                n=tm.n,
-                entropy=tm.entropy + vm.entropy,
-                bic=tm.bic + vm.bic, aic=tm.aic + vm.aic,
-                clc=tm.clc + vm.clc, icl=tm.icl + vm.icl))
+            reports.append(selection.metrics(tfit, vfit))
             fit_dumps[f"L{l}"] = {
                 role: json.dumps(f.to_json_dict(), sort_keys=True)
                 for role, f in (("temperature", tfit), ("velocity", vfit))}

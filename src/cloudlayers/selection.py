@@ -1,11 +1,15 @@
 """Bayesian model-selection metrics over fitted mixtures.
 
-The hard-assignment complete-data log-likelihood log Q-hat (argmax-gamma
-assignments) feeds BIC/AIC; the soft EM objective is reported separately on
-the fit itself. The mixture entropy H = sum gamma log gamma is <= 0 by
-construction; CLC and ICL use its magnitude as the penalty so that higher
-assignment uncertainty worsens both criteria. Lower is better for every
-criterion except ML (higher log Q-hat wins).
+``metrics`` reports one hypothesis from its fits, whatever their families:
+each fit counts its free parameters as L times the ``n_params`` of one
+cluster's fitted parameters, plus L - 1 weights, and the report sums the
+fits' values. The hard-assignment complete-data log-likelihood log Q-hat
+(argmax-gamma assignments) feeds BIC/AIC; the soft EM objective is reported
+separately on the fit itself. The mixture entropy H = sum gamma log gamma is
+<= 0 by construction; CLC and ICL use its magnitude as the penalty so that
+higher assignment uncertainty worsens both criteria. Lower is better for
+every criterion except ML (higher log Q-hat wins); ``select`` applies one
+criterion to a frame's reports.
 """
 
 from __future__ import annotations
@@ -16,13 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 CRITERIA = ("ml", "bic", "aic", "clc", "icl")
-
-_PARAMS_PER_FAMILY = {
-    "gamma": 2,
-    "beta": 2,
-    "von_mises": 2,
-    "bivariate_gamma": 3,
-}
 
 
 @dataclass(frozen=True)
@@ -41,32 +38,6 @@ class MetricReport:
                 for k, v in vars(self).items()}
 
 
-def _family_param_count(kind, dim):
-    if kind == "gaussian":
-        return dim + dim * (dim + 1) // 2
-    return _PARAMS_PER_FAMILY[kind]
-
-
-def parameter_count(spec, gaussian_dims=None):
-    """Free parameters: per-cluster family parameters plus L - 1 weights.
-
-    ``gaussian_dims`` maps feature name -> dimension for Gaussian components
-    (defaults to 1).
-    """
-    gaussian_dims = gaussian_dims or {}
-    per_cluster = sum(_family_param_count(kind, gaussian_dims.get(fname, 1))
-                      for fname, kind in spec.components)
-    return spec.n_clusters * per_cluster + (spec.n_clusters - 1)
-
-
-def count_from_fit(mixture_fit):
-    dims = {fname: p.mean.size
-            for (fname, kind), p in zip(mixture_fit.spec.components,
-                                        mixture_fit.params[0])
-            if kind == "gaussian"}
-    return parameter_count(mixture_fit.spec, dims)
-
-
 def entropy(gamma):
     """H = sum_i sum_l gamma log gamma with 0 log 0 = 0; always <= 0."""
     g = np.asarray(gamma, float)
@@ -83,10 +54,10 @@ def hard_log_likelihood(mixture_fit):
                         + mixture_fit.log_dens[rows, z]))
 
 
-def metrics(mixture_fit):
-    """MetricReport for one fit: BIC, AIC, CLC, ICL and friends."""
+def _fit_report(mixture_fit):
     log_q = hard_log_likelihood(mixture_fit)
-    lam = count_from_fit(mixture_fit)
+    l = mixture_fit.spec.n_clusters
+    lam = l * sum(p.n_params for p in mixture_fit.params[0]) + l - 1
     n = mixture_fit.responsibilities.shape[0]
     h = entropy(mixture_fit.responsibilities)
     bic = lam * math.log(n) - 2.0 * log_q
@@ -95,6 +66,20 @@ def metrics(mixture_fit):
     icl = bic + 2.0 * abs(h)
     return MetricReport(log_q=log_q, n_params=lam, n=n, entropy=h,
                         bic=bic, aic=aic, clc=clc, icl=icl)
+
+
+def metrics(*fits):
+    """One MetricReport for one or more fits of the same samples: each
+    value but ``n`` is the sum of the fits' own values, in argument order."""
+    first, *rest = map(_fit_report, fits)
+    total = vars(first).copy()
+    for r in rest:
+        if r.n != first.n:
+            raise ValueError("fits of different sample counts")
+        for k, v in vars(r).items():
+            if k != "n":
+                total[k] += v
+    return MetricReport(**total)
 
 
 def select(reports, criterion):

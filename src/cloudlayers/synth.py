@@ -16,6 +16,7 @@ of either must keep both orders.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,8 @@ class SynthSpec:
             raise ValueError("layer count must be 1 or 2")
         if self.frames < 2:
             raise ValueError("at least 2 frames required")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if len(self.layers) == 2 and self.noise_sigma > 0:
             sep = abs(self.layers[0].base_temp - self.layers[1].base_temp)
             if sep < 4.0 * self.noise_sigma:

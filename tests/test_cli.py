@@ -172,6 +172,10 @@ INPUT_ERRORS = {
                                     "--height", "0"],
     "synth-negative-seed": lambda d: ["synth", "--out", str(d / "s"),
                                       "--seed", "-1"],
+    "synth-nan-noise": lambda d: ["synth", "--out", str(d / "s"),
+                                  "--noise-sigma", "nan"],
+    "synth-negative-noise": lambda d: ["synth", "--out", str(d / "s"),
+                                       "--noise-sigma", "-1"],
     "synth-layers-within-noise": lambda d: [
         "synth", "--out", str(d / "s"), "--layers", "2",
         "--noise-sigma", "9"],
@@ -193,6 +197,13 @@ INPUT_ERRORS = {
     "detect-negative-beta": lambda d: [
         "detect", "--manifest", _flat_manifest(d), "--beta", "-5",
         "--out", str(d / "o.jsonl")],
+    **{f"detect-{value}-{flag}": (lambda d, flag=flag, value=value: [
+        "detect", "--manifest", _flat_manifest(d), f"--{flag}", value,
+        "--out", str(d / "o.jsonl")])
+       for flag, value in (("beta", "nan"), ("beta", "inf"),
+                           ("alpha0", "nan"), ("alpha1", "nan"),
+                           ("alpha1", "inf"), ("tau", "nan"),
+                           ("tau", "inf"))},
     "detect-negative-seed": lambda d: [
         "detect", "--manifest", _flat_manifest(d), "--seed", "-1",
         "--out", str(d / "o.jsonl")],
@@ -202,6 +213,8 @@ INPUT_ERRORS = {
     "detect-out-in-missing-dir": lambda d: [
         "detect", "--manifest", _flat_manifest(d),
         "--out", str(d / "nodir" / "o.jsonl")],
+    "fit-flat-frame": lambda d: [
+        "fit", "--manifest", _flat_manifest(d), "--t", "0"],
     "truth-without-frames": lambda d: [
         "score", "--truth", _write(d / "truth.json", "{}"),
         "--detections", _write(d / "det.jsonl",

@@ -1,5 +1,7 @@
 """Derivative kernels, the weighted LS solver and its calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,7 @@ def test_intensity_image_range_and_errors():
 def test_wlk_config_validation():
     with pytest.raises(ValueError):
         WlkConfig(window_half_width=0)
-    with pytest.raises(ValueError):
-        WlkConfig(tau=-1.0)
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            WlkConfig(tau=tau)
     assert WlkConfig(window_half_width=8).window_width == 17

@@ -1,5 +1,7 @@
 """Sticky transition prior and the sequential MAP selection rule."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,8 +103,9 @@ def test_step_rejects_duplicate_hypotheses():
 def test_state_validation():
     with pytest.raises(ValueError):
         HmmState(previous_l=3)
-    with pytest.raises(ValueError):
-        HmmState(previous_l=1, beta=-1.0)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            HmmState(previous_l=1, beta=beta)
 
 
 def test_score_json_dict():

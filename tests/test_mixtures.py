@@ -578,9 +578,10 @@ def test_mixture_spec_validation():
     with pytest.raises(ValueError):
         MixtureSpec(n_clusters=3, components=(("x", "gamma"),),
                     dirichlet_alpha=(1.0,) * 3)
-    with pytest.raises(ValueError):
-        MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
-                    dirichlet_alpha=(0.5, 1.0))
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="Dirichlet"):
+            MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
+                        dirichlet_alpha=(bad, 1.0))
     with pytest.raises(ValueError):
         MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
                     dirichlet_alpha=(1.0,))

@@ -1,6 +1,7 @@
 """Frame-level orchestration: hypotheses, flow weighting and sequencing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -242,8 +243,13 @@ def test_sequence_needs_two_frames():
 def test_config_validation():
     with pytest.raises(ValueError, match="beta_T\\+vm_phi"):
         PipelineConfig(model="nosuch")
-    with pytest.raises(ValueError):
-        PipelineConfig(alpha0=0.5)
+    for bad in (0.5, math.nan, math.inf):
+        for name in ("alpha0", "alpha1"):
+            with pytest.raises(ValueError, match="Dirichlet"):
+                PipelineConfig(**{name: bad})
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hmm_beta"):
+            PipelineConfig(hmm_beta=bad)
     with pytest.raises(ValueError):
         PipelineConfig(init_l=3)
     for restarts in (0, -1):

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudlayers.mixtures import MixtureSpec, fit
-from cloudlayers.selection import (CRITERIA, MetricReport, count_from_fit,
-                                   entropy, hard_log_likelihood, metrics,
-                                   parameter_count, select)
+from cloudlayers import selection
+from cloudlayers.mixtures import (BetaParams, BivariateGammaParams,
+                                  GammaParams, GaussianParams, MixtureSpec,
+                                  VonMisesParams, fit)
+from cloudlayers.pipeline import PipelineConfig, frame_evidence
+from cloudlayers.selection import (CRITERIA, MetricReport, entropy,
+                                   hard_log_likelihood, metrics, select)
+from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
 
 def _spec(n_clusters, components):
@@ -19,18 +23,16 @@ def _spec(n_clusters, components):
 
 
 def test_parameter_count_enumeration():
-    # One gamma cluster: 2 shape/scale parameters, no free weight.
-    assert parameter_count(_spec(1, (("x", "gamma"),))) == 2
-    # Two clusters of beta + von mises: 2 * (2 + 2) + 1 weight = 9.
-    assert parameter_count(
-        _spec(2, (("x", "beta"), ("phi", "von_mises")))) == 9
+    # Gamma, beta and von Mises: 2 parameters each per cluster.
+    assert GammaParams(2.0, 1.0).n_params == 2
+    assert BetaParams(2.0, 3.0).n_params == 2
+    assert VonMisesParams(0.5, 4.0).n_params == 2
     # Bivariate gamma has three parameters.
-    assert parameter_count(_spec(1, (("xy", "bivariate_gamma"),))) == 3
-    # A 2-D Gaussian: 2 means + 3 covariance entries = 5 per cluster.
-    assert parameter_count(_spec(2, (("uv", "gaussian"),)),
-                           gaussian_dims={"uv": 2}) == 11
-    # Scalar Gaussian defaults to dimension 1: 1 + 1 = 2 per cluster.
-    assert parameter_count(_spec(1, (("x", "gaussian"),))) == 2
+    assert BivariateGammaParams(2.0, 1.0, 0.5).n_params == 3
+    # A scalar Gaussian: 1 mean + 1 variance.
+    assert GaussianParams(0.0, 1.0).n_params == 2
+    # A 2-D Gaussian: 2 means + 3 covariance entries.
+    assert GaussianParams(np.zeros(2), np.eye(2)).n_params == 5
 
 
 def test_entropy_uniform_rows():
@@ -76,8 +78,8 @@ def _fitted(n_clusters, seed=0):
 def test_metrics_internal_consistency():
     f = _fitted(2)
     r = metrics(f)
-    lam = count_from_fit(f)
-    assert r.n_params == lam == 5  # 2 * (1 + 1) + 1
+    lam = r.n_params
+    assert lam == 5  # 2 * (1 + 1) + 1
     assert r.n == 400
     assert r.entropy <= 0.0
     assert r.log_q == pytest.approx(hard_log_likelihood(f))
@@ -85,6 +87,14 @@ def test_metrics_internal_consistency():
     assert r.aic == pytest.approx(2 * lam - 2 * r.log_q)
     assert r.clc == pytest.approx(2 * abs(r.entropy) - 2 * r.log_q)
     assert r.icl == pytest.approx(r.bic + 2 * abs(r.entropy))
+
+
+def test_metrics_rejects_fits_of_different_samples():
+    f = _fitted(2)
+    other = fit({"x": np.arange(1.0, 11.0)},
+                _spec(1, (("x", "gaussian"),)), init_seed=0)
+    with pytest.raises(ValueError, match="sample counts"):
+        metrics(f, other)
 
 
 def test_hard_log_likelihood_upper_bounds_soft_assignments():
@@ -132,3 +142,31 @@ def test_report_json_dict_is_plain():
     assert d["n_params"] == 3 and d["log_q"] == -1.5
     assert set(d) == {"log_q", "n_params", "n", "entropy",
                       "bic", "aic", "clc", "icl"}
+
+
+@pytest.mark.parametrize("model,n_params", [("beta_T+vm_phi", [4, 10]),
+                                            ("gauss_T_uv", [7, 16])])
+def test_hypothesis_report_sums_its_fits(monkeypatch, model, n_params):
+    # The report of a real frame's hypothesis equals the field-by-field sum
+    # of its temperature and velocity fits' reports.
+    calls = []
+
+    def recording(*fits):
+        calls.append(fits)
+        return metrics(*fits)
+
+    monkeypatch.setattr(selection, "metrics", recording)
+    spec = SynthSpec(frames=2, seed=3,
+                     layers=(LayerSpec(base_temp=285.0, velocity=(1, 0)),
+                             LayerSpec(base_temp=265.0, velocity=(-1, 1))))
+    (prev, prev_mask, _), (cur, cur_mask, _) = generate(spec)[0]
+    rec = frame_evidence(prev, prev_mask, cur, cur_mask,
+                         PipelineConfig(model=model))
+    assert [r.n_params for r in rec.metric_reports] == n_params
+    assert len(calls) == len(rec.metric_reports) == 2
+    for (tfit, vfit), report in zip(calls, rec.metric_reports):
+        tm, vm = metrics(tfit), metrics(vfit)
+        assert report.n == tm.n == vm.n
+        for k in ("log_q", "n_params", "entropy", "bic", "aic", "clc",
+                  "icl"):
+            assert getattr(report, k) == getattr(tm, k) + getattr(vm, k), k

@@ -1,6 +1,7 @@
 """Synthetic sequence generator: advection exactness, labels and truth."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -111,6 +112,9 @@ def test_spec_validation():
                           LayerSpec(base_temp=270.0)))  # 10 K < 4 * sigma
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SynthSpec(seed=-1)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SynthSpec(noise_sigma=sigma)
 
 
 def test_write_with_truth_round_trip(tmp_path):
