@@ -58,6 +58,13 @@ def _cmd_detect(args):
         raise _InputError(str(exc))
     if len(sequence) < 2:
         raise _InputError("a sequence needs at least 2 frames")
+    # A frame with fewer pixels than one flow window has no mask that can
+    # pass, so every frame would fail.
+    w = cfg.wlk.window_width
+    pixels = sequence[0][0].temperatures.size
+    if w * w > pixels:
+        raise _InputError(f"the {w}x{w} flow window exceeds the frame's "
+                          f"{pixels} pixels")
     try:
         fh = Path(args.out).open("w")
     except OSError as exc:
@@ -66,9 +73,10 @@ def _cmd_detect(args):
         records = pipeline.process_sequence(sequence, cfg)
         for rec in records:
             fh.write(rec.to_json_line() + "\n")
-    hist = Counter(rec.chosen_l for rec in records)
+    hist = Counter("failed" if rec.flags.get("frame_failed")
+                   else f"L={rec.chosen_l}" for rec in records)
     print(f"processed {len(records)} frames; "
-          + " ".join(f"L={l}:{c}" for l, c in sorted(hist.items())),
+          + " ".join(f"{k}:{c}" for k, c in sorted(hist.items())),
           file=sys.stderr)
     return 0
 

@@ -31,7 +31,8 @@ over contiguous length-N rows:
   c1 . sum_i [T_i, 1] + sum_i log(1 + exp(-d_i)), so no (N, L) array of
   log-densities is built; a run builds the ``log_dens`` it returns once.
   A row whose exp(-d) overflows adds -d to the log-likelihood. ``fit``
-  rejects a feature with a non-finite value, so the statistics are finite;
+  rejects a feature with a non-finite value or statistic sum, so the
+  statistics are finite;
 - shared statistics: one product of the stacked statistics with the
   responsibilities gives every cluster's sums of T and, from the ones row,
   its responsibility mass. These feed the surrogate objective, the MAP
@@ -682,8 +683,8 @@ class _FitData:
 
 
 def _component_data(features, spec):
-    """(n, _FitData): the features are checked finite, T is computed and
-    the support checked once per fit."""
+    """(n, _FitData): the features are checked finite, T is computed, its
+    sums checked finite and the support checked once per fit."""
     comps, blocks = [], []
     n = None
     k = 0
@@ -695,22 +696,21 @@ def _component_data(features, spec):
             raise ValueError("feature lengths differ")
         if not np.isfinite(x).all():
             raise SupportError(f"feature {fname!r} holds non-finite values")
-        family = _family(kind, x)
-        t = family.statistic(x)
+        # Finite values can still have a statistic that overflows, such as
+        # a Gaussian's centred square above about 1e154; a non-finite sum
+        # catches that and an overflowing sum alike.
+        with np.errstate(over="ignore", invalid="ignore"):
+            family = _family(kind, x)
+            t = family.statistic(x)
+            finite = np.isfinite(t.sum(axis=0)).all()
+        if not finite:
+            raise SupportError(f"feature {fname!r} overflows its statistic")
         comps.append(_Component(family, x, slice(k, k + t.shape[1])))
         blocks.append(t.T)
         k += t.shape[1]
     blocks.append(np.ones((1, n)))
     stats = np.concatenate(blocks)
     return n, _FitData(tuple(comps), stats, stats.sum(axis=1))
-
-
-def log_dirichlet_prior(pi, alpha):
-    """Unnormalized Dirichlet log-prior; exactly zero when all alpha = 1."""
-    alpha = np.asarray(alpha, float)
-    if np.all(alpha == 1.0):
-        return 0.0
-    return float(np.sum((alpha - 1.0) * np.log(pi)))
 
 
 def e_step(coef, pi, stats, totals):
@@ -759,17 +759,18 @@ def e_step(coef, pi, stats, totals):
     return gamma, log_lik
 
 
-def m_step_weights(gamma, dirichlet_alpha, n, n_clusters):
-    """MAP weight update; reduces bitwise to sum(gamma)/N when alpha = 1."""
-    alpha = np.asarray(dirichlet_alpha, float)
-    gsum = np.asarray(gamma).sum(axis=0)
-    return (alpha - 1.0 + gsum) / (n - n_clusters + alpha.sum())
+def m_step_weights(masses, alpha, n):
+    """MAP weights (alpha_l - 1 + m_l) / (n - L + sum(alpha)) of the
+    clusters' responsibility masses ``masses`` over ``n`` samples; bitwise
+    masses / n when every alpha is 1."""
+    return (np.array([a - 1.0 + m for a, m in zip(alpha, masses)])
+            / (n - len(alpha) + sum(alpha)))
 
 
-def cdll(log_dens, gamma, pi, alpha):
-    """Expected complete-data log-likelihood plus the Dirichlet log-prior."""
-    core = float(np.sum(gamma * (np.log(pi)[None, :] + log_dens)))
-    return core + log_dirichlet_prior(pi, alpha)
+def log_dirichlet_prior(log_pi, alpha):
+    """Unnormalized Dirichlet log-prior sum_l (alpha_l - 1) log pi_l of the
+    log-weights ``log_pi``; exactly zero when all alpha = 1."""
+    return sum((a - 1.0) * lp for a, lp in zip(alpha, log_pi) if a != 1.0)
 
 
 MAX_OUTER_ITERS = 300
@@ -888,15 +889,12 @@ def _run_em(n, data, spec, gamma):
     ``gamma``. Returns (params, pi, gamma, log_dens, q_trace, converged,
     stop, e_steps, ll_trace)."""
     alpha = spec.dirichlet_alpha
-    # MAP weights are (alpha - 1 + gsum) / denom, as in m_step_weights.
     prior = [a - 1.0 for a in alpha]
-    denom = n - spec.n_clusters + sum(alpha)
     stats = data.stats
     empty = 1e-8 * n  # responsibility mass of an empty cluster
 
     def weights(sums):
-        counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
-        return np.array(counts) / denom
+        return m_step_weights(sums[-1].tolist(), alpha, n)
 
     def m_step(state, sums):
         # The map's M-step, from the sums of an E-step at ``state``.
@@ -915,8 +913,7 @@ def _run_em(n, data, spec, gamma):
         # Q = sum_l coef_l . sums_l + (alpha_l - 1 + gsum_l) log pi_l.
         q = float(np.vdot(coef, sums.T)) + sum(
             c * lp for c, lp in zip(counts, log_pi))
-        # The Dirichlet log-prior, exactly zero when all alpha = 1.
-        ll = log_lik + sum(p * lp for p, lp in zip(prior, log_pi) if p)
+        ll = log_lik + log_dirichlet_prior(log_pi, alpha)
         return _Eval(state, gamma, sums, q, ll)
 
     def small(ev, start):

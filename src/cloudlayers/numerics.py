@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy import special as _sp
 
 # Positivity clamp applied to every constrained parameter (shape, scale,
@@ -55,13 +54,3 @@ def bessel_i_ratio(kappa):
     k = _check_positive(kappa, "kappa")
     return float(_sp.i1e(k)) / float(_sp.i0e(k))
 
-
-def finite_diff_gradient(f, x, h=1e-6):
-    """Central-difference gradient of a scalar function. Test oracle only."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g

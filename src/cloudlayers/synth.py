@@ -61,8 +61,12 @@ class SynthSpec:
             if sep < 4.0 * self.noise_sigma:
                 raise ValueError("layer temperatures must be separated by "
                                  ">= 4x noise_sigma")
-        if self.change_point is not None and len(self.layers) != 2:
-            raise ValueError("a change point requires two layers")
+        if self.change_point is not None:
+            if len(self.layers) != 2:
+                raise ValueError("a change point requires two layers")
+            if not 0 < self.change_point < self.frames:
+                raise ValueError("change_point must satisfy "
+                                 "0 < change_point < frames")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

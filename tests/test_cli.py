@@ -176,6 +176,12 @@ INPUT_ERRORS = {
                                   "--noise-sigma", "nan"],
     "synth-negative-noise": lambda d: ["synth", "--out", str(d / "s"),
                                        "--noise-sigma", "-1"],
+    "synth-change-point-past-frames": lambda d: [
+        "synth", "--out", str(d / "s"), "--frames", "3",
+        "--change-point", "40"],
+    "synth-negative-change-point": lambda d: [
+        "synth", "--out", str(d / "s"), "--frames", "3",
+        "--change-point", "-3"],
     "synth-layers-within-noise": lambda d: [
         "synth", "--out", str(d / "s"), "--layers", "2",
         "--noise-sigma", "9"],
@@ -210,8 +216,11 @@ INPUT_ERRORS = {
     "detect-zero-restarts": lambda d: [
         "detect", "--manifest", _flat_manifest(d), "--restarts", "0",
         "--out", str(d / "o.jsonl")],
+    "detect-window-larger-than-frame": lambda d: [
+        "detect", "--manifest", _flat_manifest(d), "--window", "2",
+        "--out", str(d / "o.jsonl")],
     "detect-out-in-missing-dir": lambda d: [
-        "detect", "--manifest", _flat_manifest(d),
+        "detect", "--manifest", _flat_manifest(d), "--window", "1",
         "--out", str(d / "nodir" / "o.jsonl")],
     "fit-flat-frame": lambda d: [
         "fit", "--manifest", _flat_manifest(d), "--t", "0"],
@@ -272,6 +281,38 @@ def test_detect_all_cloud_mask_fails_no_frame(tmp_path):
     assert rc == 0 and len(records) == 2
     for rec in records:
         assert rec["error"] is None and "frame_failed" not in rec["flags"]
+
+
+def test_overflowing_gaussian_temperature_fails_its_frame(tmp_path, capsys):
+    # Its centred square overflows; the default beta model fits it.
+    temps = _cloud_frames()
+    temps[0][5, 7] = 1e200
+    masks = [np.ones(t.shape) for t in temps]
+    rc, records = _detect_on(tmp_path, temps, masks, "--model", "gauss_T_uv")
+    assert rc == 0
+    assert records[0]["flags"] == {"frame_failed": True}
+    assert records[0]["error"] == "feature 't' overflows its statistic"
+    assert "frame_failed" not in records[1]["flags"]
+    capsys.readouterr()
+    manifest = str(tmp_path / "seq" / "manifest.json")
+    assert main(["fit", "--manifest", manifest, "--t", "0",
+                 "--model", "gauss_T_uv"]) == 1
+    assert capsys.readouterr().err == (
+        "error: frame 0: feature 't' overflows its statistic\n")
+    rc, records = _detect_on(tmp_path, temps, masks)
+    assert rc == 0 and records[0]["error"] is None
+
+
+def test_detect_summary_counts_failed_frames_apart(tmp_path, capsys):
+    temps = _cloud_frames()
+    masks = [np.ones(t.shape) for t in temps]
+    masks[0][:] = 0  # frame 0 has no cloud pixel, so it fails
+    rc, records = _detect_on(tmp_path, temps, masks)
+    assert rc == 0
+    assert records[0]["flags"] == {"frame_failed": True}
+    assert "frame_failed" not in records[1]["flags"]
+    assert capsys.readouterr().err.strip() == (
+        f"processed 2 frames; L={records[1]['chosen_l']}:1 failed:1")
 
 
 @pytest.mark.parametrize("case,message", [("single-pixel", "masked pixels"),

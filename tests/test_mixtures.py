@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from cloudlayers import mixtures
 from cloudlayers.mixtures import (BetaParams, BivariateGammaParams, FitError,
                                   GammaParams, GaussianParams, MixtureSpec,
-                                  SupportError, VonMisesParams, cdll, e_step,
-                                  fit, log_dirichlet_prior, log_pdf,
+                                  SupportError, VonMisesParams, e_step, fit,
+                                  log_dirichlet_prior, log_pdf,
                                   log_pdf_gradient, m_step_params,
                                   m_step_weights, resolve_labels)
-from cloudlayers.numerics import PARAM_CEIL, finite_diff_gradient
+from cloudlayers.numerics import PARAM_CEIL
+from oracles import cdll, finite_diff_gradient
 
 # ---------------------------------------------------------------------------
 # Log-densities against scipy.stats / direct quadrature
@@ -303,23 +304,48 @@ def test_e_step_rows_lie_on_simplex(seed):
 
 def test_map_weights_reduce_to_ml_bitwise():
     rng = np.random.default_rng(12)
-    gamma = rng.dirichlet([1, 1], size=50)
-    ml = gamma.sum(axis=0) / 50
-    mapw = m_step_weights(gamma, np.ones(2), 50, 2)
-    assert np.array_equal(ml, mapw)  # bitwise, not approx
+    masses = rng.dirichlet([1, 1], size=50).sum(axis=0)
+    mapw = m_step_weights(masses.tolist(), (1.0, 1.0), 50)
+    assert np.array_equal(masses / 50, mapw)  # bitwise, not approx
 
 
 def test_map_weights_with_informative_prior():
-    gamma = np.tile([0.5, 0.5], (10, 1))
-    w = m_step_weights(gamma, np.array([1.0, 11.0]), 10, 2)
+    w = m_step_weights([5.0, 5.0], (1.0, 11.0), 10)
     # (0 + 5) / (10 - 2 + 12) = 0.25 and (10 + 5) / 20 = 0.75.
     np.testing.assert_allclose(w, [0.25, 0.75])
 
 
 def test_dirichlet_prior_is_exactly_zero_at_alpha_one():
-    assert log_dirichlet_prior(np.array([0.3, 0.7]), np.ones(2)) == 0.0
-    nonzero = log_dirichlet_prior(np.array([0.3, 0.7]), np.array([1.0, 3.0]))
+    log_pi = np.log([0.3, 0.7]).tolist()
+    assert log_dirichlet_prior(log_pi, (1.0, 1.0)) == 0.0
+    nonzero = log_dirichlet_prior(log_pi, (1.0, 3.0))
     assert nonzero == pytest.approx(2.0 * math.log(0.7))
+
+
+@pytest.mark.parametrize("alpha", [(1.0, 1.0), (1.5, 4.0)])
+def test_run_takes_its_weights_and_prior_from_the_public_functions(
+        monkeypatch, alpha):
+    returned, prior_calls = [], []
+
+    def weights_spy(*args):
+        returned.append(m_step_weights(*args))
+        return returned[-1]
+
+    def prior_spy(*args):
+        prior_calls.append(args)
+        return log_dirichlet_prior(*args)
+
+    monkeypatch.setattr(mixtures, "m_step_weights", weights_spy)
+    monkeypatch.setattr(mixtures, "log_dirichlet_prior", prior_spy)
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.gamma(2, 1, 150), rng.gamma(9, 1, 150)])
+    spec = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
+                       dirichlet_alpha=alpha)
+    f = fit({"x": x}, spec, init_seed=0, restarts=1)
+    # Every state's weights come from an M-step, so the fit's are one of
+    # the arrays the spy returned; and each E-step adds the prior once.
+    assert any(w is f.weights for w in returned)
+    assert len(prior_calls) == f.e_steps
 
 
 def test_cdll_hand_example():
@@ -574,6 +600,24 @@ def test_non_finite_feature_fails_at_the_fit_boundary(kind, n_clusters):
             fit(feats, spec, init_seed=0)
 
 
+@pytest.mark.parametrize("kind, big", [
+    ("gaussian", [1e200]),               # centred square overflows
+    ("gaussian", [1e154, -1e154] * 40),  # every square finite, their sum not
+    ("bivariate_gamma", [[1e200, 1e200]]),  # x y overflows
+], ids=["gaussian-square", "gaussian-sum", "bivariate_gamma"])
+def test_overflowing_statistic_fails_at_the_fit_boundary(kind, big):
+    # Finite values whose statistic overflows would give NaN moments, or a
+    # RuntimeWarning first; the fit rejects them before anything can warn.
+    x = np.linspace(1.0, 3.0, 100)
+    if kind == "bivariate_gamma":
+        x = np.column_stack([x, x[::-1]])
+    x = np.concatenate([x, big])
+    spec = MixtureSpec(n_clusters=2, components=(("x", kind),),
+                       dirichlet_alpha=(1.0, 1.0))
+    with pytest.raises(SupportError, match="'x' overflows its statistic"):
+        fit({"x": x}, spec, init_seed=0)
+
+
 def test_mixture_spec_validation():
     with pytest.raises(ValueError):
         MixtureSpec(n_clusters=3, components=(("x", "gamma"),),
@@ -639,7 +683,7 @@ def _start(kind, x):
 def _log_posterior(log_dens, pi, alpha):
     """The observed-data MAP objective, written out with logsumexp."""
     return (float(logsumexp(log_dens + np.log(pi), axis=1).sum())
-            + log_dirichlet_prior(pi, alpha))
+            + log_dirichlet_prior(np.log(pi), alpha))
 
 
 def _plain_em(xs, kinds, spec, gamma, steps=None):
@@ -651,7 +695,7 @@ def _plain_em(xs, kinds, spec, gamma, steps=None):
     n, ncl, alpha = xs[0].shape[0], spec.n_clusters, spec.dirichlet_alpha
     params = [[m_step_params(x, gamma[:, l], _start(k, x))
                for x, k in zip(xs, kinds)] for l in range(ncl)]
-    pi = m_step_weights(gamma, alpha, n, ncl)
+    pi = m_step_weights(gamma.sum(axis=0), alpha, n)
     ll_trace, q_trace = [], []
     for _ in range(steps or mixtures.MAX_OUTER_ITERS):
         log_dens = np.column_stack([
@@ -664,7 +708,7 @@ def _plain_em(xs, kinds, spec, gamma, steps=None):
         if (steps is None and len(ll_trace) > 1 and ll - ll_trace[-2]
                 < mixtures.Q_REL_TOL * (1 + abs(ll))):
             break
-        pi = m_step_weights(gamma, alpha, n, ncl)
+        pi = m_step_weights(gamma.sum(axis=0), alpha, n)
         params = [[m_step_params(x, gamma[:, l], params[l][c])
                    for c, x in enumerate(xs)] for l in range(ncl)]
     return ll_trace, q_trace

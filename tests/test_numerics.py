@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudlayers.numerics import (MIN_ARG, PARAM_CEIL, bessel_i_ratio,
-                                  clamp_positive, digamma,
-                                  finite_diff_gradient, log_bessel_i0,
+                                  clamp_positive, digamma, log_bessel_i0,
                                   trigamma)
+from oracles import finite_diff_gradient
 
 mpmath.mp.dps = 50
 

@@ -324,3 +324,51 @@ def test_velocity_features_angle_round_trip(u, v):
     r, phi = _speed_and_angle(u, v)
     assert r * np.sin(phi) == pytest.approx(u, abs=1e-9)
     assert r * np.cos(phi) == pytest.approx(v, abs=1e-9)
+
+
+@st.composite
+def _frame_and_mask(draw, shape, index):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    temps = draw(st.sampled_from(["constant", "random", "two-level",
+                                  "extreme"]))
+    if temps == "constant":
+        t = np.full(shape, draw(st.floats(1.0, 400.0)))
+    elif temps == "random":
+        t = rng.uniform(200.0, 300.0, shape)
+    elif temps == "two-level":
+        t = np.where(rng.random(shape) < 0.5, 250.0, 280.0)
+    else:
+        t = 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    sky = draw(st.sampled_from(["all-sky", "one-pixel", "random", "empty"]))
+    if sky == "all-sky":
+        m = np.ones(shape, bool)
+    elif sky == "one-pixel":
+        m = np.zeros(shape, bool)
+        m.flat[rng.integers(t.size)] = True
+    elif sky == "random":
+        m = rng.random(shape) < 0.8
+    else:
+        m = np.zeros(shape, bool)
+    return Frame(t, index=index), SegmentationMask(m)
+
+
+@st.composite
+def _transitions(draw):
+    # Frames of 9 or more pixels can pass a 3x3 window: drawn first.
+    n = draw(st.sampled_from(range(12, 2, -1)))
+    height = draw(st.sampled_from([h for h in range(1, n + 1) if n % h == 0]))
+    shape = (height, n // height)
+    return (*draw(_frame_and_mask(shape, 0)), *draw(_frame_and_mask(shape, 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_transitions(), st.sampled_from(sorted(MODEL_ZOO)), st.integers(1, 2))
+def test_frame_evidence_is_total_on_small_frames(frames, model, window):
+    cfg = PipelineConfig(model=model,
+                         wlk=WlkConfig(window_half_width=window))
+    rec = frame_evidence(*frames, cfg)
+    # NaN anywhere in the record would break the round trip's equality.
+    assert json.loads(rec.to_json_line()) == rec.to_json_dict()
+    for s in rec.scores:
+        assert math.isfinite(s.posterior_sum) or s.posterior_sum == -math.inf
+    assert rec.flags.get("frame_failed", False) == (not rec.scores)

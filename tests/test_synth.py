@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudlayers import synth
 from cloudlayers.synth import (COVERAGE_THRESHOLD, LayerSpec, SynthSpec,
@@ -112,9 +114,37 @@ def test_spec_validation():
                           LayerSpec(base_temp=270.0)))  # 10 K < 4 * sigma
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SynthSpec(seed=-1)
+    two = (LayerSpec(base_temp=280.0), LayerSpec(base_temp=260.0))
+    for change_point in (-3, 0, 3, 40):
+        with pytest.raises(ValueError, match="change_point"):
+            SynthSpec(frames=3, layers=two, change_point=change_point)
     for sigma in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="noise_sigma"):
             SynthSpec(noise_sigma=sigma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-1, 5), st.integers(1, 2), st.floats(0.0, 6.0),
+       st.one_of(st.none(), st.integers(-3, 7)), st.integers(1, 9),
+       st.integers(1, 9))
+def test_spec_raises_or_generates_its_truth(frames, n_layers, noise,
+                                            change_point, height, width):
+    layers = (LayerSpec(base_temp=285.0, n_blobs=2, blob_scale=2.0),
+              LayerSpec(base_temp=265.0, velocity=(-1.0, 1.0), n_blobs=2,
+                        blob_scale=2.0))[:n_layers]
+    try:
+        spec = SynthSpec(shape=(height, width), frames=frames, layers=layers,
+                         noise_sigma=noise, change_point=change_point)
+    except ValueError:
+        return
+    seq, truth = generate(spec)
+    assert len(seq) == len(truth) == frames
+    # A change point lies inside the sequence: some frames before it, some
+    # from it on.
+    assert change_point is None or 0 < change_point < frames
+    for t, l in enumerate(truth):
+        active = 1 if change_point is not None and t < change_point else n_layers
+        assert 0 <= l <= active
 
 
 def test_write_with_truth_round_trip(tmp_path):
