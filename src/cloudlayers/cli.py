@@ -63,8 +63,8 @@ def _cmd_detect(args):
     w = cfg.wlk.window_width
     pixels = sequence[0][0].temperatures.size
     if w * w > pixels:
-        raise _InputError(f"the {w}x{w} flow window exceeds the frame's "
-                          f"{pixels} pixels")
+        raise _InputError(f"the {w}x{w} flow window needs {w * w} masked "
+                          f"pixels, more than a frame's {pixels}")
     try:
         fh = Path(args.out).open("w")
     except OSError as exc:
