@@ -21,6 +21,13 @@ class _InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors."""
+
+    def error(self, message):
+        raise _InputError(message)
+
+
 def _add_pipeline_flags(p):
     d = pipeline.PipelineConfig()
     p.add_argument("--model", default=d.model,
@@ -54,7 +61,7 @@ def _cmd_detect(args):
     cfg = _pipeline_config(args)
     try:
         sequence = load_sequence(args.manifest)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise _InputError(str(exc))
     if len(sequence) < 2:
         raise _InputError("a sequence needs at least 2 frames")
@@ -105,11 +112,23 @@ def _cmd_synth(args):
         sequence, truth = synth.generate(spec)
     except ValueError as exc:
         raise _InputError(str(exc))
-    manifest, truth_path = synth.write_with_truth(args.out, sequence, truth)
+    try:
+        manifest, truth_path = synth.write_with_truth(args.out, sequence,
+                                                      truth)
+    except OSError as exc:
+        raise _InputError(str(exc))
     print(f"wrote {spec.frames} frames to {args.out} "
           f"(manifest {manifest.name}, truth {truth_path.name})",
           file=sys.stderr)
     return 0
+
+
+def _objects(items, what):
+    """``items`` if it is a list of JSON objects, else an input error."""
+    if not (isinstance(items, list)
+            and all(isinstance(e, dict) for e in items)):
+        raise _InputError(f"{what} must be a list of JSON objects")
+    return items
 
 
 def _cmd_score(args):
@@ -118,11 +137,15 @@ def _cmd_score(args):
         records = [json.loads(line)
                    for line in Path(args.detections).read_text().splitlines()
                    if line.strip()]
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise _InputError(str(exc))
+    if not isinstance(truth_doc, dict):
+        raise _InputError("the truth file is not a JSON object")
     try:
-        truth_by_t = {e["t"]: e["l"] for e in truth_doc["frames"]}
-        chosen = [(rec["t"], rec["chosen_l"]) for rec in records]
+        truth_by_t = {e["t"]: e["l"]
+                      for e in _objects(truth_doc["frames"], "truth frames")}
+        chosen = [(rec["t"], rec["chosen_l"])
+                  for rec in _objects(records, "detection records")]
     except KeyError as exc:
         raise _InputError(f"key {exc} missing from the truth file or the "
                           "detection records")
@@ -140,7 +163,7 @@ def _cmd_fit(args):
     cfg = _pipeline_config(args)
     try:
         sequence = load_sequence(args.manifest)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise _InputError(str(exc))
     by_t = {f.index: (f, m) for f, m in sequence}
     if args.t not in by_t:
@@ -153,14 +176,17 @@ def _cmd_fit(args):
         raise _InputError(f"frame {args.t}: {exc}")
     text = json.dumps(fit.to_json_dict(), sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise _InputError(str(exc))
     else:
         print(text)
     return 0
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cloudlayers",
         description="Detect one vs. two cloud motion layers in thermal "
                     "image sequences.")
@@ -200,9 +226,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,8 +43,10 @@ class WlkConfig:
     def __post_init__(self):
         if self.window_half_width < 1:
             raise ValueError("window_half_width must be >= 1")
-        if not 0 <= self.tau < math.inf:
-            raise ValueError("tau must be finite and >= 0")
+        # The solve multiplies two tau-shifted sums, so tau squared must be
+        # finite.
+        if not (0 <= self.tau and self.tau * self.tau < math.inf):
+            raise ValueError("tau must be >= 0 with a finite square")
 
     @property
     def window_width(self):

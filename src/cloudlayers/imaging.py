@@ -129,6 +129,9 @@ def write_sequence(directory, sequence):
 
 
 def _require_keys(doc, keys, manifest_path):
+    if not isinstance(doc, dict):
+        raise ValueError(f"manifest {manifest_path} holds {doc!r} where a "
+                         "JSON object belongs")
     missing = [k for k in keys if k not in doc]
     if missing:
         raise ValueError(f"manifest {manifest_path} lacks key "
@@ -146,6 +149,8 @@ def load_sequence(manifest_path):
     root = manifest_path.parent
 
     entries = manifest["frames"]
+    if not isinstance(entries, list):
+        raise ValueError(f"manifest {manifest_path} \"frames\" is not a list")
     for entry in entries:
         _require_keys(entry, ("t", "frame", "mask"), manifest_path)
     indices = [e["t"] for e in entries]

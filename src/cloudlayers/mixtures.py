@@ -69,8 +69,9 @@ A run stops on "tolerance" when l gains less than ``Q_REL_TOL`` relative
 over the first step of a cycle or over a whole cycle, and on "cap" after
 ``MAX_OUTER_ITERS`` E-steps. A one-cluster run stops after two E-steps.
 
-A fit records, at each cycle start and at the state it stops in, l
-(``ll_trace``) and the surrogate objective
+Each run returns its :class:`MixtureFit`, whose ``stop`` is derived from
+``converged``. A fit records, at each cycle start and at the state it stops
+in, l (``ll_trace``) and the surrogate objective
 
     Q = sum_i sum_l gamma_il [log pi_l + log p(x_i | theta_l)]
         + sum_l (alpha_l - 1) log pi_l
@@ -86,7 +87,7 @@ samples. An E-step can lower Q, but not l. The fit's Q is its last, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -619,33 +620,35 @@ class MixtureSpec:
             raise ValueError("cluster count must be 1 or 2")
         comps = tuple((str(f), str(k)) for f, k in self.components)
         alpha = np.asarray(self.dirichlet_alpha, float)
-        if alpha.ndim == 0:
-            alpha = np.full(self.n_clusters, float(alpha))
-        if alpha.size != self.n_clusters:
+        if alpha.shape != (self.n_clusters,):
             raise ValueError("one Dirichlet alpha per cluster required")
-        if not np.all((alpha >= 1.0) & (alpha < np.inf)):
-            raise ValueError("Dirichlet alphas must be finite and >= 1")
+        if not (np.all(alpha >= 1.0) and sum(alpha.tolist()) < math.inf):
+            raise ValueError("Dirichlet alphas must be >= 1 with a finite sum")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "dirichlet_alpha", tuple(alpha.tolist()))
 
 
-@dataclass
-class MixtureFit:
-    spec: MixtureSpec
+class MixtureFit(NamedTuple):
+    """The fit one EM run ends in."""
+    # Fixed field order: the benchmark's tracer reads result[5] as converged.
     params: list            # params[l][c] -> FamilyParams
     weights: np.ndarray     # pi, shape (L,)
     responsibilities: np.ndarray  # gamma, shape (N, L)
     log_dens: np.ndarray    # per-sample per-cluster log-likelihood, (N, L)
     q_trace: list           # Q at each cycle start and the final state
-    converged: bool
-    restart_id: int
-    stop: str               # "tolerance" or "cap"; see module doc
-    ll_trace: list          # the objective l at the same states
+    converged: bool         # stopped on "tolerance"; see module doc
     e_steps: int            # E-steps of this restart's run
+    spec: MixtureSpec
+    restart_id: int
+    ll_trace: list          # the objective l at the same states
 
     @property
     def q(self):
         return self.q_trace[-1]
+
+    @property
+    def stop(self):
+        return "tolerance" if self.converged else "cap"
 
     def to_json_dict(self):
         def enc(p):
@@ -683,8 +686,8 @@ class _FitData:
 
 
 def _component_data(features, spec):
-    """(n, _FitData): the features are checked finite, T is computed, its
-    sums checked finite and the support checked once per fit."""
+    """_FitData: the features are checked finite, T is computed, its sums
+    checked finite and the support checked once per fit."""
     comps, blocks = [], []
     n = None
     k = 0
@@ -710,7 +713,7 @@ def _component_data(features, spec):
         k += t.shape[1]
     blocks.append(np.ones((1, n)))
     stats = np.concatenate(blocks)
-    return n, _FitData(tuple(comps), stats, stats.sum(axis=1))
+    return _FitData(tuple(comps), stats, stats.sum(axis=1))
 
 
 def e_step(coef, pi, stats, totals):
@@ -884,13 +887,13 @@ class _Eval(NamedTuple):
     ll: float
 
 
-def _run_em(n, data, spec, gamma):
+def _run_em(data, spec, gamma, restart_id):
     """One SQUAREM-accelerated EM run from initial responsibilities
-    ``gamma``. Returns (params, pi, gamma, log_dens, q_trace, converged,
-    stop, e_steps, ll_trace)."""
+    ``gamma``. Returns the :class:`MixtureFit` it ends in."""
     alpha = spec.dirichlet_alpha
     prior = [a - 1.0 for a in alpha]
     stats = data.stats
+    n = stats.shape[1]
     empty = 1e-8 * n  # responsibility mass of an empty cluster
 
     def weights(sums):
@@ -927,7 +930,7 @@ def _run_em(n, data, spec, gamma):
     trace = []  # (q, l) at each cycle start, then the last
     evals = 0
     ev0 = None
-    stop = "cap"
+    converged = False
     step_max = STEP_MAX0
     while True:
         # A cycle: theta1 = F(theta0) and theta2 = F(theta1), then the
@@ -937,7 +940,7 @@ def _run_em(n, data, spec, gamma):
         last = ev0
         trace.append((ev0.q, ev0.ll))
         if start is not None and small(ev0, start):
-            stop = "tolerance"
+            converged = True
             break
         if evals == MAX_OUTER_ITERS:
             break
@@ -948,7 +951,6 @@ def _run_em(n, data, spec, gamma):
         if converged or evals == MAX_OUTER_ITERS:
             last = ev1
             trace.append((ev1.q, ev1.ll))
-            stop = "tolerance" if converged else "cap"
             break
         s2 = m_step(s1, ev1.sums)
         t0 = _vector(state)
@@ -977,12 +979,13 @@ def _run_em(n, data, spec, gamma):
         if k == step_max:
             step_max *= STEP_GROWTH
     q_trace, ll_trace = (list(v) for v in zip(*trace))
-    coef, pi = last.state.coef, last.state.pi
-    params = [[p for p, _, _ in row] for row in last.state.rows]
+    state = last.state
     # The (N, L) log-densities, with contiguous columns, once per run.
-    log_dens = (coef @ stats).T
-    return (params, pi, last.gamma, log_dens, q_trace, stop != "cap", stop,
-            evals, ll_trace)
+    return MixtureFit(params=[[p for p, _, _ in row] for row in state.rows],
+                      weights=state.pi, responsibilities=last.gamma,
+                      log_dens=(state.coef @ stats).T, q_trace=q_trace,
+                      converged=converged, e_steps=evals, spec=spec,
+                      restart_id=restart_id, ll_trace=ll_trace)
 
 
 def fit(features, spec, init_seed=0, restarts=3):
@@ -990,36 +993,32 @@ def fit(features, spec, init_seed=0, restarts=3):
 
     The first initialization splits the primary scalar feature at its median;
     the rest use random responsibilities. A one-cluster fit has a single
-    initialization (all responsibilities 1) and runs once. Raises
+    initialization (all responsibilities 1) and runs once. Each run returns
+    its fit, and the first of the highest Q is kept. Raises
     :class:`FitError` if every restart degenerates, and ``ValueError`` for
     ``restarts`` under 1.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    n, data = _component_data(features, spec)
+    data = _component_data(features, spec)
+    n = data.stats.shape[1]
     if n < spec.n_clusters:
         raise FitError("fewer samples than clusters")
     primary = _as_columns(data.components[0].x)[:, 0]
     rng = np.random.default_rng(init_seed)
-    best_fit = None
+    runs = []
     for r in range(1 if spec.n_clusters == 1 else restarts):
         mode = "split" if r == 0 else "random"
         gamma0 = _initial_gamma(n, spec.n_clusters, mode, primary, rng)
         try:
-            (params, pi, gamma, log_dens, q_trace, conv, stop, e_steps,
-             ll_trace) = _run_em(n, data, spec, gamma0)
+            runs.append(_run_em(data, spec, gamma0, r))
         except _EmptyClusterError:
             continue
-        if best_fit is None or q_trace[-1] > best_fit.q:
-            best_fit = MixtureFit(spec=spec, params=params, weights=pi,
-                                  responsibilities=gamma, log_dens=log_dens,
-                                  q_trace=q_trace, converged=conv,
-                                  restart_id=r, stop=stop,
-                                  ll_trace=ll_trace, e_steps=e_steps)
-    if best_fit is None:
+    if not runs:
         families = ", ".join(k for _, k in spec.components)
         raise FitError(f"all restarts degenerate for families: {families}")
-    return best_fit
+    # max replaces its pick only on a strictly higher Q: the first best wins.
+    return max(runs, key=lambda f: f.q)
 
 
 def resolve_labels(mixture_fit, temperature_means):
@@ -1036,8 +1035,8 @@ def resolve_labels(mixture_fit, temperature_means):
     if order == list(range(ncl)):
         return mixture_fit
     idx = np.asarray(order)
-    return replace(mixture_fit,
-                   params=[mixture_fit.params[l] for l in order],
-                   weights=mixture_fit.weights[idx],
-                   responsibilities=mixture_fit.responsibilities[:, idx],
-                   log_dens=mixture_fit.log_dens[:, idx])
+    return mixture_fit._replace(
+        params=[mixture_fit.params[l] for l in order],
+        weights=mixture_fit.weights[idx],
+        responsibilities=mixture_fit.responsibilities[:, idx],
+        log_dens=mixture_fit.log_dens[:, idx])

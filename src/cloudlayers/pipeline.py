@@ -81,8 +81,11 @@ class PipelineConfig:
             raise ValueError(
                 f"unknown model {self.model!r}; valid ids: "
                 + ", ".join(sorted(MODEL_ZOO)))
-        if not (1 <= self.alpha0 < math.inf and 1 <= self.alpha1 < math.inf):
-            raise ValueError("Dirichlet alphas must be finite and >= 1")
+        # A two-cluster fit's weights divide by the sum of two alphas.
+        if not (1 <= self.alpha0 and 1 <= self.alpha1
+                and 2.0 * max(self.alpha0, self.alpha1) < math.inf):
+            raise ValueError("Dirichlet alphas must be >= 1, and the sum "
+                             "of two must be finite")
         if not 0 <= self.hmm_beta < math.inf:
             raise ValueError("hmm_beta must be finite and >= 0")
         if self.init_l not in (1, 2):

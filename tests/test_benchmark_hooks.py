@@ -2,11 +2,13 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from cloudlayers import mixtures, pipeline
+from cloudlayers import flow, hmm, mixtures, pipeline, selection
 from cloudlayers.imaging import SegmentationMask
 from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
@@ -37,12 +39,33 @@ def test_run_em_result_keeps_converged_at_index_five():
     x = np.random.default_rng(36).gamma(2, 1, 100) + 1e-6
     spec = mixtures.MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
                                 dirichlet_alpha=(1.0, 1.0))
-    n, data = mixtures._component_data({"x": x}, spec)
-    gamma = mixtures._initial_gamma(n, 2, "split", x, None)
-    result = mixtures._run_em(n, data, spec, gamma)
+    data = mixtures._component_data({"x": x}, spec)
+    gamma = mixtures._initial_gamma(x.size, 2, "split", x, None)
+    result = mixtures._run_em(data, spec, gamma, 0)
     assert isinstance(result, tuple)
     assert isinstance(result[5], bool)
     assert len(result[-1]) == len(result[4])
+
+
+def test_tracer_reads_every_hook_of_a_detection_run():
+    # The tracer reads the results of mixtures.fit and _run_em by shape; a
+    # result it cannot read is reported as broken, not raised.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    cl = SimpleNamespace(pipeline=pipeline, flow=flow, mixtures=mixtures,
+                         selection=selection, hmm=hmm)
+    seq, _ = generate(SynthSpec(shape=(30, 40), frames=3, seed=2, layers=(
+        LayerSpec(base_temp=285.0, velocity=(1.0, 0.0)),
+        LayerSpec(base_temp=265.0, velocity=(-1.0, 1.0)))))
+    tracer = spans.Tracer()
+    with tracer.installed(cl):
+        pipeline.process_sequence([(f, m) for f, m, _ in seq],
+                                  pipeline.PipelineConfig())
+    assert tracer.missing == [] and tracer.broken == {}
+    restarts = [note for i, note in tracer.notes.items()
+                if tracer.spans[i][0] == "mixtures.restart"]
+    assert restarts and all(isinstance(n, bool) for n in restarts)
 
 
 def test_process_sequence_calls_process_frame_once_per_transition(

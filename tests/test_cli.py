@@ -1,13 +1,17 @@
 """CLI subcommands: exit codes, outputs and determinism."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudlayers.cli import _pipeline_config, build_parser, main
 from cloudlayers.imaging import Frame, SegmentationMask, write_sequence
-from cloudlayers.pipeline import PipelineConfig
+from cloudlayers.pipeline import MODEL_ZOO, PipelineConfig
 from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
 
@@ -165,7 +169,52 @@ def _flat_manifest(tmp_path, frames=2, drop=None):
     return str(path)
 
 
+def _cloud_manifest(tmp_path):
+    """The manifest of a two-frame 24 x 32 synthetic cloud sequence."""
+    seq, _ = generate(SynthSpec(shape=(24, 32), frames=2, seed=3, layers=(
+        LayerSpec(base_temp=280.0, velocity=(1, 0)),)))
+    return str(write_sequence(tmp_path / "cloud",
+                              [(f, m) for f, m, _ in seq]))
+
+
+def _manifest_with_frames(tmp_path, frames):
+    """A flat manifest whose "frames" value is replaced by ``frames``."""
+    path = Path(_flat_manifest(tmp_path))
+    doc = json.loads(path.read_text())
+    doc["frames"] = frames
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _score_files(tmp_path, truth, detections):
+    return ["score", "--truth", _write(tmp_path / "truth.json", truth),
+            "--detections", _write(tmp_path / "det.jsonl", detections)]
+
+
 INPUT_ERRORS = {
+    "no-command": lambda d: [],
+    "score-detections-directory": lambda d: [
+        "score", "--detections", str(d), "--truth",
+        _write(d / "truth.json", json.dumps({"frames": []}))],
+    "score-truth-directory": lambda d: [
+        "score", "--truth", str(d), "--detections",
+        _write(d / "det.jsonl", json.dumps({"t": 0, "chosen_l": 1}) + "\n")],
+    "detect-manifest-directory": lambda d: [
+        "detect", "--manifest", str(d), "--out", str(d / "o.jsonl")],
+    "fit-manifest-directory": lambda d: [
+        "fit", "--manifest", str(d), "--t", "0"],
+    "synth-out-existing-file": lambda d: [
+        "synth", "--out", _write(d / "taken", "")],
+    "detections-line-not-an-object": lambda d: _score_files(
+        d, json.dumps({"frames": [{"t": 0, "l": 1}]}), "3\n"),
+    "truth-frames-not-a-list": lambda d: _score_files(
+        d, json.dumps({"frames": 5}),
+        json.dumps({"t": 0, "chosen_l": 1}) + "\n"),
+    "manifest-frames-not-a-list": lambda d: [
+        "detect", "--manifest", _manifest_with_frames(d, 5),
+        "--out", str(d / "o.jsonl")],
+    "manifest-frame-not-an-object": lambda d: [
+        "fit", "--manifest", _manifest_with_frames(d, [5]), "--t", "0"],
     "synth-one-frame": lambda d: ["synth", "--out", str(d / "s"),
                                   "--frames", "1"],
     "synth-zero-height": lambda d: ["synth", "--out", str(d / "s"),
@@ -209,7 +258,13 @@ INPUT_ERRORS = {
        for flag, value in (("beta", "nan"), ("beta", "inf"),
                            ("alpha0", "nan"), ("alpha1", "nan"),
                            ("alpha1", "inf"), ("tau", "nan"),
-                           ("tau", "inf"))},
+                           ("tau", "inf"), ("window", "abc"),
+                           ("init-l", "3"))},
+    **{f"detect-{flag}-{value}-overflows": (lambda d, flag=flag, value=value: [
+        "detect", "--manifest", _cloud_manifest(d), "--window", "4",
+        f"--{flag}", value, "--out", str(d / "o.jsonl")])
+       for flag, value in (("alpha0", "1e308"), ("alpha1", "1e308"),
+                           ("tau", "1e155"))},
     "detect-negative-seed": lambda d: [
         "detect", "--manifest", _flat_manifest(d), "--seed", "-1",
         "--out", str(d / "o.jsonl")],
@@ -332,3 +387,114 @@ def test_detect_records_degenerate_frames_as_failed(tmp_path, case, message):
         assert rec["flags"] == {"frame_failed": True}
         assert message in rec["error"]
         assert rec["chosen_l"] == 2
+
+
+def _above(text, cap):
+    try:
+        return int(text) > cap
+    except ValueError:
+        return False
+
+
+def _values(valid, cap=None):
+    """A flag's (in-range, beyond-range) value strategies. Beyond its range
+    lie other numbers, NaN, +-inf and non-numeric text. With ``cap``, no
+    value parses as an integer above it: a valid huge size is a real
+    request for a huge run, not an input error."""
+    beyond = st.one_of(
+        st.integers(max_value=cap).map(str), st.floats().map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "abc", "", "1e3", "0x1"]),
+        st.text(max_size=4))
+    if cap is not None:
+        beyond = beyond.filter(lambda v: not _above(v, cap))
+    return valid.map(str), beyond
+
+
+def _paths(valid, *invalid):
+    """A path flag's (valid, invalid) values, by name in ``flag_files``."""
+    return (st.just(Path(valid)),
+            st.sampled_from([Path(name) for name in invalid]))
+
+
+# Two alphas must have a finite sum, and tau a finite square.
+_ALPHA = st.floats(min_value=1.0, max_value=2.0 ** 1023, exclude_max=True)
+_ONE_OR_TWO = st.sampled_from([1, 2])
+_SEED = st.integers(min_value=0)
+_PIPELINE_FLAGS = {
+    "--model": _values(st.sampled_from(sorted(MODEL_ZOO))),
+    "--alpha0": _values(_ALPHA), "--alpha1": _values(_ALPHA),
+    "--beta": _values(st.floats(min_value=0.0, allow_infinity=False)),
+    "--window": _values(st.integers(1, 12)),
+    "--tau": _values(st.floats(0.0, 1.3407807929942596e154)),
+    "--seed": _values(_SEED), "--init-l": _values(_ONE_OR_TWO),
+    "--restarts": _values(st.integers(1, 4), cap=4),
+}
+_INPUTS = ("garbage", "directory", "missing")
+_FLAGS = {
+    "synth": {"--out": _paths("fresh", "garbage"),
+              "--layers": _values(_ONE_OR_TWO),
+              "--frames": _values(st.integers(2, 8), cap=64),
+              "--height": _values(st.integers(1, 64), cap=64),
+              "--width": _values(st.integers(1, 64), cap=64),
+              "--noise-sigma": _values(
+                  st.floats(min_value=0.0, allow_infinity=False)),
+              "--change-point": _values(st.integers(1, 7)),
+              "--seed": _values(_SEED),
+              "--spec": _paths("spec", *_INPUTS)},
+    "detect": {"--manifest": _paths("manifest", *_INPUTS),
+               "--out": _paths("output", "directory", "missing"),
+               **_PIPELINE_FLAGS},
+    "fit": {"--manifest": _paths("manifest", *_INPUTS),
+            "--t": _values(st.integers(0, 1)), "--l": _values(_ONE_OR_TWO),
+            "--out": _paths("output", "directory", "missing"),
+            **_PIPELINE_FLAGS},
+    "score": {"--detections": _paths("detections", "truth", *_INPUTS),
+              "--truth": _paths("truth", "detections", *_INPUTS)},
+}
+_REQUIRED = {"synth": ["--out"], "detect": ["--manifest", "--out"],
+             "fit": ["--manifest", "--t"],
+             "score": ["--detections", "--truth"]}
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory):
+    """A tiny two-frame sequence with its truth and detections, and the
+    other paths a path flag can name."""
+    d = tmp_path_factory.mktemp("flags")
+    seq = d / "seq"
+    assert main(["synth", "--out", str(seq), "--frames", "2", "--height",
+                 "24", "--width", "32"]) == 0
+    assert main(["detect", "--manifest", str(seq / "manifest.json"),
+                 "--out", str(d / "det.jsonl"), "--window", "4"]) == 0
+    return {"manifest": seq / "manifest.json", "truth": seq / "truth.json",
+            "detections": d / "det.jsonl",
+            "spec": Path(_write(d / "spec.json", json.dumps({
+                "shape": [24, 32], "frames": 2,
+                "layers": [{"base_temp": 280.0, "velocity": [1, 0]}]}))),
+            "garbage": Path(_write(d / "garbage.json", "3\n")),
+            "output": d / "out.json", "directory": d,
+            "missing": d / "none" / "x.json"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_no_flag_value_is_an_internal_failure(flag_files, data):
+    # Each run gives some flags in-range values and at most one flag a
+    # value beyond its range, so about half the runs are valid requests.
+    command = data.draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    bad = data.draw(st.one_of(st.none(), st.sampled_from(sorted(flags))))
+    argv = [command]
+    for flag, (valid, beyond) in sorted(flags.items()):
+        if flag in (bad, *_REQUIRED[command]) or data.draw(st.booleans()):
+            value = data.draw(beyond if flag == bad else valid, label=flag)
+            if value == Path("fresh"):
+                value = tempfile.mkdtemp(dir=flag_files["directory"])
+            elif isinstance(value, Path):
+                value = flag_files[value.name]
+            argv += [flag, str(value)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    assert code in (0, 1), argv

@@ -302,6 +302,13 @@ def test_intensity_image_range_and_errors():
     np.testing.assert_allclose(flat, 0.0)
 
 
+def test_wlk_config_rejects_a_tau_whose_square_overflows():
+    # The solve's determinant multiplies two tau-shifted sums.
+    with pytest.raises(ValueError, match="finite square"):
+        WlkConfig(tau=1e155)
+    assert WlkConfig(tau=1e150).tau == 1e150
+
+
 def test_wlk_config_validation():
     with pytest.raises(ValueError):
         WlkConfig(window_half_width=0)

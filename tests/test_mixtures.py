@@ -482,7 +482,7 @@ def test_one_cluster_fit_runs_em_once(monkeypatch):
     run_em = mixtures._run_em
 
     def counted(*args):
-        calls.append(args[2].n_clusters)
+        calls.append(args[1].n_clusters)
         return run_em(*args)
 
     monkeypatch.setattr(mixtures, "_run_em", counted)
@@ -493,6 +493,22 @@ def test_one_cluster_fit_runs_em_once(monkeypatch):
         f = fit({"x": x}, spec, init_seed=0, restarts=3)
     assert calls == [1, 2, 2, 2]
     assert f.spec.n_clusters == 2
+
+
+@pytest.mark.parametrize("qs,winner", [((1.0, 0.0, 1.0), 0),
+                                       ((1.0, 0.0, 2.0), 2)])
+def test_fit_keeps_the_first_run_of_the_highest_q(monkeypatch, qs, winner):
+    run_em = mixtures._run_em
+
+    def with_q(data, spec, gamma, restart_id):
+        run = run_em(data, spec, gamma, restart_id)
+        return run._replace(q_trace=[qs[restart_id]])
+
+    monkeypatch.setattr(mixtures, "_run_em", with_q)
+    x = np.random.default_rng(33).gamma(2, 1, 200) + 1e-6
+    spec = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
+                       dirichlet_alpha=(1.0, 1.0))
+    assert fit({"x": x}, spec, init_seed=0, restarts=3).restart_id == winner
 
 
 def test_m_step_von_mises_point_mass_hits_ceiling():
@@ -629,6 +645,16 @@ def test_mixture_spec_validation():
     with pytest.raises(ValueError):
         MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
                     dirichlet_alpha=(1.0,))
+    with pytest.raises(ValueError, match="one Dirichlet alpha per cluster"):
+        MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
+                    dirichlet_alpha=1.0)
+
+
+def test_mixture_spec_rejects_alphas_whose_sum_overflows():
+    # The MAP weights divide by the sum; an infinite one makes them NaN.
+    with pytest.raises(ValueError, match="finite sum"):
+        MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
+                    dirichlet_alpha=(1e308, 1e308))
 
 
 def test_factorized_log_density_is_additive():
@@ -818,7 +844,8 @@ def test_state_round_trips_through_its_natural_form(name, n_clusters):
     comps = _REFERENCE_SPECS.get(name, (("x", name.removesuffix("_2d")),))
     spec = MixtureSpec(n_clusters=n_clusters, components=comps,
                        dirichlet_alpha=(1.0,) * n_clusters)
-    n, data = mixtures._component_data(feats, spec)
+    data = mixtures._component_data(feats, spec)
+    n = data.stats.shape[1]
     gamma = mixtures._initial_gamma(n, n_clusters, "split",
                                     mixtures._as_columns(feats["x"])[:, 0],
                                     None)
