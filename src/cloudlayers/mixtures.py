@@ -91,6 +91,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import psi as _psi
 from scipy.special import zeta as _zeta
 
 from .numerics import (MIN_ARG, PARAM_CEIL, bessel_i_ratio, clamp_positive,
@@ -259,10 +260,6 @@ def _log_beta_fn(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _beta_objective(s, a, b):
-    return (a - 1.0) * s[0] + (b - 1.0) * s[1] - _log_beta_fn(a, b)
-
-
 def _beta_m_step(s, start):
     """Beta parameters maximizing the beta objective at mean statistic s.
 
@@ -277,12 +274,16 @@ def _beta_m_step(s, start):
         g1, g2 = math.exp(s[0]), math.exp(s[1])
         slack = max(2.0 * (1.0 - g1 - g2), 1.0 / PARAM_CEIL)
         a, b = 0.5 + g1 / slack, 0.5 + g2 / slack
-    f = _beta_objective(s, a, b)
+    lgamma = math.lgamma
+    f = (a - 1.0) * s[0] + (b - 1.0) * s[1] - (lgamma(a) + lgamma(b)
+                                                - lgamma(a + b))
     for _ in range(NEWTON_MAX_ITERS):
-        # Scalar psi calls cost less than one call on a list of the three
-        # arguments. For the trigammas zeta(2, .), which has two arguments,
-        # one call on the list costs less than three of ``trigamma``.
-        psa, psb, dab = digamma(a), digamma(b), digamma(a + b)
+        # a and b stay positive, so psi is called unchecked. Scalar psi
+        # calls cost less than one call on a list of the three arguments.
+        # For the trigammas zeta(2, .), which has two arguments, one call on
+        # the list costs less than three of ``trigamma``.
+        psa, psb = float(_psi(a)), float(_psi(b))
+        dab = float(_psi(a + b))
         ta, tb, t = _zeta(2.0, [a, b, a + b]).tolist()
         g1 = s[0] - psa + dab
         g2 = s[1] - psb + dab
@@ -303,7 +304,8 @@ def _beta_m_step(s, start):
         while step > 1e-12:
             na, nb = a + step * da, b + step * db
             if na > 0 and nb > 0:
-                fn = _beta_objective(s, na, nb)
+                fn = (na - 1.0) * s[0] + (nb - 1.0) * s[1] - (
+                    lgamma(na) + lgamma(nb) - lgamma(na + nb))
                 if fn >= f:
                     break
             step *= 0.5
@@ -567,7 +569,10 @@ def _floor_covariance(cov, floor):
 
 def _mean_log_density(s, eta, a):
     """s @ eta - a on short float sequences."""
-    return sum(si * ei for si, ei in zip(s, eta)) - a
+    total = 0.0
+    for si, ei in zip(s, eta):
+        total += si * ei
+    return total - a
 
 
 def _exact_m_step(family, s, warm):
