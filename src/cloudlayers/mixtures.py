@@ -17,6 +17,15 @@ exponential families: each has a statistic T(x), a log-density
   eigenvalues floored at a fraction of the samples' variance. Centring keeps
   the quadratic terms of Kelvin-scale temperatures from cancelling.
 
+The cold M-step that starts each run, and ``m_step_params``, are exact. The
+warm M-steps of a run start from the previous state's parameters. For beta
+and von Mises each is one guarded Newton step from there: beta's trigamma
+step with the exact M-step's step halving, and for von Mises the mean
+direction and one Newton step on kappa. The other families have no warm
+Newton start and solve exactly. Generalized EM (Dempster, Laird & Rubin
+1977; the EM gradient algorithm of Lange 1995) needs only that no M-step
+lowers ``s @ eta - A``, and none does.
+
 One EM run works on data prepared once per fit: the statistics of every
 component stacked as the rows of one (K + 1, N) array, with a last row of
 ones, and their sums over the samples. An iteration then makes a few passes
@@ -260,11 +269,52 @@ def _log_beta_fn(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _beta_newton(s, a, b):
+    """The Newton step (da, db) of the beta objective at (a, b), with the
+    trigamma Hessian (Minka, "Estimating a Dirichlet distribution"), and the
+    gain g . (da, db) its quadratic model predicts; None where the Hessian
+    is not negative definite."""
+    # a and b are positive, so psi is called unchecked. Scalar psi calls
+    # cost less than one call on a list of the three arguments. For the
+    # trigammas zeta(2, .), which has two arguments, one call on the list
+    # costs less than three of ``trigamma``.
+    psa, psb = float(_psi(a)), float(_psi(b))
+    dab = float(_psi(a + b))
+    ta, tb, t = _zeta(2.0, [a, b, a + b]).tolist()
+    g1 = s[0] - psa + dab
+    g2 = s[1] - psb + dab
+    h11 = ta - t
+    h22 = tb - t
+    det = h11 * h22 - t * t
+    if not det > 0:
+        return None
+    da = (h22 * g1 + t * g2) / det
+    db = (t * g1 + h11 * g2) / det
+    return da, db, g1 * da + g2 * db
+
+
+def _beta_line_search(s, a, b, da, db, f):
+    """The first of (a, b) + (da, db) / 2^j, j = 0, 1, ..., that stays in
+    the positive quadrant and does not lower the beta objective from f, as
+    (a', b', its objective, log B(a', b')); None if no step over 1e-12 does.
+    """
+    lgamma = math.lgamma
+    step = 1.0
+    while step > 1e-12:
+        na, nb = a + step * da, b + step * db
+        if na > 0 and nb > 0:
+            log_b = lgamma(na) + lgamma(nb) - lgamma(na + nb)
+            fn = (na - 1.0) * s[0] + (nb - 1.0) * s[1] - log_b
+            if fn >= f:
+                return na, nb, fn, log_b
+        step *= 0.5
+    return None
+
+
 def _beta_m_step(s, start):
     """Beta parameters maximizing the beta objective at mean statistic s.
 
-    Newton with the trigamma Hessian (Minka, "Estimating a Dirichlet
-    distribution"), halving steps that leave the positive quadrant or lower
+    Newton steps, halving those that leave the positive quadrant or lower
     the objective. Starts from ``start`` or, without one, from the
     geometric-mean approximation a = 1/2 + G1 / (2 (1 - G1 - G2)).
     """
@@ -278,43 +328,47 @@ def _beta_m_step(s, start):
     f = (a - 1.0) * s[0] + (b - 1.0) * s[1] - (lgamma(a) + lgamma(b)
                                                 - lgamma(a + b))
     for _ in range(NEWTON_MAX_ITERS):
-        # a and b stay positive, so psi is called unchecked. Scalar psi
-        # calls cost less than one call on a list of the three arguments.
-        # For the trigammas zeta(2, .), which has two arguments, one call on
-        # the list costs less than three of ``trigamma``.
-        psa, psb = float(_psi(a)), float(_psi(b))
-        dab = float(_psi(a + b))
-        ta, tb, t = _zeta(2.0, [a, b, a + b]).tolist()
-        g1 = s[0] - psa + dab
-        g2 = s[1] - psb + dab
-        h11 = ta - t
-        h22 = tb - t
-        det = h11 * h22 - t * t
-        if not det > 0:
+        newton = _beta_newton(s, a, b)
+        if newton is None:
             break
-        da = (h22 * g1 + t * g2) / det
-        db = (t * g1 + h11 * g2) / det
-        if g1 * da + g2 * db <= BETA_GAIN_RTOL * (1.0 + abs(f)):
+        da, db, gain = newton
+        if gain <= BETA_GAIN_RTOL * (1.0 + abs(f)):
             # The quadratic model's gain is near rounding, where the
             # objective cannot rank the step: take it unchecked, as the last.
             if a + da > 0 and b + db > 0:
                 a, b = a + da, b + db
             break
-        step = 1.0
-        while step > 1e-12:
-            na, nb = a + step * da, b + step * db
-            if na > 0 and nb > 0:
-                fn = (na - 1.0) * s[0] + (nb - 1.0) * s[1] - (
-                    lgamma(na) + lgamma(nb) - lgamma(na + nb))
-                if fn >= f:
-                    break
-            step *= 0.5
-        else:
+        found = _beta_line_search(s, a, b, da, db, f)
+        if found is None:
             break  # no ascent left at double precision
-        a, b, f = na, nb, fn
+        a, b, f, _ = found
         if a >= PARAM_CEIL or b >= PARAM_CEIL:
             break
     return BetaParams(alpha=clamp_positive(a), beta=clamp_positive(b))
+
+
+def _beta_warm_step(s, warm):
+    """One Newton step of the beta objective at mean statistic s from the
+    warm (params, eta, A) triple, with the exact M-step's step halving; the
+    new triple, or ``warm`` where no step gains.
+
+    The line search already checks ascent on s @ eta - A, so the accepted
+    point's natural form is built once, from the values it checked.
+    """
+    p, eta, log_b = warm
+    a, b = p.alpha, p.beta
+    newton = _beta_newton(s, a, b)
+    if newton is None:
+        return warm
+    found = _beta_line_search(s, a, b, newton[0], newton[1],
+                              _mean_log_density(s, eta, log_b))
+    if found is None:
+        return warm
+    na, nb, _, log_b = found
+    if not (MIN_ARG <= na <= PARAM_CEIL and MIN_ARG <= nb <= PARAM_CEIL):
+        clamped = BetaParams(alpha=clamp_positive(na), beta=clamp_positive(nb))
+        return _no_worse(s, clamped, _beta_natural, warm)
+    return BetaParams(alpha=na, beta=nb), (na - 1.0, nb - 1.0), log_b
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +439,24 @@ def _von_mises_m_step(s, start):
                           kappa=_von_mises_kappa(math.hypot(c, sn)))
 
 
+def _von_mises_warm_step(s, warm):
+    """The mean direction, and one Newton step on I1/I0 = R from the warm
+    kappa; ``warm`` where the new point would lower s @ eta - A. An R at or
+    past either bound of :func:`_von_mises_kappa` takes its clamped kappa.
+    """
+    c, sn = s
+    r = math.hypot(c, sn)
+    if 0.5 * MIN_ARG < r < 1.0 - 0.5 / PARAM_CEIL:
+        k = warm[0].kappa
+        a = bessel_i_ratio(k)
+        k_new = k - (a - r) / (1.0 - a / k - a * a)
+        kappa = clamp_positive(k_new if k_new > 0 else 0.5 * k)
+    else:
+        kappa = _von_mises_kappa(r)
+    new = VonMisesParams(mu=math.atan2(sn, c), kappa=kappa)
+    return _no_worse(s, new, _von_mises_natural, warm)
+
+
 def _bivariate_gamma_statistic(x):
     xy = _as_columns(x)
     if np.any(xy <= 0):
@@ -420,6 +492,9 @@ class _Family:
     natural: object    # params -> (eta, A), log p(x) = T(x) @ eta - A
     m_step: object     # (mean of T, warm start or None) -> maximizing params
     from_natural: object  # eta -> params, or None outside the family's domain
+    # (mean of T, warm (params, eta, A)) -> a triple no worse than the warm
+    # one: EM's warm M-step. None: the exact M-step, guarded.
+    warm_step: object = None
 
 
 def _gaussian_family(center, floor):
@@ -473,9 +548,10 @@ _FAMILIES = {
     "gamma": _Family(_gamma_statistic, _gamma_natural, _gamma_m_step,
                      _gamma_from_natural),
     "beta": _Family(_beta_statistic, _beta_natural, _beta_m_step,
-                    _beta_from_natural),
+                    _beta_from_natural, _beta_warm_step),
     "von_mises": _Family(_von_mises_statistic, _von_mises_natural,
-                         _von_mises_m_step, _von_mises_from_natural),
+                         _von_mises_m_step, _von_mises_from_natural,
+                         _von_mises_warm_step),
     "bivariate_gamma": _Family(_bivariate_gamma_statistic,
                                _bivariate_gamma_natural,
                                _bivariate_gamma_m_step,
@@ -575,21 +651,37 @@ def _mean_log_density(s, eta, a):
     return total - a
 
 
+def _no_worse(s, new, natural, warm):
+    """The (params, eta, A) triple of ``new``, or the triple ``warm`` when
+    ``new`` would lower the objective s @ eta - A."""
+    eta, a = natural(new)
+    obj = _mean_log_density(s, eta, a)
+    if not math.isfinite(obj) or obj < _mean_log_density(s, *warm[1:]):
+        return warm
+    return new, eta, a
+
+
 def _exact_m_step(family, s, warm):
-    """The family's M-step at mean statistic s, as a (params, eta, A) triple
-    of the new parameters and their natural form.
+    """The family's exact M-step at mean statistic s, as a (params, eta, A)
+    triple of the new parameters and their natural form.
 
     ``warm``, the previous EM iteration's triple, is the warm start; it is
     returned when the new point would lower the objective s @ eta - A, so no
     M-step lowers Q. With ``warm`` None the M-step starts cold, unguarded.
     """
-    new = family.m_step(s, None if warm is None else warm[0])
-    eta, a = family.natural(new)
-    if warm is not None:
-        obj = _mean_log_density(s, eta, a)
-        if not math.isfinite(obj) or obj < _mean_log_density(s, *warm[1:]):
-            return warm
-    return new, eta, a
+    if warm is None:
+        new = family.m_step(s, None)
+        return (new, *family.natural(new))
+    return _no_worse(s, family.m_step(s, warm[0]), family.natural, warm)
+
+
+def _em_m_step(family, s, warm):
+    """EM's M-step at mean statistic s: the family's warm step from the
+    triple ``warm`` where it has one, else the exact M-step. Either keeps
+    s @ eta - A from falling, which is all generalized EM needs."""
+    if warm is None or family.warm_step is None:
+        return _exact_m_step(family, s, warm)
+    return family.warm_step(s, warm)
 
 
 def m_step_params(x, gamma_l, params):
@@ -847,7 +939,7 @@ def _m_step(data, sums, rows, pi):
     for warm_row, col in zip(rows, sums.T.tolist()):
         gsum = col[-1]
         means = [v / gsum for v in col[:-1]]
-        new_rows.append([_exact_m_step(comp.family, means[comp.rows], warm)
+        new_rows.append([_em_m_step(comp.family, means[comp.rows], warm)
                          for comp, warm in zip(data.components, warm_row)])
     return _new_state(new_rows, pi)
 

@@ -1,5 +1,6 @@
 """Likelihood families, analytic gradients and the MAP-EM driver."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -9,7 +10,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.stats
 from scipy.special import logsumexp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cloudlayers import mixtures
@@ -19,7 +20,7 @@ from cloudlayers.mixtures import (BetaParams, BivariateGammaParams, FitError,
                                   log_dirichlet_prior, log_pdf,
                                   log_pdf_gradient, m_step_params,
                                   m_step_weights, resolve_labels)
-from cloudlayers.numerics import PARAM_CEIL
+from cloudlayers.numerics import MIN_ARG, PARAM_CEIL
 from oracles import cdll, finite_diff_gradient
 
 # ---------------------------------------------------------------------------
@@ -477,6 +478,113 @@ def test_m_step_keeps_a_warm_start_it_cannot_beat():
     assert m_step_params(x, np.ones(50), start) is start
 
 
+# ---------------------------------------------------------------------------
+# EM's warm M-step: one guarded Newton step for beta and von Mises
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _warm_case(draw, kind):
+    """(family, weighted mean statistic, samples, weights, warm triple)."""
+    n = draw(st.integers(2, 12))
+    if kind == "beta":
+        xs = st.floats(1e-4, 1.0 - 1e-4)
+        warm = BetaParams(draw(_log_uniform(0.05, 500.0)),
+                          draw(_log_uniform(0.05, 500.0)))
+    else:
+        xs = st.floats(-math.pi, math.pi)
+        warm = VonMisesParams(draw(st.floats(-math.pi, math.pi)),
+                              draw(_log_uniform(1e-3, 1e4)))
+    x = np.array(draw(st.lists(xs, min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    family = mixtures._family(kind, x)
+    s = ((g @ family.statistic(x)) / g.sum()).tolist()
+    return family, s, x, g, (warm, *family.natural(warm))
+
+
+def _assert_in_domain(p):
+    if p.kind == "beta":
+        assert MIN_ARG <= p.alpha <= PARAM_CEIL
+        assert MIN_ARG <= p.beta <= PARAM_CEIL
+    else:
+        assert -math.pi <= p.mu <= math.pi
+        assert MIN_ARG <= p.kappa <= PARAM_CEIL
+
+
+@pytest.mark.parametrize("kind", ["beta", "von_mises"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_warm_step_never_lowers_the_objective(kind, data):
+    family, s, _, _, warm = data.draw(_warm_case(kind))
+    new = mixtures._em_m_step(family, s, warm)
+    _assert_in_domain(new[0])
+    # The triple is the new parameters' natural form, as built from them.
+    eta, a = family.natural(new[0])
+    assert list(new[1]) == list(eta) and new[2] == a
+    assert (mixtures._mean_log_density(s, *new[1:])
+            >= mixtures._mean_log_density(s, *warm[1:]))
+
+
+# m_step_params is exact to rounding, not to the last bit. The beta Newton
+# takes its last step unchecked once the gain it predicts is under
+# BETA_GAIN_RTOL, which leaves up to about 5e-12 relative in the shapes
+# against a 40-digit root; kappa's root moves by about 2 kappa ulps of R. A
+# warm step that is not fixed there moves the parameters far more.
+FIXED_POINT_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("kind", ["beta", "von_mises"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_warm_step_is_fixed_at_the_exact_optimum(kind, data):
+    family, s, x, g, _ = data.draw(_warm_case(kind))
+    # Samples all but equal have their optimum past the parameter ceiling.
+    assume(np.ptp(x) > 0.01)
+    exact = m_step_params(x, g, _STARTS[kind])
+    got = mixtures._em_m_step(family, s, (exact, *family.natural(exact)))[0]
+    for field in vars(exact):
+        assert getattr(got, field) == pytest.approx(getattr(exact, field),
+                                                    rel=FIXED_POINT_RTOL,
+                                                    abs=1e-300)
+
+
+def test_von_mises_warm_step_keeps_a_warm_start_its_step_would_lower():
+    # At R = 0.476 the root is near kappa = 1.08. From the mean direction
+    # and kappa = 2.418 the Newton step overshoots to about 0.013, where
+    # s @ eta - A is lower, so the warm triple is kept.
+    family = mixtures._family("von_mises", np.zeros(1))
+    warm = VonMisesParams(0.0, 2.418)
+    triple = (warm, *family.natural(warm))
+    assert mixtures._em_m_step(family, [0.476, 0.0], triple) is triple
+
+
+def test_warm_beta_m_step_evaluates_the_trigammas_once(monkeypatch):
+    # Generalized EM: each warm beta M-step inside _run_em takes one Newton
+    # step, so it evaluates zeta(2, [a, b, a + b]) once.
+    zetas, per_step = [], []
+    real_zeta, real_step = mixtures._zeta, mixtures._beta_warm_step
+
+    def zeta(*args):
+        zetas.append(args)
+        return real_zeta(*args)
+
+    def warm_step(s, warm):
+        before = len(zetas)
+        out = real_step(s, warm)
+        per_step.append(len(zetas) - before)
+        return out
+
+    monkeypatch.setattr(mixtures, "_zeta", zeta)
+    monkeypatch.setitem(mixtures._FAMILIES, "beta", dataclasses.replace(
+        mixtures._FAMILIES["beta"], warm_step=warm_step))
+    spec = MixtureSpec(n_clusters=2, components=(("x", "beta"),),
+                       dirichlet_alpha=(1.0, 1.0))
+    fit(_reference_case("beta", np.random.default_rng(41)), spec, init_seed=0)
+    assert len(per_step) > 10 and set(per_step) == {1}
+
+
 def test_one_cluster_fit_runs_em_once(monkeypatch):
     calls = []
     run_em = mixtures._run_em
@@ -712,9 +820,19 @@ def _log_posterior(log_dens, pi, alpha):
             + log_dirichlet_prior(np.log(pi), alpha))
 
 
-def _plain_em(xs, kinds, spec, gamma, steps=None):
+def _warm_m_step_params(x, gamma_l, params):
+    """The EM loop's warm M-step from ``params`` at the gamma-weighted mean
+    of T(x): one guarded Newton step for beta and von Mises, else exact."""
+    g = np.asarray(gamma_l, float)
+    family = mixtures._family(params.kind, x)
+    s = ((g @ family.statistic(x)) / g.sum()).tolist()
+    return mixtures._em_m_step(family, s, (params, *family.natural(params)))[0]
+
+
+def _plain_em(xs, kinds, spec, gamma, steps=None, m_step=m_step_params):
     """Plain MAP-EM from the public steps, one cluster and component at a
-    time: log_pdf, e_step, m_step_weights and m_step_params. Runs ``steps``
+    time: log_pdf, e_step, m_step_weights and m_step_params, with ``m_step``
+    in place of the latter from the second M-step on. Runs ``steps``
     E-steps, or without a count stops when an E-step finds the objective
     gained less than the fit's tolerance. Returns (objective trace, Q
     trace)."""
@@ -735,7 +853,7 @@ def _plain_em(xs, kinds, spec, gamma, steps=None):
                 < mixtures.Q_REL_TOL * (1 + abs(ll))):
             break
         pi = m_step_weights(gamma.sum(axis=0), alpha, n)
-        params = [[m_step_params(x, gamma[:, l], params[l][c])
+        params = [[m_step(x, gamma[:, l], params[l][c])
                    for c, x in enumerate(xs)] for l in range(ncl)]
     return ll_trace, q_trace
 
@@ -861,7 +979,8 @@ def test_state_round_trips_through_its_natural_form(name, n_clusters):
 def _fallback_case(monkeypatch, name, edit):
     """Fit ``name``'s reference case with every extrapolated vector passed
     through ``edit`` first. Returns the fit, plain EM's objective trace over
-    twice the fit's trace, and the states _state built."""
+    twice the fit's trace, with the fit's warm M-steps, and the states
+    _state built."""
     feats = _reference_case(name, np.random.default_rng(38))
     spec = MixtureSpec(n_clusters=2, components=(("x", name),),
                        dirichlet_alpha=(1.0, 1.0))
@@ -878,7 +997,8 @@ def _fallback_case(monkeypatch, name, edit):
     xs, kinds = _columns(feats, spec)
     gamma = mixtures._initial_gamma(xs[0].shape[0], 2, "split",
                                     mixtures._as_columns(xs[0])[:, 0], None)
-    ll_trace, _ = _plain_em(xs, kinds, spec, gamma, steps=2 * len(f.ll_trace))
+    ll_trace, _ = _plain_em(xs, kinds, spec, gamma, steps=2 * len(f.ll_trace),
+                            m_step=_warm_m_step_params)
     return f, ll_trace, built
 
 
