@@ -131,6 +131,13 @@ def _objects(items, what):
     return items
 
 
+def _frame_index(t):
+    """``t`` if it is an integer frame index, else an input error."""
+    if not isinstance(t, int):
+        raise _InputError(f"frame index {t!r} is not an integer")
+    return t
+
+
 def _cmd_score(args):
     try:
         truth_doc = json.loads(Path(args.truth).read_text())
@@ -142,9 +149,9 @@ def _cmd_score(args):
     if not isinstance(truth_doc, dict):
         raise _InputError("the truth file is not a JSON object")
     try:
-        truth_by_t = {e["t"]: e["l"]
+        truth_by_t = {_frame_index(e["t"]): e["l"]
                       for e in _objects(truth_doc["frames"], "truth frames")}
-        chosen = [(rec["t"], rec["chosen_l"])
+        chosen = [(_frame_index(rec["t"]), rec["chosen_l"])
                   for rec in _objects(records, "detection records")]
     except KeyError as exc:
         raise _InputError(f"key {exc} missing from the truth file or the "

@@ -153,6 +153,11 @@ def load_sequence(manifest_path):
         raise ValueError(f"manifest {manifest_path} \"frames\" is not a list")
     for entry in entries:
         _require_keys(entry, ("t", "frame", "mask"), manifest_path)
+        if not (isinstance(entry["t"], int) and isinstance(entry["frame"], str)
+                and isinstance(entry["mask"], str)):
+            raise ValueError(f"manifest {manifest_path} entry {entry!r} needs "
+                             "an integer \"t\" and file names in \"frame\" "
+                             "and \"mask\"")
     indices = [e["t"] for e in entries]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError("manifest frame indices are not strictly increasing")

@@ -186,6 +186,15 @@ def _manifest_with_frames(tmp_path, frames):
     return str(path)
 
 
+def _manifest_with_entry(tmp_path, key, value):
+    """A flat manifest whose first entry has ``value`` at ``key``."""
+    path = Path(_flat_manifest(tmp_path))
+    doc = json.loads(path.read_text())
+    doc["frames"][0][key] = value
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def _score_files(tmp_path, truth, detections):
     return ["score", "--truth", _write(tmp_path / "truth.json", truth),
             "--detections", _write(tmp_path / "det.jsonl", detections)]
@@ -215,6 +224,21 @@ INPUT_ERRORS = {
         "--out", str(d / "o.jsonl")],
     "manifest-frame-not-an-object": lambda d: [
         "fit", "--manifest", _manifest_with_frames(d, [5]), "--t", "0"],
+    "manifest-index-not-an-integer": lambda d: [
+        "detect", "--manifest", _manifest_with_entry(d, "t", "a"),
+        "--out", str(d / "o.jsonl")],
+    "manifest-frame-file-not-a-name": lambda d: [
+        "detect", "--manifest", _manifest_with_entry(d, "frame", 5),
+        "--out", str(d / "o.jsonl")],
+    "manifest-mask-file-not-a-name": lambda d: [
+        "fit", "--manifest", _manifest_with_entry(d, "mask", [1]),
+        "--t", "0"],
+    "truth-index-not-an-integer": lambda d: _score_files(
+        d, json.dumps({"frames": [{"t": [0], "l": 1}]}),
+        json.dumps({"t": 0, "chosen_l": 1}) + "\n"),
+    "detection-index-not-an-integer": lambda d: _score_files(
+        d, json.dumps({"frames": [{"t": 0, "l": 1}]}),
+        json.dumps({"t": [0], "chosen_l": 1}) + "\n"),
     "synth-one-frame": lambda d: ["synth", "--out", str(d / "s"),
                                   "--frames", "1"],
     "synth-zero-height": lambda d: ["synth", "--out", str(d / "s"),
