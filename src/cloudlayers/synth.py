@@ -128,10 +128,11 @@ def generate(spec):
             cloudy = cov > COVERAGE_THRESHOLD
             # the warmer (lower) layer occludes where layers overlap
             take = cloudy & (layer.base_temp > best_base)
-            temp[take] = (layer.base_temp
-                          + layer.amplitude * (cov[take] - COVERAGE_THRESHOLD))
-            labels[take] = k + 1
-            best_base[take] = layer.base_temp
+            np.copyto(temp, layer.base_temp
+                      + layer.amplitude * (cov - COVERAGE_THRESHOLD),
+                      where=take)
+            np.copyto(labels, k + 1, where=take)
+            np.copyto(best_base, layer.base_temp, where=take)
         if spec.noise_sigma > 0:
             temp = temp + rng.normal(0.0, spec.noise_sigma, size=spec.shape)
         mask = labels > 0

@@ -202,7 +202,7 @@ def _assert_same_sequence(a, b):
         assert np.array_equal(la, lb)
 
 
-@pytest.mark.parametrize("spec", [
+_ORACLE_SPECS = pytest.mark.parametrize("spec", [
     SynthSpec(shape=(1, 23), frames=3, seed=3),
     SynthSpec(shape=(17, 1), frames=3, seed=4),
     SynthSpec(shape=(21, 33), frames=4, noise_sigma=3.0, seed=5,
@@ -214,7 +214,16 @@ def _assert_same_sequence(a, b):
     SynthSpec(shape=(60, 80), frames=3, noise_sigma=0.0, seed=6,
               layers=(LayerSpec(base_temp=285.0, velocity=(0.3, 0.7)),
                       LayerSpec(base_temp=265.0, velocity=(-1, 1)))),
-], ids=["1xN", "Nx1", "odd-change-point", "fractional-velocity"])
+    SynthSpec(shape=(8, 10), frames=3, noise_sigma=0.5, seed=9,
+              layers=(LayerSpec(base_temp=285.0, velocity=(1, 0),
+                                n_blobs=8, blob_scale=12.0),
+                      LayerSpec(base_temp=265.0, velocity=(0.5, 1),
+                                n_blobs=4, blob_scale=3.0))),
+], ids=["1xN", "Nx1", "odd-change-point", "fractional-velocity",
+        "occluded"])
+
+
+@_ORACLE_SPECS
 def test_generate_matches_mgrid_oracle(monkeypatch, spec):
     seq, truth = generate(spec)
     assert truth == [_set_truth(labels) for _, _, labels in seq]
@@ -223,6 +232,49 @@ def test_generate_matches_mgrid_oracle(monkeypatch, spec):
     oracle_seq, oracle_truth = generate(spec)
     _assert_same_sequence(seq, oracle_seq)
     assert truth == oracle_truth
+
+
+def _gathered_frames(spec):
+    """generate's temperatures and labels written through boolean-index
+    gathers and scatters: the oracle its where-masked writes must match bit
+    for bit."""
+    rng = np.random.default_rng(spec.seed)
+    m, n = spec.shape
+    centers0 = [rng.uniform([0, 0], [m, n], size=(layer.n_blobs, 2))
+                for layer in spec.layers]
+    frames = []
+    for t in range(spec.frames):
+        active = range(len(spec.layers))
+        if spec.change_point is not None and t < spec.change_point:
+            active = [0]
+        temp = np.full(spec.shape, spec.background_temp)
+        labels = np.zeros(spec.shape, dtype=int)
+        best_base = np.full(spec.shape, -np.inf)
+        for k in active:
+            layer = spec.layers[k]
+            u, v = layer.velocity
+            cov = synth._bump_field(spec.shape, centers0[k] + t * np.array([v, u]),
+                                    layer.blob_scale)
+            take = (cov > COVERAGE_THRESHOLD) & (layer.base_temp > best_base)
+            temp[take] = (layer.base_temp
+                          + layer.amplitude * (cov[take] - COVERAGE_THRESHOLD))
+            labels[take] = k + 1
+            best_base[take] = layer.base_temp
+        if spec.noise_sigma > 0:
+            temp = temp + rng.normal(0.0, spec.noise_sigma, size=spec.shape)
+        frames.append((temp, labels))
+    return frames
+
+
+@_ORACLE_SPECS
+def test_generate_matches_boolean_index_oracle(spec):
+    seq, _ = generate(spec)
+    oracle = _gathered_frames(spec)
+    assert len(seq) == len(oracle)
+    for (frame, mask, labels), (temp, oracle_labels) in zip(seq, oracle):
+        assert np.array_equal(frame.temperatures, temp)
+        assert np.array_equal(labels, oracle_labels)
+        assert np.array_equal(mask.values, oracle_labels > 0)
 
 
 def test_fully_occluded_layer_is_not_counted():
