@@ -324,9 +324,7 @@ def _beta_m_step(s, start):
         g1, g2 = math.exp(s[0]), math.exp(s[1])
         slack = max(2.0 * (1.0 - g1 - g2), 1.0 / PARAM_CEIL)
         a, b = 0.5 + g1 / slack, 0.5 + g2 / slack
-    lgamma = math.lgamma
-    f = (a - 1.0) * s[0] + (b - 1.0) * s[1] - (lgamma(a) + lgamma(b)
-                                                - lgamma(a + b))
+    f = (a - 1.0) * s[0] + (b - 1.0) * s[1] - _log_beta_fn(a, b)
     for _ in range(NEWTON_MAX_ITERS):
         newton = _beta_newton(s, a, b)
         if newton is None:
