@@ -10,13 +10,14 @@ one process. The inputs are a benchmark workload's pool for ``--seed``, from
 Round r scores chunk r (cycling) of ``--chunk-units`` units once on every
 side: the sides take turns unit by unit, in an order that cycles through all
 six orders of the three, and ``time.process_time()`` is read around each
-turn. An untimed pass over the chunks the rounds visit first counts the E-steps
-per frame of base and change and digests their records; it and one unit
-on base_again warm every side up. Per workload the script prints the median
-over rounds of CPU per frame on each side, the median ratio change/base
-with a 95% bootstrap interval and the rounds the change won, the same for
-base_again/base, and the E-step and digest figures. A gain holds when the
-change/base interval excludes 1 and the A/A interval is narrower.
+turn. An untimed pass over the chunks the rounds visit first counts the
+E-steps per frame of base and change and digests their records; it and one
+unit on base_again warm every side up. Per workload the script prints the
+median over rounds of CPU per frame on each side, the median ratio
+change/base with a 95% bootstrap interval and the rounds the change won,
+the same for base_again/base, and the E-step and digest figures. A gain
+holds when the change/base interval excludes 1 and the A/A interval is
+narrower.
 
 With ``--out`` the figures, every round's CPU per frame and the machine note
 of ``perfbench/machine.py`` go to a JSON file. Run from the repository root:
@@ -73,8 +74,9 @@ def load_tree(src, name):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
+    modules = ("hmm", "mixtures", "pipeline", "synth")
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
-                              for m in ("hmm", "mixtures", "pipeline", "synth")})
+                              for m in modules})
 
 
 def score(cl, workload, sequences, cfg):

@@ -253,8 +253,8 @@ def _gathered_frames(spec):
         for k in active:
             layer = spec.layers[k]
             u, v = layer.velocity
-            cov = synth._bump_field(spec.shape, centers0[k] + t * np.array([v, u]),
-                                    layer.blob_scale)
+            centers = centers0[k] + t * np.array([v, u])
+            cov = synth._bump_field(spec.shape, centers, layer.blob_scale)
             take = (cov > COVERAGE_THRESHOLD) & (layer.base_temp > best_base)
             temp[take] = (layer.base_temp
                           + layer.amplitude * (cov[take] - COVERAGE_THRESHOLD))
