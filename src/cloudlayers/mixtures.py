@@ -258,11 +258,16 @@ def _von_mises_kappa(r):
     if r <= 0.5 * MIN_ARG:
         return MIN_ARG
 
-    def update(k):
-        a = bessel_i_ratio(k)
-        return k - (a - r) / (1.0 - a / k - a * a)
+    return _newton(r * (2.0 - r * r) / (1.0 - r * r),
+                   lambda k: _von_mises_newton(k, r))
 
-    return _newton(r * (2.0 - r * r) / (1.0 - r * r), update)
+
+def _von_mises_newton(k, r):
+    """The Newton step on A(k) = I1(k) / I0(k) = r from k, with
+    A'(k) = 1 - A/k - A^2; k at most PARAM_CEIL, where A' is still
+    positive in double precision."""
+    a = bessel_i_ratio(k)
+    return k - (a - r) / (1.0 - a / k - a * a)
 
 
 def _log_beta_fn(a, b):
@@ -439,20 +444,27 @@ def _von_mises_m_step(s, start):
 
 def _von_mises_warm_step(s, warm):
     """The mean direction, and one Newton step on I1/I0 = R from the warm
-    kappa; ``warm`` where the new point would lower s @ eta - A. An R at or
-    past either bound of :func:`_von_mises_kappa` takes its clamped kappa.
+    kappa; the exact kappa of :func:`_von_mises_kappa` where that step
+    would not gain. Either is kept only where s @ eta - A does not fall.
+
+    A is concave, so from left of the root the step lands between the warm
+    kappa and the root, which gains. From right of the root it can
+    overshoot far past it, and a warm start kept there would take the same
+    step again next iteration, so the exact root replaces it.
     """
     c, sn = s
     r = math.hypot(c, sn)
+    mu = math.atan2(sn, c)
     if 0.5 * MIN_ARG < r < 1.0 - 0.5 / PARAM_CEIL:
-        k = warm[0].kappa
-        a = bessel_i_ratio(k)
-        k_new = k - (a - r) / (1.0 - a / k - a * a)
-        kappa = clamp_positive(k_new if k_new > 0 else 0.5 * k)
-    else:
-        kappa = _von_mises_kappa(r)
-    new = VonMisesParams(mu=math.atan2(sn, c), kappa=kappa)
-    return _no_worse(s, new, _von_mises_natural, warm)
+        k = clamp_positive(warm[0].kappa)
+        k_new = _von_mises_newton(k, r)
+        if k_new >= k:
+            stepped = VonMisesParams(mu=mu, kappa=clamp_positive(k_new))
+            new = _no_worse(s, stepped, _von_mises_natural, warm)
+            if new is not warm:
+                return new
+    return _no_worse(s, VonMisesParams(mu=mu, kappa=_von_mises_kappa(r)),
+                     _von_mises_natural, warm)
 
 
 def _bivariate_gamma_statistic(x):

@@ -550,14 +550,34 @@ def test_warm_step_is_fixed_at_the_exact_optimum(kind, data):
                                                     abs=1e-300)
 
 
-def test_von_mises_warm_step_keeps_a_warm_start_its_step_would_lower():
+def test_von_mises_warm_step_takes_the_exact_kappa_past_the_root():
     # At R = 0.476 the root is near kappa = 1.08. From the mean direction
     # and kappa = 2.418 the Newton step overshoots to about 0.013, where
-    # s @ eta - A is lower, so the warm triple is kept.
+    # s @ eta - A is lower; keeping the warm start would repeat that step
+    # every iteration, so the step takes the exact root instead.
     family = mixtures._family("von_mises", np.zeros(1))
+    s = [0.476, 0.0]
     warm = VonMisesParams(0.0, 2.418)
     triple = (warm, *family.natural(warm))
-    assert mixtures._em_m_step(family, [0.476, 0.0], triple) is triple
+    new = mixtures._em_m_step(family, s, triple)
+    assert (mixtures._mean_log_density(s, *new[1:])
+            > mixtures._mean_log_density(s, *triple[1:]))
+    assert new[0].kappa == mixtures._von_mises_kappa(0.476)
+
+
+@pytest.mark.parametrize("kappa", [1e7, 1e9, 1e300])
+def test_von_mises_warm_step_takes_a_warm_kappa_past_the_ceiling(kappa):
+    # An extrapolated natural parameter can rebuild a kappa of any size;
+    # past about 1e8, A'(kappa) rounds to 0 and an unclamped step divides
+    # by it.
+    family = mixtures._family("von_mises", np.zeros(1))
+    s = [0.3, 0.4]
+    warm = VonMisesParams(0.5, kappa)
+    triple = (warm, *family.natural(warm))
+    new = mixtures._em_m_step(family, s, triple)
+    _assert_in_domain(new[0])
+    assert (mixtures._mean_log_density(s, *new[1:])
+            > mixtures._mean_log_density(s, *triple[1:]))
 
 
 def test_warm_beta_m_step_evaluates_the_trigammas_once(monkeypatch):
