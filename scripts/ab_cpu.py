@@ -7,7 +7,7 @@ directory and imports its ``cloudlayers`` twice, as ``base`` and as
 one process. The inputs are a benchmark workload's pool for ``--seed``, from
 ``perfbench/workloads.py``, generated once by the base and shared.
 
-Round r scores chunk r (cycling) of ``--chunk-units`` units once on every
+Round r scores chunk r (cycling) of ``CHUNK_UNITS`` units once on every
 side: the sides take turns unit by unit, in an order that cycles through all
 six orders of the three, and ``time.process_time()`` is read around each
 turn. An untimed pass over the chunks the rounds visit first counts the
@@ -52,6 +52,7 @@ from workloads import WORKLOADS, generate_units, score_sequence  # noqa: E402
 
 SIDES = ("base", "change", "base_again")
 BOOTSTRAP_RESAMPLES = 10_000
+CHUNK_UNITS = 8
 
 
 def export_src(rev, into):
@@ -112,10 +113,10 @@ def ratio_summary(ratios, rng):
             "wins": int((r < 1.0).sum()), "rounds": int(r.size)}
 
 
-def compare(trees, workload, seed, rounds, chunk_units):
+def compare(trees, workload, seed, rounds):
     units = generate_units(trees["base"].synth, workload, seed)
-    chunks = [units[i:i + chunk_units]
-              for i in range(0, len(units) - chunk_units + 1, chunk_units)]
+    chunks = [units[i:i + CHUNK_UNITS]
+              for i in range(0, len(units) - CHUNK_UNITS + 1, CHUNK_UNITS)]
     cfgs = {side: cl.pipeline.PipelineConfig(model=workload.model,
                                              hmm_beta=650.0)
             for side, cl in trees.items()}
@@ -143,8 +144,7 @@ def compare(trees, workload, seed, rounds, chunk_units):
     ab = [c / b for c, b in zip(cpu["change"], cpu["base"])]
     aa = [c / b for c, b in zip(cpu["base_again"], cpu["base"])]
     return {
-        "seed": seed, "rounds": rounds, "chunk_units": chunk_units,
-        "chunks": len(chunks),
+        "seed": seed, "rounds": rounds, "chunks": len(chunks),
         "cpu_s_per_frame_median": {s: statistics.median(v)
                                    for s, v in cpu.items()},
         "cpu_s_per_frame": cpu,
@@ -159,7 +159,7 @@ def report(name, res):
     ab, aa = res["change/base"], res["base_again/base"]
     med = res["cpu_s_per_frame_median"]
     print(f"{name} seed {res['seed']}: {res['rounds']} rounds of "
-          f"{res['chunk_units']} units")
+          f"{CHUNK_UNITS} units")
     print("  CPU ms/frame median: " + ", ".join(
         f"{s} {1e3 * med[s]:.2f}" for s in SIDES))
     for label, s in (("change/base", ab), ("base_again/base", aa)):
@@ -178,11 +178,10 @@ def main(argv=None):
                          "(default batch-default)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=20)
-    ap.add_argument("--chunk-units", type=int, default=8)
     ap.add_argument("--out", default=None, help="JSON output path")
     args = ap.parse_args(argv)
-    if args.rounds < 2 or args.chunk_units < 1:
-        ap.error("--rounds must be >= 2 and --chunk-units >= 1")
+    if args.rounds < 2:
+        ap.error("--rounds must be >= 2")
     load_at_start = machine.load_average()
     with tempfile.TemporaryDirectory() as tmp:
         base_sha = export_src(args.base, tmp)
@@ -192,7 +191,7 @@ def main(argv=None):
         results = {}
         for name in args.workload or ["batch-default"]:
             results[name] = compare(trees, WORKLOADS[name], args.seed,
-                                    args.rounds, args.chunk_units)
+                                    args.rounds)
             report(name, results[name])
     if args.out:
         doc = {"command": ["python3", "scripts/ab_cpu.py",
