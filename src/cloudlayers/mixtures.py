@@ -21,8 +21,9 @@ The cold M-step that starts each run, and ``m_step_params``, are exact. The
 warm M-steps of a run start from the previous state's parameters. For beta
 and von Mises each is one guarded Newton step from there: beta's trigamma
 step with the exact M-step's step halving, and for von Mises the mean
-direction and one Newton step on kappa. The other families have no warm
-Newton start and solve exactly. Generalized EM (Dempster, Laird & Rubin
+direction and one Newton step on kappa, or the exact kappa where that step
+would not gain. The other families have no warm Newton start and solve
+exactly. Generalized EM (Dempster, Laird & Rubin
 1977; the EM gradient algorithm of Lange 1995) needs only that no M-step
 lowers ``s @ eta - A``, and none does.
 
