@@ -317,19 +317,16 @@ def _beta_line_search(s, a, b, da, db, f):
     return None
 
 
-def _beta_m_step(s, start):
+def _beta_m_step(s):
     """Beta parameters maximizing the beta objective at mean statistic s.
 
     Newton steps, halving those that leave the positive quadrant or lower
-    the objective. Starts from ``start`` or, without one, from the
-    geometric-mean approximation a = 1/2 + G1 / (2 (1 - G1 - G2)).
+    the objective, from the geometric-mean approximation
+    a = 1/2 + G1 / (2 (1 - G1 - G2)).
     """
-    if start is not None:
-        a, b = start.alpha, start.beta
-    else:
-        g1, g2 = math.exp(s[0]), math.exp(s[1])
-        slack = max(2.0 * (1.0 - g1 - g2), 1.0 / PARAM_CEIL)
-        a, b = 0.5 + g1 / slack, 0.5 + g2 / slack
+    g1, g2 = math.exp(s[0]), math.exp(s[1])
+    slack = max(2.0 * (1.0 - g1 - g2), 1.0 / PARAM_CEIL)
+    a, b = 0.5 + g1 / slack, 0.5 + g2 / slack
     f = (a - 1.0) * s[0] + (b - 1.0) * s[1] - _log_beta_fn(a, b)
     for _ in range(NEWTON_MAX_ITERS):
         newton = _beta_newton(s, a, b)
@@ -396,7 +393,7 @@ def _gamma_from_natural(eta):
     return None
 
 
-def _gamma_m_step(s, start):
+def _gamma_m_step(s):
     a = _gamma_shape(math.log(s[1]) - s[0])
     return GammaParams(alpha=a, beta=clamp_positive(s[1] / a))
 
@@ -437,7 +434,7 @@ def _von_mises_from_natural(eta):
     return None
 
 
-def _von_mises_m_step(s, start):
+def _von_mises_m_step(s):
     c, sn = float(s[0]), float(s[1])
     return VonMisesParams(mu=math.atan2(sn, c),
                           kappa=_von_mises_kappa(math.hypot(c, sn)))
@@ -491,7 +488,7 @@ def _bivariate_gamma_from_natural(eta):
     return None
 
 
-def _bivariate_gamma_m_step(s, start):
+def _bivariate_gamma_m_step(s):
     a = _gamma_shape(math.log(s[2]) - s[0])
     return BivariateGammaParams(alpha=a, beta=clamp_positive(a / s[2]),
                                 a=_inverse_digamma(s[0] + s[1]))
@@ -501,7 +498,7 @@ def _bivariate_gamma_m_step(s, start):
 class _Family:
     statistic: object  # x -> T(x), shape (N, k); raises on support violations
     natural: object    # params -> (eta, A), log p(x) = T(x) @ eta - A
-    m_step: object     # (mean of T, warm start or None) -> maximizing params
+    m_step: object     # mean of T -> maximizing params
     from_natural: object  # eta -> params, or None outside the family's domain
     # (mean of T, warm (params, eta, A)) -> a triple no worse than the warm
     # one: EM's warm M-step. None: the exact M-step, guarded.
@@ -536,7 +533,7 @@ def _gaussian_family(center, floor):
         a = 0.5 * (float(m @ pm) + d * LOG_2PI + float(np.log(vals).sum()))
         return pm.tolist() + (quad * prec[iu, ju]).tolist(), a
 
-    def m_step(s, start):
+    def m_step(s):
         dm = np.array(s[:d])
         second = np.empty((d, d))
         second[iu, ju] = second[ju, iu] = s[d:]
@@ -672,27 +669,22 @@ def _no_worse(s, new, natural, warm):
     return new, eta, a
 
 
-def _exact_m_step(family, s, warm):
-    """The family's exact M-step at mean statistic s, as a (params, eta, A)
-    triple of the new parameters and their natural form.
+def _em_m_step(family, s, warm):
+    """EM's M-step at mean statistic s, as a (params, eta, A) triple of the
+    new parameters and their natural form.
 
-    ``warm``, the previous EM iteration's triple, is the warm start; it is
-    returned when the new point would lower the objective s @ eta - A, so no
-    M-step lowers Q. With ``warm`` None the M-step starts cold, unguarded.
+    With ``warm`` None it is the exact M-step, unguarded: the cold start of
+    a run. Otherwise ``warm`` is the previous iteration's triple, and the
+    step is the family's warm step from it where it has one, else the exact
+    M-step, with ``warm`` kept where that would lower s @ eta - A. So no
+    warm M-step lowers Q, which is all generalized EM needs.
     """
     if warm is None:
-        new = family.m_step(s, None)
+        new = family.m_step(s)
         return (new, *family.natural(new))
-    return _no_worse(s, family.m_step(s, warm[0]), family.natural, warm)
-
-
-def _em_m_step(family, s, warm):
-    """EM's M-step at mean statistic s: the family's warm step from the
-    triple ``warm`` where it has one, else the exact M-step. Either keeps
-    s @ eta - A from falling, which is all generalized EM needs."""
-    if warm is None or family.warm_step is None:
-        return _exact_m_step(family, s, warm)
-    return family.warm_step(s, warm)
+    if family.warm_step is not None:
+        return family.warm_step(s, warm)
+    return _no_worse(s, family.m_step(s), family.natural, warm)
 
 
 def m_step_params(x, gamma_l, params):
@@ -700,8 +692,8 @@ def m_step_params(x, gamma_l, params):
 
     The family's exact M-step on the weighted mean of T(x), with parameters
     clamped to [MIN_ARG, PARAM_CEIL] and Gaussian covariance eigenvalues
-    floored at a fraction of the variance of x; ``params`` is the warm start,
-    and is kept if the new point would lower the objective.
+    floored at a fraction of the variance of x; ``params`` is kept if the
+    new point would lower the objective.
     """
     g = np.asarray(gamma_l, float)
     gsum = g.sum()
@@ -709,7 +701,8 @@ def m_step_params(x, gamma_l, params):
         raise _EmptyClusterError("cluster responsibility mass vanished")
     family = _family(params.kind, x)
     s = ((g @ family.statistic(x)) / gsum).tolist()
-    return _exact_m_step(family, s, (params, *family.natural(params)))[0]
+    return _no_worse(s, family.m_step(s), family.natural,
+                     (params, *family.natural(params)))[0]
 
 
 # ---------------------------------------------------------------------------

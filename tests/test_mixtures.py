@@ -817,8 +817,8 @@ def test_resolve_labels_orders_by_temperature():
 
 
 # Neutral warm starts: the reference takes its initial parameters from
-# m_step_params, whose warm start seeds the beta Newton and is kept only
-# where the new point is worse. A Gaussian start has its data's dimension.
+# m_step_params, which keeps its start only where the new point is worse.
+# A Gaussian start has its data's dimension.
 _STARTS = {
     "gamma": GammaParams(1.0, 1.0),
     "beta": BetaParams(1.0, 1.0),
