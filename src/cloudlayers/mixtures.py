@@ -317,6 +317,17 @@ def _beta_line_search(s, a, b, da, db, f):
     return None
 
 
+def _beta_clamped(a, b):
+    """BetaParams(a, b) with both shapes in [MIN_ARG, PARAM_CEIL]. Where
+    one passes the ceiling, both are scaled so that the larger is
+    PARAM_CEIL, which keeps the mean a / (a + b) of a concentrated beta."""
+    if a > PARAM_CEIL and a >= b:
+        a, b = PARAM_CEIL, b * (PARAM_CEIL / a)
+    elif b > PARAM_CEIL:
+        a, b = a * (PARAM_CEIL / b), PARAM_CEIL
+    return BetaParams(alpha=clamp_positive(a), beta=clamp_positive(b))
+
+
 def _beta_m_step(s):
     """Beta parameters maximizing the beta objective at mean statistic s.
 
@@ -345,7 +356,7 @@ def _beta_m_step(s):
         a, b, f, _ = found
         if a >= PARAM_CEIL or b >= PARAM_CEIL:
             break
-    return BetaParams(alpha=clamp_positive(a), beta=clamp_positive(b))
+    return _beta_clamped(a, b)
 
 
 def _beta_warm_step(s, warm):
@@ -367,8 +378,7 @@ def _beta_warm_step(s, warm):
         return warm
     na, nb, _, log_b = found
     if not (MIN_ARG <= na <= PARAM_CEIL and MIN_ARG <= nb <= PARAM_CEIL):
-        clamped = BetaParams(alpha=clamp_positive(na), beta=clamp_positive(nb))
-        return _no_worse(s, clamped, _beta_natural, warm)
+        return _no_worse(s, _beta_clamped(na, nb), _beta_natural, warm)
     return BetaParams(alpha=na, beta=nb), (na - 1.0, nb - 1.0), log_b
 
 

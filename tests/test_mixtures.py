@@ -478,6 +478,76 @@ def test_m_step_keeps_a_warm_start_it_cannot_beat():
     assert m_step_params(x, np.ones(50), start) is start
 
 
+@pytest.mark.parametrize("x", [[0.25, 0.25], [0.25, 0.25 + 1e-7], [0.9, 0.9]])
+def test_m_step_beta_point_mass_is_clamped_along_its_mean(x):
+    # The optimum of a point mass is past the ceiling. Both shapes scale
+    # together, so the clamped beta keeps the mean, and its objective beats
+    # a neutral start; so does a warm step whose Newton step passes the
+    # ceiling.
+    x = np.array(x)
+    mean = float(x.mean())
+    family = mixtures._family("beta", x)
+    s = family.statistic(x).mean(axis=0).tolist()
+    start = BetaParams(1.0, 1.0)
+    warm = BetaParams(8e5 * mean, 8e5 * (1.0 - mean))
+    for before, got in (
+            (start, m_step_params(x, np.ones(2), start)),
+            (warm, mixtures._em_m_step(family, s,
+                                       (warm, *family.natural(warm)))[0])):
+        assert max(got.alpha, got.beta) == PARAM_CEIL
+        assert got.alpha / (got.alpha + got.beta) == pytest.approx(mean,
+                                                                  abs=1e-6)
+        assert (mixtures._mean_log_density(s, *family.natural(got))
+                > mixtures._mean_log_density(s, *family.natural(before)))
+
+
+@st.composite
+def _m_step_params_case(draw, kind):
+    """(samples, weights, params) of one family, params anywhere in its
+    domain."""
+    n = draw(st.integers(2, 12))
+    shape = _log_uniform(0.05, 500.0)
+    if kind == "gamma":
+        xs, params = _log_uniform(1e-3, 1e3), GammaParams(draw(shape),
+                                                          draw(shape))
+    elif kind == "beta":
+        xs, params = st.floats(1e-4, 1.0 - 1e-4), BetaParams(draw(shape),
+                                                             draw(shape))
+    elif kind == "von_mises":
+        xs = st.floats(-math.pi, math.pi)
+        params = VonMisesParams(draw(st.floats(-math.pi, math.pi)),
+                                draw(_log_uniform(1e-3, 1e4)))
+    elif kind == "bivariate_gamma":
+        xs = st.tuples(_log_uniform(1e-2, 1e2), _log_uniform(1e-2, 1e2))
+        params = BivariateGammaParams(draw(shape), draw(shape), draw(shape))
+    else:
+        d = draw(st.integers(1, 2))
+        xs = st.tuples(*[st.floats(-50.0, 50.0)] * d)
+        params = GaussianParams(
+            np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=d,
+                                   max_size=d))),
+            np.diag(draw(st.lists(_log_uniform(1e-3, 1e3), min_size=d,
+                                  max_size=d))))
+    x = np.array(draw(st.lists(xs, min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return x, g, params
+
+
+@pytest.mark.parametrize("kind", ["gamma", "beta", "von_mises",
+                                  "bivariate_gamma", "gaussian"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_m_step_params_never_lowers_the_objective(kind, data):
+    # The exact M-step is guarded only by keeping ``params`` where the new
+    # point would be worse on s @ eta - A.
+    x, g, params = data.draw(_m_step_params_case(kind))
+    family = mixtures._family(kind, x)
+    s = ((g @ family.statistic(x)) / g.sum()).tolist()
+    new = m_step_params(x, g, params)
+    assert (mixtures._mean_log_density(s, *family.natural(new))
+            >= mixtures._mean_log_density(s, *family.natural(params)))
+
+
 # ---------------------------------------------------------------------------
 # EM's warm M-step: one guarded Newton step for beta and von Mises
 
