@@ -27,6 +27,16 @@ from .imaging import Frame, SegmentationMask, write_sequence
 COVERAGE_THRESHOLD = 0.5
 
 
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    """Whether x is a finite int or float; a bool is neither."""
+    return ((_is_int(x) or isinstance(x, (float, np.floating)))
+            and math.isfinite(x))
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     base_temp: float                  # Kelvin at full coverage
@@ -34,6 +44,24 @@ class LayerSpec:
     n_blobs: int = 6
     blob_scale: float = 8.0           # Gaussian bump sigma, pixels
     amplitude: float = 3.0            # Kelvin spread inside the layer
+
+    def __post_init__(self):
+        if not _is_real(self.base_temp):
+            raise ValueError(f"base_temp must be a finite number: "
+                             f"{self.base_temp!r}")
+        if np.shape(self.velocity) != (2,) or not all(
+                _is_real(c) for c in self.velocity):
+            raise ValueError(f"velocity must be two finite numbers: "
+                             f"{self.velocity!r}")
+        if not (_is_int(self.n_blobs) and self.n_blobs > 0):
+            raise ValueError(f"n_blobs must be a positive int: "
+                             f"{self.n_blobs!r}")
+        if not (_is_real(self.blob_scale) and self.blob_scale > 0):
+            raise ValueError(f"blob_scale must be a finite number > 0: "
+                             f"{self.blob_scale!r}")
+        if not _is_real(self.amplitude):
+            raise ValueError(f"amplitude must be a finite number: "
+                             f"{self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +84,9 @@ class SynthSpec:
             raise ValueError("at least 2 frames required")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
+        if not _is_real(self.background_temp):
+            raise ValueError(f"background_temp must be a finite number: "
+                             f"{self.background_temp!r}")
         if len(self.layers) == 2 and self.noise_sigma > 0:
             sep = abs(self.layers[0].base_temp - self.layers[1].base_temp)
             if sep < 4.0 * self.noise_sigma:
@@ -117,7 +148,7 @@ def generate(spec):
         active = list(range(len(spec.layers)))
         if spec.change_point is not None and t < spec.change_point:
             active = [0]
-        temp = np.full(spec.shape, spec.background_temp)
+        temp = np.full(spec.shape, spec.background_temp, dtype=float)
         labels = np.zeros(spec.shape, dtype=int)
         best_base = np.full(spec.shape, -np.inf)
         for k in active:

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, outputs and determinism."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -152,6 +153,19 @@ def test_synth_spec_file_override(tmp_path):
     assert manifest["height"] == 48 and len(manifest["frames"]) == 2
 
 
+def test_synth_spec_takes_integer_temperatures(tmp_path):
+    spec = _write(tmp_path / "spec.json", json.dumps(
+        {"frames": 2, "background_temp": 240, "layers": [{"base_temp": 280}]}))
+    assert main(["synth", "--out", str(tmp_path / "s"), "--spec", spec]) == 0
+    # The frames are those of the same spec written with floats.
+    as_int, _ = generate(SynthSpec(frames=2, background_temp=240,
+                                   layers=(LayerSpec(base_temp=280),)))
+    as_float, _ = generate(SynthSpec(frames=2, background_temp=240.0,
+                                     layers=(LayerSpec(base_temp=280.0),)))
+    for (a, _, _), (b, _, _) in zip(as_int, as_float):
+        assert np.array_equal(a.temperatures, b.temperatures)
+
+
 def _write(path, text):
     path.write_text(text)
     return str(path)
@@ -267,6 +281,24 @@ INPUT_ERRORS = {
     "spec-without-layers": lambda d: [
         "synth", "--out", str(d / "s"), "--spec",
         _write(d / "spec.json", json.dumps({"frames": 2}))],
+    **{f"spec-{name}": (lambda d, doc=doc: [
+        "synth", "--out", str(d / "s"), "--spec",
+        _write(d / "spec.json", json.dumps(doc))])
+       for name, doc in (
+           ("fractional-blobs",
+            {"layers": [{"base_temp": 280.0, "n_blobs": 2.5}]}),
+           ("boolean-blobs",
+            {"layers": [{"base_temp": 280.0, "n_blobs": True}]}),
+           ("zero-blobs", {"layers": [{"base_temp": 280.0, "n_blobs": 0}]}),
+           ("velocity-string",
+            {"layers": [{"base_temp": 280.0, "velocity": "ab"}]}),
+           ("nan-velocity",
+            {"layers": [{"base_temp": 280.0, "velocity": [math.nan, 0]}]}),
+           ("base-temp-string", {"layers": [{"base_temp": "hot"}]}),
+           ("blob-scale-string",
+            {"layers": [{"base_temp": 280.0, "blob_scale": "x"}]}),
+           ("background-temp-string",
+            {"layers": [{"base_temp": 280.0}], "background_temp": "cold"}))},
     "manifest-without-height": lambda d: [
         "detect", "--manifest", _flat_manifest(d, drop="height"),
         "--out", str(d / "o.jsonl")],
