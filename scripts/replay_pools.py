@@ -6,8 +6,8 @@ input units for ``--seed``, scores every sequence once through
 ``workloads.score_sequence`` at ``PipelineConfig(model=<the workload's
 model>, hmm_beta=650.0)``, the benchmark's configuration, and prints one
 line per workload: the frame count, the SHA-256 ``checks.digest`` over all
-records in pool order, the layer-count accuracy and the number of failed
-frames. Equal digests mean
+records in pool order, the layer-count accuracy, overall and per true layer
+count, and the number of failed frames. Equal digests mean
 byte-identical records, so this checks that a change keeps the detector's
 outputs; unlike ``perfbench/run.py`` it covers the whole pool, untimed.
 
@@ -18,6 +18,7 @@ Run from the repository root:
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,18 +32,24 @@ from cloudlayers import hmm, mixtures, pipeline, synth  # noqa: E402
 
 
 def replay(workload, seed):
-    """(frames, digest, accuracy %, failed frames) of one pool."""
+    """(frames, digest, accuracy %, failed frames, {true layer count:
+    (right, frames)}) of one pool."""
     cl = SimpleNamespace(pipeline=pipeline, hmm=hmm, mixtures=mixtures)
     cfg = pipeline.PipelineConfig(model=workload.model, hmm_beta=650.0)
     scored = [(seq, score_sequence(cl, workload, seq, cfg))
               for unit in generate_units(synth, workload, seed)
               for seq in unit]
     records = [r for _, recs in scored for r in recs]
-    right = sum(r.chosen_l == seq.truth[r.t] for seq, recs in scored
-                for r in recs)
+    right, frames = Counter(), Counter()
+    for seq, recs in scored:
+        for r in recs:
+            truth = seq.truth[r.t]
+            frames[truth] += 1
+            right[truth] += r.chosen_l == truth
     failed = sum(checks.is_failed(r) for r in records)
     return (len(records), checks.digest([recs for _, recs in scored]),
-            100.0 * right / len(records), failed)
+            100.0 * sum(right.values()) / len(records), failed,
+            {l: (right[l], frames[l]) for l in sorted(frames)})
 
 
 def main(argv=None):
@@ -50,9 +57,12 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     for name, workload in WORKLOADS.items():
-        frames, digest, accuracy, failed = replay(workload, args.seed)
+        frames, digest, accuracy, failed, by_l = replay(workload, args.seed)
+        per_l = ", ".join(f"L={l} {right}/{n}"
+                          for l, (right, n) in by_l.items())
         print(f"{name} seed {args.seed}: {frames} frames, digest {digest}, "
-              f"accuracy {accuracy:.2f}%, {failed} failed", flush=True)
+              f"accuracy {accuracy:.2f}% ({per_l}), {failed} failed",
+              flush=True)
 
 
 if __name__ == "__main__":
