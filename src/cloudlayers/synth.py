@@ -31,10 +31,12 @@ def _is_int(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _is_real(x):
-    """Whether x is a finite int or float; a bool is neither."""
-    return ((_is_int(x) or isinstance(x, (float, np.floating)))
-            and math.isfinite(x))
+def _check_real(name, x):
+    """Raise ValueError unless x is a finite int or float; a bool is
+    neither."""
+    if not ((_is_int(x) or isinstance(x, (float, np.floating)))
+            and math.isfinite(x)):
+        raise ValueError(f"{name} must be a finite number: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -46,22 +48,17 @@ class LayerSpec:
     amplitude: float = 3.0            # Kelvin spread inside the layer
 
     def __post_init__(self):
-        if not _is_real(self.base_temp):
-            raise ValueError(f"base_temp must be a finite number: "
-                             f"{self.base_temp!r}")
-        if np.shape(self.velocity) != (2,) or not all(
-                _is_real(c) for c in self.velocity):
-            raise ValueError(f"velocity must be two finite numbers: "
-                             f"{self.velocity!r}")
+        for name in ("base_temp", "blob_scale", "amplitude"):
+            _check_real(name, getattr(self, name))
+        if not self.blob_scale > 0:
+            raise ValueError(f"blob_scale must be > 0: {self.blob_scale}")
+        if np.shape(self.velocity) != (2,):
+            raise ValueError(f"velocity must be a pair: {self.velocity!r}")
+        for c in self.velocity:
+            _check_real("velocity", c)
         if not (_is_int(self.n_blobs) and self.n_blobs > 0):
             raise ValueError(f"n_blobs must be a positive int: "
                              f"{self.n_blobs!r}")
-        if not (_is_real(self.blob_scale) and self.blob_scale > 0):
-            raise ValueError(f"blob_scale must be a finite number > 0: "
-                             f"{self.blob_scale!r}")
-        if not _is_real(self.amplitude):
-            raise ValueError(f"amplitude must be a finite number: "
-                             f"{self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,7 @@ class SynthSpec:
             raise ValueError("at least 2 frames required")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
-        if not _is_real(self.background_temp):
-            raise ValueError(f"background_temp must be a finite number: "
-                             f"{self.background_temp!r}")
+        _check_real("background_temp", self.background_temp)
         if len(self.layers) == 2 and self.noise_sigma > 0:
             sep = abs(self.layers[0].base_temp - self.layers[1].base_temp)
             if sep < 4.0 * self.noise_sigma:
