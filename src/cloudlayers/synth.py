@@ -73,7 +73,7 @@ class SynthSpec:
 
     def __post_init__(self):
         if np.shape(self.shape) != (2,) or not all(
-                isinstance(s, (int, np.integer)) and s > 0 for s in self.shape):
+                _is_int(s) and s > 0 for s in self.shape):
             raise ValueError(f"shape must be two positive ints: {self.shape}")
         if not 1 <= len(self.layers) <= 2:
             raise ValueError("layer count must be 1 or 2")

@@ -508,11 +508,11 @@ def _m_step_params_case(draw, kind):
     n = draw(st.integers(2, 12))
     shape = _log_uniform(0.05, 500.0)
     if kind == "gamma":
-        xs, params = _log_uniform(1e-3, 1e3), GammaParams(draw(shape),
-                                                          draw(shape))
+        xs = _log_uniform(1e-3, 1e3)
+        params = GammaParams(draw(shape), draw(shape))
     elif kind == "beta":
-        xs, params = st.floats(1e-4, 1.0 - 1e-4), BetaParams(draw(shape),
-                                                             draw(shape))
+        xs = st.floats(1e-4, 1.0 - 1e-4)
+        params = BetaParams(draw(shape), draw(shape))
     elif kind == "von_mises":
         xs = st.floats(-math.pi, math.pi)
         params = VonMisesParams(draw(st.floats(-math.pi, math.pi)),
