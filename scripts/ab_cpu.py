@@ -11,13 +11,17 @@ Round r scores chunk r (cycling) of ``CHUNK_UNITS`` units once on every
 side: the sides take turns unit by unit, in an order that cycles through all
 six orders of the three, and ``time.process_time()`` is read around each
 turn. An untimed pass over the chunks the rounds visit first counts the
-E-steps per frame of base and change and digests their records; it and one
-unit on base_again warm every side up. Per workload the script prints the
-median over rounds of CPU per frame on each side, the median ratio
-change/base with a 95% bootstrap interval and the rounds the change won,
-the same for base_again/base, and the E-step and digest figures. A gain
-holds when the change/base interval excludes 1 and the A/A interval is
-narrower.
+E-steps per frame of base and change and compares their records; it and one
+unit on base_again warm every side up. With ``--rounds`` at least the
+workload's chunk count, that pass covers the whole pool. Per workload the
+script prints the median over rounds of CPU per frame on each side, the
+median ratio change/base with a 95% bootstrap interval and the rounds the
+change won, the same for base_again/base, and the E-step figures. For the
+records it prints whether their digests are equal, the frames whose
+``chosen_l`` agree, each side's layer-count accuracy, overall and per true
+layer count, and per hypothesis layer count the median and largest move of
+its posterior sum. A gain holds when the change/base interval excludes 1
+and the A/A interval is narrower.
 
 With ``--out`` the figures, every round's CPU per frame and the machine note
 of ``perfbench/machine.py`` go to a JSON file. Run from the repository root:
@@ -38,6 +42,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -85,7 +90,7 @@ def score(cl, workload, sequences, cfg):
 
 
 def counted(cl, workload, sequences, cfg):
-    """(E-steps per frame, record digest) of one untimed pass."""
+    """(E-steps per frame, records per sequence) of one untimed pass."""
     calls = []
     e_step = cl.mixtures.e_step
 
@@ -99,7 +104,48 @@ def counted(cl, workload, sequences, cfg):
     finally:
         cl.mixtures.e_step = e_step
     frames = sum(len(r) for r in records)
-    return len(calls) / frames, checks.digest(records)
+    return len(calls) / frames, records
+
+
+def _accuracy(truths, records):
+    """Accuracy % of ``records`` against the true layer counts ``truths``,
+    and {true layer count: [right, frames]}."""
+    right, seen = Counter(), Counter()
+    for truth, rec in zip(truths, records):
+        seen[truth] += 1
+        right[truth] += rec.chosen_l == truth
+    return (100.0 * sum(right.values()) / len(truths),
+            {str(l): [right[l], seen[l]] for l in sorted(seen)})
+
+
+def agreement(sequences, base, change):
+    """How the change's records (a list per sequence) agree with the
+    base's: frames whose ``chosen_l`` agree, each side's accuracy, overall
+    and per true layer count, and per hypothesis layer count the median and
+    largest move of its posterior sum."""
+    truths = [seq.truth[r.t] for seq, recs in zip(sequences, base)
+              for r in recs]
+    flat = {"base": [r for recs in base for r in recs],
+            "change": [r for recs in change for r in recs]}
+    accuracy = {side: _accuracy(truths, recs) for side, recs in flat.items()}
+    moves = {}
+    for b, c in zip(flat["base"], flat["change"]):
+        sb = {s.l: s.posterior_sum for s in b.scores}
+        sc = {s.l: s.posterior_sum for s in c.scores}
+        for l in sb.keys() & sc.keys():
+            # Equal sums move by 0, also where both are -inf.
+            moves.setdefault(str(l), []).append(
+                0.0 if sb[l] == sc[l] else abs(sc[l] - sb[l]))
+    return {
+        "frames": len(truths),
+        "chosen_l_agree": sum(b.chosen_l == c.chosen_l
+                              for b, c in zip(flat["base"], flat["change"])),
+        "accuracy_pct": {side: a[0] for side, a in accuracy.items()},
+        "right_by_true_l": {side: a[1] for side, a in accuracy.items()},
+        "posterior_sum_move": {
+            l: {"median": float(np.median(m)), "max": max(m)}
+            for l, m in sorted(moves.items())},
+    }
 
 
 def ratio_summary(ratios, rng):
@@ -151,7 +197,9 @@ def compare(trees, workload, seed, rounds):
         "change/base": ratio_summary(ab, rng),
         "base_again/base": ratio_summary(aa, rng),
         "e_steps_per_frame": {s: c[0] for s, c in counts.items()},
-        "records_equal": counts["change"][1] == counts["base"][1],
+        "records_equal": (checks.digest(counts["change"][1])
+                          == checks.digest(counts["base"][1])),
+        "records": agreement(visited, counts["base"][1], counts["change"][1]),
     }
 
 
@@ -166,8 +214,17 @@ def report(name, res):
         print(f"  {label}: {s['median']:.4f} [{s['ci95'][0]:.4f}, "
               f"{s['ci95'][1]:.4f}], {s['wins']}/{s['rounds']} under 1")
     e = res["e_steps_per_frame"]
-    print(f"  E-steps/frame: base {e['base']:.2f}, change {e['change']:.2f}; "
-          f"records equal: {res['records_equal']}", flush=True)
+    print(f"  E-steps/frame: base {e['base']:.2f}, change {e['change']:.2f}")
+    rec = res["records"]
+    print(f"  records equal: {res['records_equal']}; chosen_l agrees on "
+          f"{rec['chosen_l_agree']}/{rec['frames']} frames")
+    for side in ("base", "change"):
+        per_l = ", ".join(f"L={l} {right}/{n}" for l, (right, n)
+                          in rec["right_by_true_l"][side].items())
+        print(f"  {side} accuracy {rec['accuracy_pct'][side]:.2f}% ({per_l})")
+    print("  posterior-sum move: " + ", ".join(
+        f"L={l} median {m['median']:.4g}, max {m['max']:.4g}"
+        for l, m in rec["posterior_sum_move"].items()), flush=True)
 
 
 def main(argv=None):

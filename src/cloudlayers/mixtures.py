@@ -19,13 +19,11 @@ exponential families: each has a statistic T(x), a log-density
 
 The cold M-step that starts each run, and ``m_step_params``, are exact. The
 warm M-steps of a run start from the previous state's parameters. For beta
-and von Mises each is one guarded Newton step from there: beta's trigamma
-step with the exact M-step's step halving, and for von Mises the mean
-direction and one Newton step on kappa, or the exact kappa where that step
-would not gain. The other families have no warm Newton start and solve
-exactly. Generalized EM (Dempster, Laird & Rubin
-1977; the EM gradient algorithm of Lange 1995) needs only that no M-step
-lowers ``s @ eta - A``, and none does.
+the warm M-step is one Newton step from there, with the exact M-step's step
+halving; the other families solve exactly, and keep the previous parameters
+where the exact step would lower ``s @ eta - A``. Generalized EM (Dempster,
+Laird & Rubin 1977; the EM gradient algorithm of Lange 1995) needs only that
+no M-step lowers ``s @ eta - A``, and none does.
 
 One EM run works on data prepared once per fit: the statistics of every
 component stacked as the rows of one (K + 1, N) array, with a last row of
@@ -259,16 +257,13 @@ def _von_mises_kappa(r):
     if r <= 0.5 * MIN_ARG:
         return MIN_ARG
 
-    return _newton(r * (2.0 - r * r) / (1.0 - r * r),
-                   lambda k: _von_mises_newton(k, r))
+    def update(k):
+        # _newton keeps k at most PARAM_CEIL, where A' is still positive in
+        # double precision.
+        a = bessel_i_ratio(k)
+        return k - (a - r) / (1.0 - a / k - a * a)
 
-
-def _von_mises_newton(k, r):
-    """The Newton step on A(k) = I1(k) / I0(k) = r from k, with
-    A'(k) = 1 - A/k - A^2; k at most PARAM_CEIL, where A' is still
-    positive in double precision."""
-    a = bessel_i_ratio(k)
-    return k - (a - r) / (1.0 - a / k - a * a)
+    return _newton(r * (2.0 - r * r) / (1.0 - r * r), update)
 
 
 def _log_beta_fn(a, b):
@@ -450,31 +445,6 @@ def _von_mises_m_step(s):
                           kappa=_von_mises_kappa(math.hypot(c, sn)))
 
 
-def _von_mises_warm_step(s, warm):
-    """The mean direction, and one Newton step on I1/I0 = R from the warm
-    kappa; the exact kappa of :func:`_von_mises_kappa` where that step
-    would not gain. Either is kept only where s @ eta - A does not fall.
-
-    A is concave, so from left of the root the step lands between the warm
-    kappa and the root, which gains. From right of the root it can
-    overshoot far past it, and a warm start kept there would take the same
-    step again next iteration, so the exact root replaces it.
-    """
-    c, sn = s
-    r = math.hypot(c, sn)
-    mu = math.atan2(sn, c)
-    if 0.5 * MIN_ARG < r < 1.0 - 0.5 / PARAM_CEIL:
-        k = clamp_positive(warm[0].kappa)
-        k_new = _von_mises_newton(k, r)
-        if k_new >= k:
-            stepped = VonMisesParams(mu=mu, kappa=clamp_positive(k_new))
-            new = _no_worse(s, stepped, _von_mises_natural, warm)
-            if new is not warm:
-                return new
-    return _no_worse(s, VonMisesParams(mu=mu, kappa=_von_mises_kappa(r)),
-                     _von_mises_natural, warm)
-
-
 def _bivariate_gamma_statistic(x):
     xy = _as_columns(x)
     if np.any(xy <= 0):
@@ -568,8 +538,7 @@ _FAMILIES = {
     "beta": _Family(_beta_statistic, _beta_natural, _beta_m_step,
                     _beta_from_natural, _beta_warm_step),
     "von_mises": _Family(_von_mises_statistic, _von_mises_natural,
-                         _von_mises_m_step, _von_mises_from_natural,
-                         _von_mises_warm_step),
+                         _von_mises_m_step, _von_mises_from_natural),
     "bivariate_gamma": _Family(_bivariate_gamma_statistic,
                                _bivariate_gamma_natural,
                                _bivariate_gamma_m_step,

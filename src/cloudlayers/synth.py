@@ -77,10 +77,11 @@ class SynthSpec:
             raise ValueError(f"shape must be two positive ints: {self.shape}")
         if not 1 <= len(self.layers) <= 2:
             raise ValueError("layer count must be 1 or 2")
-        if self.frames < 2:
-            raise ValueError("at least 2 frames required")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
+        if not (_is_int(self.frames) and self.frames >= 2):
+            raise ValueError(f"frames must be an int >= 2: {self.frames!r}")
+        _check_real("noise_sigma", self.noise_sigma)
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be >= 0")
         _check_real("background_temp", self.background_temp)
         if len(self.layers) == 2 and self.noise_sigma > 0:
             sep = abs(self.layers[0].base_temp - self.layers[1].base_temp)
@@ -90,9 +91,12 @@ class SynthSpec:
         if self.change_point is not None:
             if len(self.layers) != 2:
                 raise ValueError("a change point requires two layers")
-            if not 0 < self.change_point < self.frames:
-                raise ValueError("change_point must satisfy "
+            if not (_is_int(self.change_point)
+                    and 0 < self.change_point < self.frames):
+                raise ValueError("change_point must be an int with "
                                  "0 < change_point < frames")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an int: {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

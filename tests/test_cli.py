@@ -298,7 +298,17 @@ INPUT_ERRORS = {
            ("blob-scale-string",
             {"layers": [{"base_temp": 280.0, "blob_scale": "x"}]}),
            ("background-temp-string",
-            {"layers": [{"base_temp": 280.0}], "background_temp": "cold"}))},
+            {"layers": [{"base_temp": 280.0}], "background_temp": "cold"}),
+           ("fractional-frames", {"layers": [{"base_temp": 280}],
+                                  "frames": 3.5}),
+           ("fractional-seed", {"layers": [{"base_temp": 280}],
+                                "seed": 2.5}),
+           ("boolean-seed", {"layers": [{"base_temp": 280}], "seed": True}),
+           ("fractional-change-point",
+            {"layers": [{"base_temp": 280}, {"base_temp": 260}],
+             "frames": 3, "change_point": 1.5}),
+           ("boolean-noise-sigma", {"layers": [{"base_temp": 280}],
+                                    "noise_sigma": True}))},
     "manifest-without-height": lambda d: [
         "detect", "--manifest", _flat_manifest(d, drop="height"),
         "--out", str(d / "o.jsonl")],

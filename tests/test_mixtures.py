@@ -20,7 +20,7 @@ from cloudlayers.mixtures import (BetaParams, BivariateGammaParams, FitError,
                                   log_dirichlet_prior, log_pdf,
                                   log_pdf_gradient, m_step_params,
                                   m_step_weights, resolve_labels)
-from cloudlayers.numerics import MIN_ARG, PARAM_CEIL
+from cloudlayers.numerics import MIN_ARG, PARAM_CEIL, digamma, trigamma
 from oracles import cdll, finite_diff_gradient
 
 # ---------------------------------------------------------------------------
@@ -549,7 +549,8 @@ def test_m_step_params_never_lowers_the_objective(kind, data):
 
 
 # ---------------------------------------------------------------------------
-# EM's warm M-step: one guarded Newton step for beta and von Mises
+# EM's warm M-step: one guarded Newton step for beta, the guarded exact
+# M-step for von Mises
 
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
@@ -600,34 +601,92 @@ def test_warm_step_never_lowers_the_objective(kind, data):
 # m_step_params is exact to rounding, not to the last bit. The beta Newton
 # takes its last step unchecked once the gain it predicts is under
 # BETA_GAIN_RTOL, which leaves up to about 5e-12 relative in the shapes
-# against a 40-digit root; kappa's root moves by about 2 kappa ulps of R. A
-# warm step that is not fixed there moves the parameters far more.
+# against a 40-digit root where the beta is not concentrated. The von Mises
+# warm M-step is the exact one, so it is fixed to the last bit. A warm step
+# that is not fixed at the optimum moves the parameters far more.
 FIXED_POINT_RTOL = 1e-10
+
+
+def _beta_fixed_point_rtol(p, s):
+    """The relative error in the shapes of a beta optimum that double
+    precision can resolve, or FIXED_POINT_RTOL where that is larger.
+
+    Both solvers stop at a root of the gradient g_i = s_i - psi(theta_i) +
+    psi(n), n = a + b, as computed in double precision. Its terms each round
+    by about an ulp, so g_i is off by about e_i = eps (|s_i| + |psi(theta_i)|
+    + |psi(n)|), and to first order the root moves by (-H)^-1 e, with the
+    trigamma Hessian -H = [[psi1(a) - psi1(n), -psi1(n)], [-psi1(n),
+    psi1(b) - psi1(n)]]. As a and b grow, -H tends to singular along
+    (a, b), where its curvature a^2 psi1(a) + b^2 psi1(b) - n^2 psi1(n)
+    tends to 1/2, so a concentrated optimum is resolved only to about
+    2 (a e_0 + b e_1) relative: 6e-10 at shapes (16546, 45533), where the
+    exact and the warm shapes lie 3.0e-10 and 1.4e-10 from a 40-digit root.
+    The exact M-step and the warm step each land within that of the root,
+    so they can differ by twice it.
+    """
+    a, b = p.alpha, p.beta
+    n = a + b
+    tn = trigamma(n)
+    h_inv = np.linalg.inv([[trigamma(a) - tn, -tn], [-tn, trigamma(b) - tn]])
+    err = np.finfo(float).eps * np.array(
+        [abs(s[0]) + abs(digamma(a)) + abs(digamma(n)),
+         abs(s[1]) + abs(digamma(b)) + abs(digamma(n))])
+    shift = np.abs(h_inv) @ err / [a, b]
+    return max(FIXED_POINT_RTOL, 2.0 * float(shift.max()))
+
+
+def _assert_fixed_at_the_exact_optimum(kind, x, g):
+    family = mixtures._family(kind, x)
+    s = ((g @ family.statistic(x)) / g.sum()).tolist()
+    exact = m_step_params(x, g, _STARTS[kind])
+    got = mixtures._em_m_step(family, s, (exact, *family.natural(exact)))[0]
+    rtol = (_beta_fixed_point_rtol(exact, s) if kind == "beta"
+            else FIXED_POINT_RTOL)
+    for field in vars(exact):
+        assert getattr(got, field) == pytest.approx(getattr(exact, field),
+                                                    rel=rtol, abs=1e-300)
 
 
 @pytest.mark.parametrize("kind", ["beta", "von_mises"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_warm_step_is_fixed_at_the_exact_optimum(kind, data):
-    family, s, x, g, _ = data.draw(_warm_case(kind))
+    _, _, x, g, _ = data.draw(_warm_case(kind))
     # Samples all but equal have their optimum past the parameter ceiling.
     assume(np.ptp(x) > 0.01)
-    exact = m_step_params(x, g, _STARTS[kind])
-    got = mixtures._em_m_step(family, s, (exact, *family.natural(exact)))[0]
-    for field in vars(exact):
-        assert getattr(got, field) == pytest.approx(getattr(exact, field),
-                                                    rel=FIXED_POINT_RTOL,
-                                                    abs=1e-300)
+    _assert_fixed_at_the_exact_optimum(kind, x, g)
 
 
-def test_von_mises_warm_step_takes_the_exact_kappa_past_the_root():
-    # At R = 0.476 the root is near kappa = 1.08. From the mean direction
-    # and kappa = 2.418 the Newton step overshoots to about 0.013, where
-    # s @ eta - A is lower; keeping the warm start would repeat that step
-    # every iteration, so the step takes the exact root instead.
+@pytest.mark.parametrize("x, g", [
+    # Shapes near (16546, 45533): the warm step moves them by 4.4e-10.
+    ([0.266025248866769, 0.2673392222421123, 0.2553841679503113,
+      0.267205568074604],
+     [0.5651595874100863, 0.3651547156973956, 0.03230500069207744,
+      0.5342192278081739]),
+    # Shapes near (122592, 133260): the warm step moves them by 9.1e-10.
+    ([0.4871729507701966, 0.4798595189722663, 0.47788482883885713,
+      0.4792517197715457, 0.47825463476588526, 0.47969194483170396,
+      0.4795568391796051, 0.4807334344133155, 0.4761417548773411],
+     [0.01470772614443706, 0.5725496947383794, 0.2878326485604957,
+      0.8213259741090445, 0.6639969831360338, 0.2687239348985245,
+      0.6887142719315412, 0.1081012461906406, 0.07948723106250355]),
+])
+def test_beta_warm_step_is_fixed_at_a_concentrated_optimum(x, g):
+    # Samples 0.01 to 0.1 apart, which the property test above admits, can
+    # have an optimum so concentrated that double precision resolves its
+    # shapes only to a few 1e-10 relative.
+    _assert_fixed_at_the_exact_optimum("beta", np.array(x), np.array(g))
+
+
+@pytest.mark.parametrize("kappa", [2.418, 0.5])
+def test_von_mises_warm_step_takes_the_exact_kappa_past_the_root(kappa):
+    # At R = 0.476 the root is near kappa = 1.08. From kappa = 2.418, right
+    # of it, one Newton step would overshoot to about 0.013, where
+    # s @ eta - A is lower; from 0.5, left of it, one step would stop short
+    # at about 1.012. The warm M-step takes the exact root from either side.
     family = mixtures._family("von_mises", np.zeros(1))
     s = [0.476, 0.0]
-    warm = VonMisesParams(0.0, 2.418)
+    warm = VonMisesParams(0.0, kappa)
     triple = (warm, *family.natural(warm))
     new = mixtures._em_m_step(family, s, triple)
     assert (mixtures._mean_log_density(s, *new[1:])
@@ -912,7 +971,7 @@ def _log_posterior(log_dens, pi, alpha):
 
 def _warm_m_step_params(x, gamma_l, params):
     """The EM loop's warm M-step from ``params`` at the gamma-weighted mean
-    of T(x): one guarded Newton step for beta and von Mises, else exact."""
+    of T(x): one guarded Newton step for beta, else exact."""
     g = np.asarray(gamma_l, float)
     family = mixtures._family(params.kind, x)
     s = ((g @ family.statistic(x)) / g.sum()).tolist()
