@@ -21,7 +21,6 @@ read from the records.
 """
 
 import argparse
-import json
 from time import perf_counter
 
 from cloudlayers.pipeline import PipelineConfig, decode, process_sequence
@@ -56,16 +55,17 @@ def fit_suite(sequences, cfg):
 def e_steps_per_frame(runs):
     """Mean over frames of the winning restarts' E-steps, summed over each
     frame's fits."""
-    steps = sum(json.loads(text)["e_steps"] for recs, _ in runs
-                for r in recs for by_role in r.fits.values()
-                for text in by_role.values())
+    steps = sum(summary["e_steps"] for recs, _ in runs
+                for r in recs for by_role in r.fit_summaries().values()
+                for summary in by_role.values())
     return steps / sum(len(recs) for recs, _ in runs)
 
 
 def criterion_choices(recs, criterion):
     """The layer count ``criterion`` picks on each record, None where the
     frame failed."""
-    return [int(sorted(r.fits)[select(r.metric_reports, criterion) - 1][1:])
+    return [int(sorted(r.fit_summaries())
+                [select(r.metric_reports, criterion) - 1][1:])
             if r.metric_reports else None for r in recs]
 
 

@@ -19,7 +19,7 @@ def psi(l_t, l_prev, beta):
     return -beta if l_t == l_prev else +beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypothesisScore:
     l: int
     posterior_sum: float

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -96,19 +97,25 @@ class PipelineConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectionRecord:
     t: int
     chosen_l: int                # None until decided
     scores: list                 # HypothesisScore per hypothesis
     metric_reports: list         # MetricReport per hypothesis
-    # fits["L<l>"][role] is the JSON text of that fit's summary: callers keep
-    # every record, and as text a summary takes under half the memory of
-    # its dicts, lists and floats.
-    fits: dict
+    # All fit summaries, {"L<l>": {role: summary}}, as one sorted JSON text
+    # compressed by zlib at level 1, or {} when no fit succeeded. Callers
+    # keep every record, and so the summaries take about a tenth of the
+    # memory of their dicts, lists and floats and under half of their text.
+    # Read them with ``fit_summaries``.
+    fits: bytes | dict
     flow_summary: dict
     flags: dict
     error: str = None
+
+    def fit_summaries(self):
+        """{"L<l>": {role: summary dict}} of the record's fits."""
+        return json.loads(zlib.decompress(self.fits)) if self.fits else {}
 
     def to_json_dict(self):
         return {
@@ -116,9 +123,7 @@ class DetectionRecord:
             "chosen_l": self.chosen_l,
             "scores": [s.to_json_dict() for s in self.scores],
             "metrics": [m.to_json_dict() for m in self.metric_reports],
-            "fits": {l: {role: json.loads(text)
-                         for role, text in by_role.items()}
-                     for l, by_role in self.fits.items()},
+            "fits": self.fit_summaries(),
             "flow_summary": self.flow_summary,
             "flags": self.flags,
             "error": self.error,
@@ -200,7 +205,7 @@ def _evidence(prev, prev_mask, cur, cur_mask, cfg):
     deriv = flow_mod.derivatives(flow_mod.intensity_image(prev, prev_mask),
                                  flow_mod.intensity_image(cur, cur_mask))
 
-    scores, reports, fit_dumps, flow_summaries, failed = [], [], {}, {}, {}
+    scores, reports, summaries, flow_summaries, failed = [], [], {}, {}, {}
     for l in (1, 2):
         try:
             tfit = fit_temperature(temp_feats, prev.index, l, cfg)
@@ -222,9 +227,8 @@ def _evidence(prev, prev_mask, cur, cur_mask, cfg):
             scores.append(hmm_mod.HypothesisScore(l, posterior_sum, 0.0,
                                                   posterior_sum))
             reports.append(selection.metrics(tfit, vfit))
-            fit_dumps[f"L{l}"] = {
-                role: json.dumps(f.to_json_dict(), sort_keys=True)
-                for role, f in (("temperature", tfit), ("velocity", vfit))}
+            summaries[f"L{l}"] = {"temperature": tfit.to_json_dict(),
+                                  "velocity": vfit.to_json_dict()}
             mu, mv = merged.u[prev_mask.values], merged.v[prev_mask.values]
             flow_summaries[f"L{l}"] = {
                 "mean_u": float(mu.mean()), "mean_v": float(mv.mean()),
@@ -240,7 +244,8 @@ def _evidence(prev, prev_mask, cur, cur_mask, cfg):
         raise mixtures.FitError("both hypotheses failed: " + str(failed))
     return DetectionRecord(
         t=prev.index, chosen_l=None, scores=scores,
-        metric_reports=reports, fits=fit_dumps,
+        metric_reports=reports,
+        fits=zlib.compress(json.dumps(summaries, sort_keys=True).encode(), 1),
         flow_summary=flow_summaries, flags=flags,
         error=("; ".join(f"L{l}: {m}" for l, m in failed.items()) or None))
 

@@ -15,14 +15,14 @@ criterion to a frame's reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 CRITERIA = ("ml", "bic", "aic", "clc", "icl")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricReport:
     log_q: float        # hard-assignment complete-data log-likelihood
     n_params: int       # free parameter count
@@ -35,7 +35,7 @@ class MetricReport:
 
     def to_json_dict(self):
         return {k: (int(v) if isinstance(v, int) else float(v))
-                for k, v in vars(self).items()}
+                for k, v in asdict(self).items()}
 
 
 def entropy(gamma):
@@ -72,11 +72,11 @@ def metrics(*fits):
     """One MetricReport for one or more fits of the same samples: each
     value but ``n`` is the sum of the fits' own values, in argument order."""
     first, *rest = map(_fit_report, fits)
-    total = vars(first).copy()
+    total = asdict(first)
     for r in rest:
         if r.n != first.n:
             raise ValueError("fits of different sample counts")
-        for k, v in vars(r).items():
+        for k, v in asdict(r).items():
             if k != "n":
                 total[k] += v
     return MetricReport(**total)

@@ -54,14 +54,14 @@ def test_records_carry_scores_and_metrics():
     assert rec.t == 0
     assert sorted(s.l for s in rec.scores) == [1, 2]
     assert len(rec.metric_reports) == 2
-    assert set(rec.fits) == {"L1", "L2"}
+    assert set(rec.fit_summaries()) == {"L1", "L2"}
     assert rec.error is None
     doc = rec.to_json_dict()
     assert doc["chosen_l"] == rec.chosen_l
     assert rec.to_json_line().startswith("{")
-    # Fit summaries are kept as JSON text and come back as their dicts.
+    # Fit summaries are kept compressed and come back as their dicts.
     summary = doc["fits"]["L2"]["velocity"]
-    assert summary == json.loads(rec.fits["L2"]["velocity"])
+    assert summary == rec.fit_summaries()["L2"]["velocity"]
     assert summary["n_clusters"] == 2
     assert summary["stop"] in ("tolerance", "cap")
     assert len(summary["ll_trace"]) == len(summary["q_trace"])
@@ -128,7 +128,7 @@ def test_a_failed_hypothesis_scores_minus_infinity(monkeypatch):
     (f0, m0), (f1, m1) = _pairs(_two_layer_spec(frames=2))[0]
     state = hmm_mod.HmmState(previous_l=2, beta=650.0)
     rec = process_frame(f0, m0, f1, m1, state, PipelineConfig(seed=0))
-    assert set(rec.fits) == set(rec.flow_summary) == {"L1"}
+    assert set(rec.fit_summaries()) == set(rec.flow_summary) == {"L1"}
     assert len(rec.metric_reports) == 1
     assert [s.l for s in rec.scores] == [1, 2]
     assert rec.scores[1].posterior_sum == -np.inf
