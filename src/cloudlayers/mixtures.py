@@ -1068,15 +1068,17 @@ def _run_em(data, spec, gamma, restart_id):
                       restart_id=restart_id, ll_trace=ll_trace)
 
 
-def fit(features, spec, init_seed=0, restarts=3):
+def fit(features, spec, init_seed=0, restarts=1):
     """Best-Q MAP-EM fit over ``restarts`` initializations.
 
-    The first initialization splits the primary scalar feature at its median;
-    the rest use random responsibilities. A one-cluster fit has a single
-    initialization (all responsibilities 1) and runs once. Each run returns
-    its fit, and the first of the highest Q is kept. Raises
-    :class:`FitError` if every restart degenerates, and ``ValueError`` for
-    ``restarts`` under 1.
+    The first initialization splits the primary scalar feature at its median,
+    and by default it is the only one: on the benchmark pools it is the
+    winner of nearly every multi-start fit, at a fraction of the cost. Each
+    further restart uses random responsibilities drawn from ``init_seed``. A
+    one-cluster fit has a single initialization (all responsibilities 1) and
+    runs once. Each run returns its fit, and the first of the highest Q is
+    kept. Raises :class:`FitError` if every restart degenerates, and
+    ``ValueError`` for ``restarts`` under 1.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -1,4 +1,5 @@
-"""Scalar special functions and the parameter clamp of the M-steps.
+"""Scalar special functions, the parameter clamp of the M-steps and the
+integer test of the input checks.
 
 Each special function takes one float, rejects one <= 0 and returns a Python
 float. Everything here is a pure function of its arguments, so unrestricted
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special as _sp
 
 # Positivity clamp applied to every constrained parameter (shape, scale,
@@ -19,6 +21,11 @@ MIN_ARG = 1e-8
 # Degenerate data (e.g. a point mass on a circle) drives concentrations to
 # infinity; the ceiling keeps log-densities finite.
 PARAM_CEIL = 1e6
+
+
+def is_int(x):
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_positive(x, name):

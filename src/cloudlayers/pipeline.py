@@ -24,6 +24,7 @@ from . import hmm as hmm_mod
 from . import mixtures, selection
 from .imaging import (DegenerateNormalizationError, EmptyMaskError,
                       normalize_beta, normalize_gamma)
+from .numerics import is_int
 
 
 class InsufficientMaskError(ValueError):
@@ -73,7 +74,7 @@ class PipelineConfig:
     alpha1: float = 10.0      # Dirichlet prior, velocity component
     hmm_beta: float = 650.0
     wlk: flow_mod.WlkConfig = field(default_factory=flow_mod.WlkConfig)
-    restarts: int = 3
+    restarts: int = 1         # EM starts of a two-cluster fit
     seed: int = 0
     init_l: int = 1
 
@@ -89,6 +90,10 @@ class PipelineConfig:
                              "of two must be finite")
         if not 0 <= self.hmm_beta < math.inf:
             raise ValueError("hmm_beta must be finite and >= 0")
+        for name in ("restarts", "seed", "init_l"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be an int: {getattr(self, name)!r}")
         if self.init_l not in (1, 2):
             raise ValueError("init_l must be 1 or 2")
         if self.restarts < 1:

@@ -23,18 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import Frame, SegmentationMask, write_sequence
+from .numerics import is_int
 
 COVERAGE_THRESHOLD = 0.5
-
-
-def _is_int(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _check_real(name, x):
     """Raise ValueError unless x is a finite int or float; a bool is
     neither."""
-    if not ((_is_int(x) or isinstance(x, (float, np.floating)))
+    if not ((is_int(x) or isinstance(x, (float, np.floating)))
             and math.isfinite(x)):
         raise ValueError(f"{name} must be a finite number: {x!r}")
 
@@ -56,7 +53,7 @@ class LayerSpec:
             raise ValueError(f"velocity must be a pair: {self.velocity!r}")
         for c in self.velocity:
             _check_real("velocity", c)
-        if not (_is_int(self.n_blobs) and self.n_blobs > 0):
+        if not (is_int(self.n_blobs) and self.n_blobs > 0):
             raise ValueError(f"n_blobs must be a positive int: "
                              f"{self.n_blobs!r}")
 
@@ -73,11 +70,11 @@ class SynthSpec:
 
     def __post_init__(self):
         if np.shape(self.shape) != (2,) or not all(
-                _is_int(s) and s > 0 for s in self.shape):
+                is_int(s) and s > 0 for s in self.shape):
             raise ValueError(f"shape must be two positive ints: {self.shape}")
         if not 1 <= len(self.layers) <= 2:
             raise ValueError("layer count must be 1 or 2")
-        if not (_is_int(self.frames) and self.frames >= 2):
+        if not (is_int(self.frames) and self.frames >= 2):
             raise ValueError(f"frames must be an int >= 2: {self.frames!r}")
         _check_real("noise_sigma", self.noise_sigma)
         if self.noise_sigma < 0:
@@ -91,11 +88,11 @@ class SynthSpec:
         if self.change_point is not None:
             if len(self.layers) != 2:
                 raise ValueError("a change point requires two layers")
-            if not (_is_int(self.change_point)
+            if not (is_int(self.change_point)
                     and 0 < self.change_point < self.frames):
                 raise ValueError("change_point must be an int with "
                                  "0 < change_point < frames")
-        if not _is_int(self.seed):
+        if not is_int(self.seed):
             raise ValueError(f"seed must be an int: {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

@@ -1012,7 +1012,7 @@ def _columns(features, spec):
             [k for _, k in spec.components])
 
 
-def _reference_fit(features, spec, init_seed, restarts=3):
+def _reference_fit(features, spec, init_seed, restarts):
     """Plain MAP-EM over the fit's initializations; the restart with the
     highest final Q wins. Returns the winner's final objective."""
     xs, kinds = _columns(features, spec)
@@ -1073,25 +1073,40 @@ _REFERENCE_SPECS = {
 REFERENCE_REL_TOL = 1e-4
 
 
-@pytest.mark.parametrize("name", ["gamma", "beta", "von_mises",
-                                  "bivariate_gamma", "gaussian", "factorized"])
-@pytest.mark.parametrize("n_clusters", [1, 2])
-def test_fit_matches_plain_reference_em(name, n_clusters):
+_REFERENCE_NAMES = ["gamma", "beta", "von_mises", "bivariate_gamma",
+                    "gaussian", "factorized"]
+
+
+def _assert_fit_matches_plain_reference_em(name, n_clusters, restarts):
     rng = np.random.default_rng(34)
     for seed in range(3):
         feats = _reference_case(name, rng)
         comps = _REFERENCE_SPECS.get(name, (("x", name),))
         spec = MixtureSpec(n_clusters=n_clusters, components=comps,
                            dirichlet_alpha=(1.0 + seed,) * n_clusters)
-        f = fit(feats, spec, init_seed=seed)
+        f = fit(feats, spec, init_seed=seed, restarts=restarts)
         ll = np.asarray(f.ll_trace)
         assert np.all(np.diff(ll) >= -1e-9 * (1 + np.abs(ll[:-1])))
         # The recorded objective is the fit's own, Dirichlet term included.
         objective = _fit_objective(f, feats)
         assert ll[-1] == pytest.approx(objective, rel=1e-9)
-        reference = _reference_fit(feats, spec, seed)
+        reference = _reference_fit(feats, spec, seed, restarts)
         slack = REFERENCE_REL_TOL * (1 + abs(reference))
         assert objective >= reference - slack
+
+
+@pytest.mark.parametrize("name", _REFERENCE_NAMES)
+@pytest.mark.parametrize("n_clusters", [1, 2])
+def test_fit_matches_plain_reference_em(name, n_clusters):
+    # Three starts on both sides: the split start and two random ones.
+    _assert_fit_matches_plain_reference_em(name, n_clusters, restarts=3)
+
+
+@pytest.mark.parametrize("name", _REFERENCE_NAMES)
+def test_one_start_fit_matches_plain_reference_em(name):
+    # The split start alone on both sides; a one-cluster fit has one start
+    # whatever ``restarts`` is, and the test above covers it.
+    _assert_fit_matches_plain_reference_em(name, 2, restarts=1)
 
 
 @pytest.mark.parametrize("name", ["gamma", "beta", "von_mises",

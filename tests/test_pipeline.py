@@ -9,12 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cloudlayers import hmm as hmm_mod
-from cloudlayers import mixtures
+from cloudlayers import mixtures, selection
 from cloudlayers.flow import FlowField, WlkConfig
 from cloudlayers.imaging import Frame, SegmentationMask
-from cloudlayers.pipeline import (EPS, MODEL_ZOO, PipelineConfig,
-                                  _velocity_features, decide, decode,
-                                  frame_evidence, process_frame,
+from cloudlayers.pipeline import (EPS, MODEL_ZOO, DetectionRecord,
+                                  PipelineConfig, _velocity_features, decide,
+                                  decode, frame_evidence, process_frame,
                                   process_sequence)
 from cloudlayers.synth import LayerSpec, SynthSpec, generate
 
@@ -65,6 +65,57 @@ def test_records_carry_scores_and_metrics():
     assert summary["n_clusters"] == 2
     assert summary["stop"] in ("tolerance", "cap")
     assert len(summary["ll_trace"]) == len(summary["q_trace"])
+
+
+def test_record_stores_each_fit_summary_compressed(monkeypatch):
+    # selection.metrics sees each hypothesis's (temperature, velocity) fits.
+    seen = []
+    metrics = selection.metrics
+
+    def keep(*fits):
+        seen.append(fits)
+        return metrics(*fits)
+
+    monkeypatch.setattr(selection, "metrics", keep)
+    pairs, _ = _pairs(_two_layer_spec(frames=2))
+    rec = process_sequence(pairs, PipelineConfig(seed=0))[0]
+    assert rec.fit_summaries() == rec.to_json_dict()["fits"] == {
+        f"L{l}": {"temperature": t.to_json_dict(),
+                  "velocity": v.to_json_dict()}
+        for l, (t, v) in zip((1, 2), seen)}
+    assert isinstance(rec.fits, bytes)
+    assert len(rec.fits) < len(json.dumps(rec.fit_summaries(),
+                                          sort_keys=True))
+
+
+def test_record_types_have_no_instance_dict():
+    pairs, _ = _pairs(_two_layer_spec(frames=2))
+    rec = process_sequence(pairs, PipelineConfig(seed=0))[0]
+    for obj in (rec, rec.scores[0], rec.metric_reports[0]):
+        assert not hasattr(obj, "__dict__")
+
+
+def test_a_record_built_with_empty_fits_encodes():
+    # The shape of a failed record that a caller builds itself.
+    rec = DetectionRecord(t=4, chosen_l=1, scores=[], metric_reports=[],
+                          fits={}, flow_summary={},
+                          flags={"frame_failed": True}, error="no mask")
+    assert rec.fit_summaries() == {}
+    assert json.loads(rec.to_json_line())["fits"] == {}
+
+
+def test_two_cluster_fits_take_one_start_by_default(monkeypatch):
+    starts = []
+    run_em = mixtures._run_em
+
+    def counted(data, spec, gamma, restart_id):
+        starts.append((spec.n_clusters, restart_id))
+        return run_em(data, spec, gamma, restart_id)
+
+    monkeypatch.setattr(mixtures, "_run_em", counted)
+    pairs, _ = _pairs(_two_layer_spec(frames=2))
+    process_sequence(pairs, PipelineConfig(seed=0))
+    assert sorted(starts) == [(1, 0), (1, 0), (2, 0), (2, 0)]
 
 
 def test_detection_is_deterministic():
@@ -257,6 +308,32 @@ def test_config_validation():
             PipelineConfig(restarts=restarts)
     with pytest.raises(ValueError, match="seed"):
         PipelineConfig(seed=-1)
+
+
+# A float or a bool would pass the range checks and fail later, or pass as
+# 1: restarts=2.0 fails the first frame's ``range``.
+@pytest.mark.parametrize("bad", [2.0, 1.0, True, "2", None])
+def test_config_requires_int_restarts(bad):
+    with pytest.raises(ValueError, match="restarts must be an int"):
+        PipelineConfig(restarts=bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, np.float64(3.0), False, None])
+def test_config_requires_int_seed(bad):
+    with pytest.raises(ValueError, match="seed must be an int"):
+        PipelineConfig(seed=bad)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 2.0, "1"])
+def test_config_requires_int_init_l(bad):
+    with pytest.raises(ValueError, match="init_l must be an int"):
+        PipelineConfig(init_l=bad)
+
+
+def test_config_takes_numpy_ints():
+    cfg = PipelineConfig(restarts=np.int64(2), seed=np.uint32(5),
+                         init_l=np.int8(2))
+    assert (cfg.restarts, cfg.seed, cfg.init_l) == (2, 5, 2)
 
 
 def test_model_zoo_ids_are_well_formed():
