@@ -16,7 +16,9 @@ unit on base_again warm every side up. With ``--rounds`` at least the
 workload's chunk count, that pass covers the whole pool. Per workload the
 script prints the median over rounds of CPU per frame on each side, the
 median ratio change/base with a 95% bootstrap interval and the rounds the
-change won, the same for base_again/base, and the E-step figures. For the
+change won, the same for base_again/base, the E-step figures, and the bytes
+that a record of the untimed pass holds on base and change (a recursive
+``sys.getsizeof`` that counts each object once). For the
 records it prints whether their digests are equal, the frames whose
 ``chosen_l`` agree, each side's layer-count accuracy, overall and per true
 layer count, and per hypothesis layer count the median and largest move of
@@ -105,6 +107,33 @@ def counted(cl, workload, sequences, cfg):
         cl.mixtures.e_step = e_step
     frames = sum(len(r) for r in records)
     return len(calls) / frames, records
+
+
+def _deep_size(obj, seen):
+    """Recursive ``sys.getsizeof`` of ``obj``: its own bytes and those of
+    the keys, values, items and attributes it holds, each object counted
+    once over ``seen``, the ids counted so far."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        return size + sum(_deep_size(k, seen) + _deep_size(v, seen)
+                          for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return size + sum(_deep_size(v, seen) for v in obj)
+    if hasattr(obj, "__dict__"):
+        size += _deep_size(vars(obj), seen)
+    for name in getattr(type(obj), "__slots__", ()):
+        size += _deep_size(getattr(obj, name), seen)
+    return size
+
+
+def bytes_per_record(records):
+    """Mean bytes that one of ``records`` (a list per sequence) holds."""
+    flat = [r for recs in records for r in recs]
+    seen = set()
+    return sum(_deep_size(r, seen) for r in flat) / len(flat)
 
 
 def _accuracy(truths, records):
@@ -197,6 +226,8 @@ def compare(trees, workload, seed, rounds):
         "change/base": ratio_summary(ab, rng),
         "base_again/base": ratio_summary(aa, rng),
         "e_steps_per_frame": {s: c[0] for s, c in counts.items()},
+        "bytes_per_record": {s: bytes_per_record(c[1])
+                             for s, c in counts.items()},
         "records_equal": (checks.digest(counts["change"][1])
                           == checks.digest(counts["base"][1])),
         "records": agreement(visited, counts["base"][1], counts["change"][1]),
@@ -215,6 +246,8 @@ def report(name, res):
               f"{s['ci95'][1]:.4f}], {s['wins']}/{s['rounds']} under 1")
     e = res["e_steps_per_frame"]
     print(f"  E-steps/frame: base {e['base']:.2f}, change {e['change']:.2f}")
+    b = res["bytes_per_record"]
+    print(f"  bytes/record: base {b['base']:.0f}, change {b['change']:.0f}")
     rec = res["records"]
     print(f"  records equal: {res['records_equal']}; chosen_l agrees on "
           f"{rec['chosen_l_agree']}/{rec['frames']} frames")
