@@ -110,8 +110,8 @@ class DetectionRecord:
     metric_reports: list         # MetricReport per hypothesis
     # All fit summaries, {"L<l>": {role: summary}}, as one sorted JSON text
     # compressed by zlib at level 1, or {} when no fit succeeded. Callers
-    # keep every record, and so the summaries take about a tenth of the
-    # memory of their dicts, lists and floats and under half of their text.
+    # keep every record; compressed, the summaries take about a tenth of the
+    # memory of their dicts, lists and floats, and under half of their text.
     # Read them with ``fit_summaries``.
     fits: bytes | dict
     flow_summary: dict
