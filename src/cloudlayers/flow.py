@@ -13,8 +13,10 @@ half-width w, with per-sample weights read from the layer's posterior grid:
     v = (X Gamma X^T + tau I)^-1 X Gamma y,   y = -It.
 
 The entries of each layer's 2x2 system are window sums of six per-pixel
-products, all read by slicing from one integral image of the six, padded
-with zeros so that windows clipped at the grid's edges need no gathers.
+products. Each is read by slicing from the product's integral image, built in
+one zero-padded buffer per call that every product reuses in turn: windows
+clipped at the grid's edges need no gathers, and no array of the solve is
+larger than that buffer.
 
 These kernels carry a gain: a unit intensity gradient produces Ix = 2 while a
 rigid unit displacement produces It = 4 of the opposite sign, so the raw WLS
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imaging import EmptyMaskError
+from .numerics import is_int, is_real
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,13 @@ class WlkConfig:
     tau: float = 1e-8
 
     def __post_init__(self):
+        if not is_int(self.window_half_width):
+            raise ValueError("window_half_width must be an int: "
+                             f"{self.window_half_width!r}")
         if self.window_half_width < 1:
             raise ValueError("window_half_width must be >= 1")
+        if not is_real(self.tau):
+            raise ValueError(f"tau must be a real number: {self.tau!r}")
         # The solve multiplies two tau-shifted sums, so tau squared must be
         # finite.
         if not (0 <= self.tau and self.tau * self.tau < math.inf):
@@ -95,9 +103,18 @@ def intensity_image(frame, mask):
     return np.clip((frame.temperatures - lo) * (255.0 / (hi - lo)), 0.0, 255.0)
 
 
-def _block_sum(img):
-    """Sum of the forward 2x2 block at each pixel, replicate-padded."""
-    p = np.pad(img, ((0, 1), (0, 1)), mode="edge")
+def _edge_pad(img):
+    """``img`` with its last row and its last column repeated once."""
+    m, n = img.shape
+    p = np.empty((m + 1, n + 1))
+    p[:m, :n] = img
+    p[m, :n] = img[-1]
+    p[:, n] = p[:, n - 1]
+    return p
+
+
+def _block_sum(p):
+    """Sum of the forward 2x2 block at each pixel of the edge-padded ``p``."""
     return p[:-1, :-1] + p[:-1, 1:] + p[1:, :-1] + p[1:, 1:]
 
 
@@ -107,37 +124,39 @@ def derivatives(prev, nxt):
     nxt = np.asarray(nxt, dtype=float)
     if prev.shape != nxt.shape:
         raise ValueError("frame shapes differ")
-    p = np.pad(prev, ((0, 1), (0, 1)), mode="edge")
+    p = _edge_pad(prev)
     ix = (p[:-1, 1:] - p[:-1, :-1]) + (p[1:, 1:] - p[1:, :-1])
     iy = (p[1:, :-1] - p[:-1, :-1]) + (p[1:, 1:] - p[:-1, 1:])
-    it = _block_sum(prev) - _block_sum(nxt)
+    it = _block_sum(p) - _block_sum(_edge_pad(nxt))
     return DerivativeStack(ix=ix, iy=iy, it=it)
 
 
-def _window_sums(planes, w):
-    """Clipped box sums of half-width w of each plane in ``planes``, a
-    sequence of (m, n) arrays; returns one (len(planes), m, n) array.
+def _window_sum(c, w, a, out):
+    """Clipped box sums of half-width w of the (m, n) plane ``a``, into
+    ``out``, which may be ``a`` itself.
 
-    One integral image covers every plane, that of the planes padded with
-    w + 1 rows and columns of zeros before the grid and w after it. A
-    window's corners are then plain slices at offsets 0 and 2w + 1, even
-    where it leaves the grid. Padding adds exact zeros, so the padded image
-    is 0 before the grid and repeats its last row and column after it: each
-    corner holds the same bits as the clipped corner of the unpadded image.
+    ``c`` is an (m + 2w + 1, n + 2w + 1) buffer whose first w + 1 rows and
+    columns are zero; the rest of it is scratch. The integral image of ``a``
+    is built in ``c[w + 1:w + 1 + m, w + 1:w + 1 + n]``, and its last row and
+    column are repeated into the w rows and columns after it. A window's
+    corners are then plain slices at offsets 0 and 2w + 1, even where it
+    leaves the grid: before the grid they read exact zeros and after it the
+    clipped corner, so each holds the same bits as the clipped corner of the
+    plane's own integral image. The zero rows and columns stay zero, so
+    ``c`` can take the next plane.
     """
-    m, n = planes[0].shape
-    s = np.stack(planes)
-    np.cumsum(s, axis=1, out=s)
-    np.cumsum(s, axis=2, out=s)
-    c = np.zeros((len(planes), m + 2 * w + 1, n + 2 * w + 1))
-    grid = c[:, w + 1:, w + 1:]
-    grid[:, :m, :n] = s
-    grid[:, m:, :n] = s[:, -1:]
-    grid[:, :, n:] = grid[:, :, n - 1:n]
+    m, n = out.shape
+    grid = c[w + 1:, w + 1:]
+    integral = grid[:m, :n]
+    np.cumsum(a, axis=0, out=integral)
+    np.cumsum(integral, axis=1, out=integral)
+    grid[m:, :n] = integral[-1]
+    grid[:, n:] = grid[:, n - 1:n]
     lo_i, hi_i = slice(0, m), slice(2 * w + 1, 2 * w + 1 + m)
     lo_j, hi_j = slice(0, n), slice(2 * w + 1, 2 * w + 1 + n)
-    return (c[:, hi_i, hi_j] - c[:, lo_i, hi_j]
-            - c[:, hi_i, lo_j] + c[:, lo_i, lo_j])
+    np.subtract(c[hi_i, hi_j], c[lo_i, hi_j], out=out)
+    np.subtract(out, c[hi_i, lo_j], out=out)
+    return np.add(out, c[lo_i, lo_j], out=out)
 
 
 # Relative determinant threshold below which the 2x2 system is treated as
@@ -155,33 +174,49 @@ def wlk_solve(deriv, weights, cfg):
     """
     w = cfg.window_half_width
     tau = cfg.tau
-    y = -deriv.it
+    ix, iy, y = deriv.ix, deriv.iy, -deriv.it
+    m, n = ix.shape
+    c = np.zeros((m + 2 * w + 1, n + 2 * w + 1))
+    gx, gy, a11, a22, a12, b1, b2, det = (np.empty((m, n)) for _ in range(8))
     fields, stats = [], []
     for g in weights:
         g = np.asarray(g, dtype=float)
-        if g.shape != deriv.ix.shape:
+        if g.shape != ix.shape:
             raise ValueError("weight grid shape differs from derivatives")
         if np.any(g < -1e-12) or np.any(g > 1 + 1e-12):
             raise ValueError("posterior weights must lie in [0, 1]")
-        gx = g * deriv.ix
-        gy = g * deriv.iy
-        a11, a22, a12, b1, b2, wsum = _window_sums(
-            (gx * deriv.ix, gy * deriv.iy, gx * deriv.iy, gx * y, gy * y, g),
-            w)
-        a11 = a11 + tau
-        a22 = a22 + tau
+        np.multiply(g, ix, out=gx)
+        np.multiply(g, iy, out=gy)
+        # Each product is made in the array that takes its window sums.
+        for out, a, b in ((a11, gx, ix), (a22, gy, iy), (a12, gx, iy),
+                          (b1, gx, y), (b2, gy, y)):
+            _window_sum(c, w, np.multiply(a, b, out=out), out)
+        empty = _window_sum(c, w, g, det) <= 1e-12
+        a11 += tau
+        a22 += tau
 
-        det = a11 * a22 - a12 * a12
-        scale = np.maximum(np.maximum(a11, a22), 1e-300)
-        empty = wsum <= 1e-12
-        singular = (det <= _SINGULAR_RDET * scale * scale) & ~empty
+        # gx and gy are free from here on: they hold the scratch terms.
+        np.multiply(a11, a22, out=det)
+        det -= np.multiply(a12, a12, out=gx)
+        scale = np.maximum(np.maximum(a11, a22, out=gy), 1e-300, out=gy)
+        threshold = np.multiply(_SINGULAR_RDET, scale, out=gx)
+        threshold *= scale
+        singular = (det <= threshold) & ~empty
         bad = empty | singular
-        det_safe = np.where(bad, 1.0, det)
-        u = np.where(bad, 0.0, (a22 * b1 - a12 * b2) / det_safe)
-        v = np.where(bad, 0.0, (a11 * b2 - a12 * b1) / det_safe)
-        fields.append(FlowField(u=GAIN * u, v=GAIN * v))
-        stats.append(WlkStats(singular_pixels=int(singular.sum()),
-                              empty_windows=int(empty.sum())))
+        np.copyto(det, 1.0, where=bad)
+        u = np.multiply(a22, b1)
+        u -= np.multiply(a12, b2, out=gx)
+        u /= det
+        v = np.multiply(a11, b2)
+        v -= np.multiply(a12, b1, out=gx)
+        v /= det
+        for r in (u, v):
+            np.copyto(r, 0.0, where=bad)
+            r *= GAIN
+        fields.append(FlowField(u=u, v=v))
+        stats.append(WlkStats(
+            singular_pixels=int(np.count_nonzero(singular)),
+            empty_windows=int(np.count_nonzero(empty))))
     return fields, stats
 
 

@@ -766,8 +766,11 @@ class _FitData:
 
 
 def _component_data(features, spec):
-    """_FitData: the features are checked finite, T is computed, its sums
-    checked finite and the support checked once per fit."""
+    """_FitData of ``features``, computed once per fit: each feature is
+    checked finite and its statistic T computed, which checks its support.
+    The sums of T over the samples, kept as ``totals``, are then checked
+    finite feature by feature in spec order: a statistic that overflows, or
+    whose sum does, raises SupportError naming its feature."""
     comps, blocks = [], []
     n = None
     k = 0
@@ -780,20 +783,22 @@ def _component_data(features, spec):
         if not np.isfinite(x).all():
             raise SupportError(f"feature {fname!r} holds non-finite values")
         # Finite values can still have a statistic that overflows, such as
-        # a Gaussian's centred square above about 1e154; a non-finite sum
-        # catches that and an overflowing sum alike.
+        # a Gaussian's centred square above about 1e154; the sums below
+        # catch that and an overflowing sum alike.
         with np.errstate(over="ignore", invalid="ignore"):
             family = _family(kind, x)
             t = family.statistic(x)
-            finite = np.isfinite(t.sum(axis=0)).all()
-        if not finite:
-            raise SupportError(f"feature {fname!r} overflows its statistic")
         comps.append(_Component(family, x, slice(k, k + t.shape[1])))
         blocks.append(t.T)
         k += t.shape[1]
     blocks.append(np.ones((1, n)))
     stats = np.concatenate(blocks)
-    return _FitData(tuple(comps), stats, stats.sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = stats.sum(axis=1)
+    for (fname, _), comp in zip(spec.components, comps):
+        if not np.isfinite(totals[comp.rows]).all():
+            raise SupportError(f"feature {fname!r} overflows its statistic")
+    return _FitData(tuple(comps), stats, totals)
 
 
 def e_step(coef, pi, stats, totals):

@@ -1,5 +1,5 @@
 """Scalar special functions, the parameter clamp of the M-steps and the
-integer test of the input checks.
+integer and real tests of the input checks.
 
 Each special function takes one float, rejects one <= 0 and returns a Python
 float. Everything here is a pure function of its arguments, so unrestricted
@@ -26,6 +26,12 @@ PARAM_CEIL = 1e6
 def is_int(x):
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_real(x):
+    """True for an integer as ``is_int`` takes it or a Python or numpy
+    float; a bool is neither."""
+    return is_int(x) or isinstance(x, (float, np.floating))
 
 
 def _check_positive(x, name):

@@ -41,17 +41,30 @@ class MetricReport:
 def entropy(gamma):
     """H = sum_i sum_l gamma log gamma with 0 log 0 = 0; always <= 0."""
     g = np.asarray(gamma, float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(g > 0, g * np.log(np.where(g > 0, g, 1.0)), 0.0)
+    if g.ndim == 2 and g.shape[1] == 1 and (g == 1.0).all():
+        return 0.0  # one cluster: each gamma is 1, and 1 log 1 = 0
+    positive = g > 0
+    terms = np.zeros_like(g)
+    np.log(g, out=terms, where=positive)
+    np.multiply(g, terms, out=terms, where=positive)
     return float(terms.sum())
 
 
 def hard_log_likelihood(mixture_fit):
-    """log Q-hat: complete-data log-likelihood under argmax assignments."""
-    z = np.argmax(mixture_fit.responsibilities, axis=1)
-    rows = np.arange(z.size)
-    return float(np.sum(np.log(mixture_fit.weights[z])
-                        + mixture_fit.log_dens[rows, z]))
+    """log Q-hat: complete-data log-likelihood under argmax assignments,
+    where a tie goes to the lower cluster."""
+    r = mixture_fit.responsibilities
+    d = mixture_fit.log_dens
+    log_w = np.log(mixture_fit.weights)
+    if r.shape[1] == 1:
+        terms = d[:, 0] + log_w[0]
+    elif r.shape[1] == 2:
+        z = r[:, 1] > r[:, 0]
+        terms = np.where(z, d[:, 1] + log_w[1], d[:, 0] + log_w[0])
+    else:
+        z = np.argmax(r, axis=1)
+        terms = log_w[z] + d[np.arange(z.size), z]
+    return float(np.sum(terms))
 
 
 def _fit_report(mixture_fit):
@@ -72,14 +85,19 @@ def metrics(*fits):
     """One MetricReport for one or more fits of the same samples: each
     value but ``n`` is the sum of the fits' own values, in argument order."""
     first, *rest = map(_fit_report, fits)
-    total = asdict(first)
-    for r in rest:
-        if r.n != first.n:
-            raise ValueError("fits of different sample counts")
-        for k, v in asdict(r).items():
-            if k != "n":
-                total[k] += v
-    return MetricReport(**total)
+    if any(r.n != first.n for r in rest):
+        raise ValueError("fits of different sample counts")
+
+    def total(name):
+        value = getattr(first, name)
+        for r in rest:
+            value += getattr(r, name)
+        return value
+
+    return MetricReport(log_q=total("log_q"), n_params=total("n_params"),
+                        n=first.n, entropy=total("entropy"),
+                        bic=total("bic"), aic=total("aic"),
+                        clc=total("clc"), icl=total("icl"))
 
 
 def select(reports, criterion):

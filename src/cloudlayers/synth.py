@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import Frame, SegmentationMask, write_sequence
-from .numerics import is_int
+from .numerics import is_int, is_real
 
 COVERAGE_THRESHOLD = 0.5
 
@@ -31,8 +31,7 @@ COVERAGE_THRESHOLD = 0.5
 def _check_real(name, x):
     """Raise ValueError unless x is a finite int or float; a bool is
     neither."""
-    if not ((is_int(x) or isinstance(x, (float, np.floating)))
-            and math.isfinite(x)):
+    if not (is_real(x) and math.isfinite(x)):
         raise ValueError(f"{name} must be a finite number: {x!r}")
 
 

@@ -1,9 +1,11 @@
 """Derivative kernels, the weighted LS solver and its calibration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import window_sums
 
 from cloudlayers import flow
 from cloudlayers.flow import (DerivativeStack, FlowField, WlkConfig, WlkStats,
@@ -209,6 +211,8 @@ def _oracle_wlk_solve(deriv, weights, cfg):
 
 
 def test_window_sums_match_gathered_integral_image():
+    # Each shape's planes go through one buffer in turn, as in wlk_solve,
+    # so whatever a plane leaves in the buffer must not reach the next.
     rng = np.random.default_rng(11)
     shapes = [(1, 1), (1, 90), (90, 1), (2, 3), (60, 80), (90, 90)]
     shapes += [tuple(rng.integers(1, 91, size=2)) for _ in range(14)]
@@ -218,10 +222,17 @@ def test_window_sums_match_gathered_integral_image():
                       * (rng.uniform(size=(m, n)) < 0.6),
                       np.zeros((m, n)),
                       rng.uniform(size=(m, n))]
-            sums = flow._window_sums(planes, w)
-            assert sums.shape == (3, m, n)
-            for got, a in zip(sums, planes):
-                assert np.array_equal(got, _oracle_window_sum(a, w))
+            stacked = window_sums(planes, w)
+            c = np.zeros((m + 2 * w + 1, n + 2 * w + 1))
+            for a, ref in zip(planes, stacked):
+                out = np.empty((m, n))
+                assert flow._window_sum(c, w, a, out) is out
+                assert np.array_equal(out, _oracle_window_sum(a, w))
+                assert out.tobytes() == ref.tobytes()
+                # In place, as wlk_solve takes the sums of its products.
+                same = a.copy()
+                flow._window_sum(c, w, same, same)
+                assert same.tobytes() == ref.tobytes()
 
 
 def test_wlk_solve_matches_gathered_window_sums():
@@ -240,6 +251,66 @@ def test_wlk_solve_matches_gathered_window_sums():
         assert stats[0].empty_windows > 0
         for f, ref in zip(fields, ref_fields):
             assert np.array_equal(f.u, ref.u) and np.array_equal(f.v, ref.v)
+
+
+def _assert_same_bits(got, ref):
+    fields, stats = got
+    ref_fields, ref_stats = ref
+    assert stats == ref_stats
+    assert len(fields) == len(ref_fields)
+    for f, r in zip(fields, ref_fields):
+        assert np.array_equal(f.u, r.u) and np.array_equal(f.v, r.v)
+        assert f.u.tobytes() == r.u.tobytes()
+        assert f.v.tobytes() == r.v.tobytes()
+
+
+def _layers(rng, shape, kind):
+    """Posterior grids for ``kind``: three layers, an all-zero layer beside
+    a layer of ones, or weights that are exactly 0 and 1."""
+    if kind == "three":
+        return list(np.moveaxis(rng.dirichlet([1.0, 1.0, 1.0], size=shape),
+                                -1, 0))
+    if kind == "zero-layer":
+        return [np.zeros(shape), np.ones(shape)]
+    hard = (rng.uniform(size=shape) < 0.5).astype(float)
+    return [hard, 1.0 - hard]
+
+
+@pytest.mark.parametrize("shape,w", [((37, 53), 1), ((37, 53), 8),
+                                     ((1, 40), 20), ((40, 1), 20),
+                                     ((2, 3), 20)])
+@pytest.mark.parametrize("kind", ["three", "zero-layer", "zero-one"])
+def test_wlk_solve_is_bitwise_the_gathered_solve(shape, w, kind):
+    rng = np.random.default_rng(13)
+    prev = rng.uniform(0, 255, size=shape)
+    nxt = prev + rng.normal(scale=4.0, size=shape)
+    d = derivatives(prev, nxt)
+    weights = _layers(rng, shape, kind)
+    cfg = WlkConfig(window_half_width=w)
+    got = wlk_solve(d, weights, cfg)
+    _assert_same_bits(got, _oracle_wlk_solve(d, weights, cfg))
+    if kind == "zero-layer":
+        assert got[1][0].empty_windows == prev.size
+        assert not got[0][0].u.any() and not got[0][0].v.any()
+
+
+def test_wlk_solve_keeps_no_large_temporaries():
+    # Six stacked planes of a 60x80 grid take 230 KB and their padded
+    # integral image 360 KB; a solve that builds them peaks near 2 MB.
+    rng = np.random.default_rng(14)
+    prev = rng.uniform(0, 255, size=(60, 80))
+    d = derivatives(prev, np.roll(prev, 1, axis=1))
+    g = rng.uniform(size=prev.shape)
+    weights = [g, 1.0 - g]
+    cfg = WlkConfig()
+    tracemalloc.start()
+    try:
+        result = wlk_solve(d, weights, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) == 2
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("shift,expect", [((0, 1), (1.0, 0.0)),
@@ -315,4 +386,16 @@ def test_wlk_config_validation():
     for tau in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tau"):
             WlkConfig(tau=tau)
+    # A window of 2.0 gave a width of 5.0, and the solve then raised
+    # TypeError; True passed as 1, and tau=True as 1.0.
+    for w in (True, False, 2.0, 1.5, "2", None):
+        with pytest.raises(ValueError,
+                           match="window_half_width must be an int"):
+            WlkConfig(window_half_width=w)
+    for tau in (True, False, "1e-8", None, 1j):
+        with pytest.raises(ValueError, match="tau must be a real number"):
+            WlkConfig(tau=tau)
     assert WlkConfig(window_half_width=8).window_width == 17
+    cfg = WlkConfig(window_half_width=np.int64(2), tau=np.float64(1e-6))
+    assert cfg.window_width == 5
+    assert WlkConfig(tau=0).tau == 0 and WlkConfig(tau=np.int32(1)).tau == 1

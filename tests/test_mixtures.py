@@ -891,6 +891,22 @@ def test_overflowing_statistic_fails_at_the_fit_boundary(kind, big):
         fit({"x": x}, spec, init_seed=0)
 
 
+@pytest.mark.parametrize("n_clusters", [1, 2])
+def test_an_overflowing_statistic_names_its_feature(n_clusters):
+    # The check reads the sums of every feature's statistic at once; the
+    # feature named is the one whose sums overflow, not the first.
+    x = np.linspace(1.0, 3.0, 101)
+    big = np.concatenate([x[:-1], [1e200]])
+    spec = MixtureSpec(n_clusters=n_clusters,
+                       components=(("ok", "gaussian"), ("big", "gaussian"),
+                                   ("also_ok", "gamma")),
+                       dirichlet_alpha=(1.0,) * n_clusters)
+    feats = {"ok": x, "big": big, "also_ok": x}
+    with pytest.raises(SupportError,
+                       match="^feature 'big' overflows its statistic$"):
+        fit(feats, spec, init_seed=0)
+
+
 def test_mixture_spec_validation():
     with pytest.raises(ValueError):
         MixtureSpec(n_clusters=3, components=(("x", "gamma"),),

@@ -1,8 +1,10 @@
 """Model-selection metrics and the per-criterion chooser."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,74 @@ def test_entropy_is_nonpositive(seed):
     rng = np.random.default_rng(seed)
     g = rng.dirichlet([1.0, 1.0], size=23)
     assert entropy(g) <= 0.0
+
+
+def _responsibilities(rng, n, l, kind):
+    """(n, l) responsibilities: soft, soft with rows of exact ties, or
+    exactly 0 and 1."""
+    if kind == "hard":
+        return np.eye(l)[rng.integers(0, l, size=n)]
+    g = rng.dirichlet(np.ones(l), size=n)
+    if kind == "ties":
+        g[::3] = 1.0 / l
+    return g
+
+
+_GAMMA_CASES = [(1, "hard"), (2, "soft"), (2, "ties"), (2, "hard"),
+                (3, "soft"), (3, "ties"), (3, "hard")]
+
+
+@pytest.mark.parametrize("l,kind", _GAMMA_CASES)
+def test_hard_log_likelihood_is_bitwise_the_argmax_formula(l, kind):
+    # Ties go to the lower cluster, as np.argmax sends them.
+    rng = np.random.default_rng(21)
+    n = 301
+    fit_like = SimpleNamespace(
+        weights=rng.dirichlet(np.ones(l)),
+        responsibilities=_responsibilities(rng, n, l, kind),
+        log_dens=rng.normal(scale=50.0, size=(n, l)))
+    got = hard_log_likelihood(fit_like)
+    ref = oracles.hard_log_likelihood(fit_like.weights,
+                                      fit_like.responsibilities,
+                                      fit_like.log_dens)
+    assert got.hex() == ref.hex()
+
+
+@pytest.mark.parametrize("l,kind", _GAMMA_CASES)
+def test_entropy_is_bitwise_the_masked_formula(l, kind):
+    g = _responsibilities(np.random.default_rng(22), 301, l, kind)
+    assert entropy(g).hex() == oracles.entropy(g).hex()
+
+
+def test_entropy_of_one_cluster():
+    ones = np.ones((50, 1))
+    assert entropy(ones).hex() == oracles.entropy(ones).hex() == "0x0.0p+0"
+    # A column that is not all ones takes the full formula.
+    half = np.full((50, 1), 0.5)
+    assert entropy(half).hex() == oracles.entropy(half).hex()
+    assert entropy(half) < 0.0
+
+
+@pytest.mark.parametrize("n_clusters", [1, 2])
+def test_fit_report_is_bitwise_the_reference_formulas(n_clusters):
+    f = _fitted(n_clusters)
+    r = metrics(f)
+    ref_q = oracles.hard_log_likelihood(f.weights, f.responsibilities,
+                                        f.log_dens)
+    assert r.log_q.hex() == ref_q.hex()
+    assert r.entropy.hex() == oracles.entropy(f.responsibilities).hex()
+
+
+def test_metrics_sums_several_fits_in_argument_order():
+    fits = [_fitted(2, seed=s) for s in (0, 1, 2)]
+    reports = [metrics(f) for f in fits]
+    total = metrics(*fits)
+    assert total.n == 400
+    for k in ("log_q", "n_params", "entropy", "bic", "aic", "clc", "icl"):
+        value = getattr(reports[0], k)
+        for r in reports[1:]:
+            value += getattr(r, k)
+        assert getattr(total, k) == value, k
 
 
 def test_bic_hand_value():
