@@ -15,7 +15,7 @@ criterion to a frame's reports.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,8 +41,6 @@ class MetricReport:
 def entropy(gamma):
     """H = sum_i sum_l gamma log gamma with 0 log 0 = 0; always <= 0."""
     g = np.asarray(gamma, float)
-    if g.ndim == 2 and g.shape[1] == 1 and (g == 1.0).all():
-        return 0.0  # one cluster: each gamma is 1, and 1 log 1 = 0
     positive = g > 0
     terms = np.zeros_like(g)
     np.log(g, out=terms, where=positive)
@@ -94,10 +92,8 @@ def metrics(*fits):
             value += getattr(r, name)
         return value
 
-    return MetricReport(log_q=total("log_q"), n_params=total("n_params"),
-                        n=first.n, entropy=total("entropy"),
-                        bic=total("bic"), aic=total("aic"),
-                        clc=total("clc"), icl=total("icl"))
+    return MetricReport(**{f.name: first.n if f.name == "n" else total(f.name)
+                            for f in fields(MetricReport)})
 
 
 def select(reports, criterion):

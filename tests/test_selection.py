@@ -1,5 +1,6 @@
 """Model-selection metrics and the per-criterion chooser."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -98,10 +99,6 @@ def test_entropy_is_bitwise_the_masked_formula(l, kind):
 def test_entropy_of_one_cluster():
     ones = np.ones((50, 1))
     assert entropy(ones).hex() == oracles.entropy(ones).hex() == "0x0.0p+0"
-    # A column that is not all ones takes the full formula.
-    half = np.full((50, 1), 0.5)
-    assert entropy(half).hex() == oracles.entropy(half).hex()
-    assert entropy(half) < 0.0
 
 
 @pytest.mark.parametrize("n_clusters", [1, 2])
@@ -119,7 +116,8 @@ def test_metrics_sums_several_fits_in_argument_order():
     reports = [metrics(f) for f in fits]
     total = metrics(*fits)
     assert total.n == 400
-    for k in ("log_q", "n_params", "entropy", "bic", "aic", "clc", "icl"):
+    names = [f.name for f in dataclasses.fields(MetricReport)]
+    for k in (name for name in names if name != "n"):
         value = getattr(reports[0], k)
         for r in reports[1:]:
             value += getattr(r, k)
