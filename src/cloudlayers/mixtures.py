@@ -873,14 +873,9 @@ def _initial_gamma(n, n_clusters, mode, primary, rng):
     if n_clusters == 1:
         return np.ones((n, 1))
     if mode == "split":
-        med = np.median(primary)
-        gamma = np.full((n, 2), 0.05)
-        below = primary <= med
-        gamma[below, 0] = 0.95
-        gamma[~below, 1] = 0.95
-        return gamma
-    gamma = rng.dirichlet(np.ones(n_clusters), size=n)
-    return gamma
+        below = primary <= np.median(primary)
+        return np.where(below[:, None], (0.95, 0.05), (0.05, 0.95))
+    return rng.dirichlet(np.ones(n_clusters), size=n)
 
 
 class _State(NamedTuple):
@@ -968,6 +963,7 @@ class _Eval(NamedTuple):
     state: _State
     gamma: np.ndarray
     sums: np.ndarray  # (K + 1, L) statistic sums, then responsibility mass
+    masses: list  # sums[-1] as Python floats
     q: float
     ll: float
 
@@ -981,28 +977,27 @@ def _run_em(data, spec, gamma, restart_id):
     n = stats.shape[1]
     empty = 1e-8 * n  # responsibility mass of an empty cluster
 
-    def weights(sums):
-        return m_step_weights(sums[-1].tolist(), alpha, n)
-
-    def m_step(state, sums):
-        # The map's M-step, from the sums of an E-step at ``state``.
-        if sums[-1].min() <= empty:
+    def m_step(state, ev):
+        # The map's M-step, from the E-step ``ev`` at ``state``.
+        if min(ev.masses) <= empty:
             raise _EmptyClusterError("empty cluster during EM")
-        return _m_step(data, sums, state.rows, weights(sums))
+        return _m_step(data, ev.sums, state.rows,
+                       m_step_weights(ev.masses, alpha, n))
 
     def evaluate(state):
         coef, pi = state.coef, state.pi
         # Cluster l's log-density is [T, 1] @ [eta_l, -A_l], row l of coef.
         gamma, log_lik = e_step(coef, pi, stats, data.totals)
         sums = stats @ gamma
+        masses = sums[-1].tolist()
         log_pi = np.log(pi).tolist()
-        counts = [p + g for p, g in zip(prior, sums[-1].tolist())]
+        counts = [p + g for p, g in zip(prior, masses)]
         # sum_i gamma_il log p_il is [eta_l, -A_l] @ sums[:, l], so
         # Q = sum_l coef_l . sums_l + (alpha_l - 1 + gsum_l) log pi_l.
         q = float(np.vdot(coef, sums.T)) + sum(
             c * lp for c, lp in zip(counts, log_pi))
         ll = log_lik + log_dirichlet_prior(log_pi, alpha)
-        return _Eval(state, gamma, sums, q, ll)
+        return _Eval(state, gamma, sums, masses, q, ll)
 
     def small(ev, start):
         # Whether l gained under the tolerance since ``start``.
@@ -1011,7 +1006,8 @@ def _run_em(data, spec, gamma, restart_id):
     # The first state is the cold M-step of the initial responsibilities.
     sums = stats @ gamma
     cold = [[None] * len(data.components)] * spec.n_clusters
-    state = _m_step(data, sums, cold, weights(sums))
+    state = _m_step(data, sums, cold,
+                    m_step_weights(sums[-1].tolist(), alpha, n))
     trace = []  # (q, l) at each cycle start, then the last
     evals = 0
     ev0 = None
@@ -1029,7 +1025,7 @@ def _run_em(data, spec, gamma, restart_id):
             break
         if evals == MAX_OUTER_ITERS:
             break
-        s1 = m_step(state, ev0.sums)
+        s1 = m_step(state, ev0)
         ev1 = evaluate(s1)
         evals += 1
         converged = small(ev1, ev0)
@@ -1037,7 +1033,7 @@ def _run_em(data, spec, gamma, restart_id):
             last = ev1
             trace.append((ev1.q, ev1.ll))
             break
-        s2 = m_step(s1, ev1.sums)
+        s2 = m_step(s1, ev1)
         t0 = _vector(state)
         r = _vector(s1) - t0
         v = _vector(s2) - t0 - 2.0 * r
@@ -1055,8 +1051,8 @@ def _run_em(data, spec, gamma, restart_id):
                 evals += 1
             # An empty cluster would end the run: theta' is invalid.
             if (ev is not None and ev.ll >= ev0.ll
-                    and ev.sums[-1].min() > empty):
-                state = m_step(ext, ev.sums)
+                    and min(ev.masses) > empty):
+                state = m_step(ext, ev)
             else:
                 if k == step_max:
                     step_max = max(STEP_MAX0, step_max / STEP_GROWTH)
@@ -1092,9 +1088,11 @@ def fit(features, spec, init_seed=0, restarts=1):
     if n < spec.n_clusters:
         raise FitError("fewer samples than clusters")
     primary = _as_columns(data.components[0].x)[:, 0]
-    rng = np.random.default_rng(init_seed)
+    starts = 1 if spec.n_clusters == 1 else restarts
+    # Only a random start draws from the generator; one start builds none.
+    rng = np.random.default_rng(init_seed) if starts > 1 else None
     runs = []
-    for r in range(1 if spec.n_clusters == 1 else restarts):
+    for r in range(starts):
         mode = "split" if r == 0 else "random"
         gamma0 = _initial_gamma(n, spec.n_clusters, mode, primary, rng)
         try:

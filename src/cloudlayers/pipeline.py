@@ -165,9 +165,11 @@ def _fit(features, components, alpha, t, l, role, cfg):
     from ``(cfg.seed, t, l, role)``: role 0 fits temperature, 1 velocity."""
     spec = mixtures.MixtureSpec(n_clusters=l, components=components,
                                 dirichlet_alpha=(alpha,) * l)
-    seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(t, l, role))
-    return mixtures.fit(features, spec, init_seed=seed.generate_state(1)[0],
-                        restarts=cfg.restarts)
+    seed = 0  # a one-start fit draws nothing
+    if cfg.restarts > 1:
+        seed = np.random.SeedSequence(
+            entropy=cfg.seed, spawn_key=(t, l, role)).generate_state(1)[0]
+    return mixtures.fit(features, spec, init_seed=seed, restarts=cfg.restarts)
 
 
 def fit_temperature(temp_feats, t, l, cfg):

@@ -1156,6 +1156,21 @@ def test_state_round_trips_through_its_natural_form(name, n_clusters):
     np.testing.assert_allclose(rebuilt.pi, state.pi, rtol=1e-9)
 
 
+def test_one_start_fit_builds_no_generator(monkeypatch):
+    rng = np.random.default_rng(42)
+    feats = _reference_case("factorized", rng)
+    spec = MixtureSpec(n_clusters=2, components=_REFERENCE_SPECS["factorized"],
+                       dirichlet_alpha=(1.0, 1.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-start fit drew a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    f = fit(feats, spec, init_seed=3, restarts=1)
+    assert f.restart_id == 0 and f.converged
+
+
 def _fallback_case(monkeypatch, name, edit):
     """Fit ``name``'s reference case with every extrapolated vector passed
     through ``edit`` first. Returns the fit, plain EM's objective trace over

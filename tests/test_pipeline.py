@@ -48,6 +48,20 @@ def test_one_layer_sequence_is_detected():
     assert [r.chosen_l for r in recs] == truth[:-1] == [1] * 3
 
 
+def test_default_frame_builds_no_generator(monkeypatch):
+    # The default config fits each mixture from its median split alone.
+    pairs, _ = _pairs(_two_layer_spec(frames=2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-start fit drew a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    state = hmm_mod.HmmState(previous_l=1, beta=0.0)
+    rec = process_frame(*pairs[0], *pairs[1], state, PipelineConfig())
+    assert rec.error is None and rec.chosen_l == 2
+
+
 def test_records_carry_scores_and_metrics():
     pairs, _ = _pairs(_two_layer_spec(frames=2))
     rec = process_sequence(pairs, PipelineConfig(seed=0))[0]
