@@ -26,9 +26,9 @@ Laird & Rubin 1977; the EM gradient algorithm of Lange 1995) needs only that
 no M-step lowers ``s @ eta - A``, and none does.
 
 One EM run works on data prepared once per fit: the statistics of every
-component stacked as the rows of one (K + 1, N) array, with a last row of
-ones, and their sums over the samples. An iteration then makes a few passes
-over contiguous length-N rows:
+component copied into the rows of one row-major (K + 1, N) array, with a
+last row of ones, and their sums over the samples, one contiguous row each.
+An iteration then makes a few passes over these length-N rows:
 
 - E-step: each cluster carries its natural parameters, with -A in the last
   place, from the M-step that produced them, so log pi_l + log p(x | theta_l)
@@ -761,7 +761,7 @@ class _Component:
 @dataclass(frozen=True)
 class _FitData:
     components: tuple
-    stats: np.ndarray  # (K + 1, N): every component's T(x).T, then ones
+    stats: np.ndarray  # (K + 1, N), row-major: every T(x).T, then ones
     totals: np.ndarray  # (K + 1,): stats summed over the samples
 
 
@@ -771,7 +771,7 @@ def _component_data(features, spec):
     The sums of T over the samples, kept as ``totals``, are then checked
     finite feature by feature in spec order: a statistic that overflows, or
     whose sum does, raises SupportError naming its feature."""
-    comps, blocks = [], []
+    comps, ts = [], []
     n = None
     k = 0
     for fname, kind in spec.components:
@@ -789,10 +789,12 @@ def _component_data(features, spec):
             family = _family(kind, x)
             t = family.statistic(x)
         comps.append(_Component(family, x, slice(k, k + t.shape[1])))
-        blocks.append(t.T)
+        ts.append(t)
         k += t.shape[1]
-    blocks.append(np.ones((1, n)))
-    stats = np.concatenate(blocks)
+    stats = np.empty((k + 1, n))
+    for comp, t in zip(comps, ts):
+        stats[comp.rows] = t.T
+    stats[k] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         totals = stats.sum(axis=1)
     for (fname, _), comp in zip(spec.components, comps):

@@ -1156,6 +1156,27 @@ def test_state_round_trips_through_its_natural_form(name, n_clusters):
     np.testing.assert_allclose(rebuilt.pi, state.pi, rtol=1e-9)
 
 
+@pytest.mark.parametrize("name", ["gamma", "beta", "von_mises",
+                                  "bivariate_gamma", "gaussian",
+                                  "bivariate_gamma+von_mises"])
+def test_statistics_block_is_row_major(name):
+    # Each pass of an EM iteration runs along the rows of the block.
+    rng = np.random.default_rng(41)
+    if name == "bivariate_gamma+von_mises":
+        feats = _reference_case("bivariate_gamma", rng)
+        feats["phi"] = _reference_case("von_mises", rng)["x"]
+        comps = (("x", "bivariate_gamma"), ("phi", "von_mises"))
+    else:
+        feats = _reference_case(name, rng)
+        comps = (("x", name),)
+    spec = MixtureSpec(n_clusters=2, components=comps,
+                       dirichlet_alpha=(1.0, 1.0))
+    data = mixtures._component_data(feats, spec)
+    assert data.stats.flags.c_contiguous
+    assert data.totals.tobytes() == data.stats.sum(axis=1).tobytes()
+    assert np.all(data.stats[-1] == 1.0)
+
+
 def test_one_start_fit_builds_no_generator(monkeypatch):
     rng = np.random.default_rng(42)
     feats = _reference_case("factorized", rng)
