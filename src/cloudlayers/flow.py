@@ -13,10 +13,12 @@ half-width w, with per-sample weights read from the layer's posterior grid:
     v = (X Gamma X^T + tau I)^-1 X Gamma y,   y = -It.
 
 The entries of each layer's 2x2 system are window sums of six per-pixel
-products. Each is read by slicing from the product's integral image, built in
-one zero-padded buffer per call that every product reuses in turn: windows
-clipped at the grid's edges need no gathers, and no array of the solve is
-larger than that buffer.
+products. Each is taken in place, in the plane that holds the product, by
+two running-sum passes of ``scipy.ndimage.uniform_filter1d``, one per axis,
+that read zeros outside the grid, so a window clipped at the grid's edges
+sums the pixels inside it. The passes give window means, which are scaled
+by the window's area (2w + 1)^2. No array of the solve is larger than one
+plane.
 
 These kernels carry a gain: a unit intensity gradient produces Ix = 2 while a
 rigid unit displacement produces It = 4 of the opposite sign, so the raw WLS
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import uniform_filter1d
 
 from .imaging import EmptyMaskError
 from .numerics import is_int, is_real
@@ -131,32 +134,14 @@ def derivatives(prev, nxt):
     return DerivativeStack(ix=ix, iy=iy, it=it)
 
 
-def _window_sum(c, w, a, out):
-    """Clipped box sums of half-width w of the (m, n) plane ``a``, into
-    ``out``, which may be ``a`` itself.
-
-    ``c`` is an (m + 2w + 1, n + 2w + 1) buffer whose first w + 1 rows and
-    columns are zero; the rest of it is scratch. The integral image of ``a``
-    is built in ``c[w + 1:w + 1 + m, w + 1:w + 1 + n]``, and its last row and
-    column are repeated into the w rows and columns after it. A window's
-    corners are then plain slices at offsets 0 and 2w + 1, even where it
-    leaves the grid: before the grid they read exact zeros and after it the
-    clipped corner, so each holds the same bits as the clipped corner of the
-    plane's own integral image. The zero rows and columns stay zero, so
-    ``c`` can take the next plane.
-    """
-    m, n = out.shape
-    grid = c[w + 1:, w + 1:]
-    integral = grid[:m, :n]
-    np.cumsum(a, axis=0, out=integral)
-    np.cumsum(integral, axis=1, out=integral)
-    grid[m:, :n] = integral[-1]
-    grid[:, n:] = grid[:, n - 1:n]
-    lo_i, hi_i = slice(0, m), slice(2 * w + 1, 2 * w + 1 + m)
-    lo_j, hi_j = slice(0, n), slice(2 * w + 1, 2 * w + 1 + n)
-    np.subtract(c[hi_i, hi_j], c[lo_i, hi_j], out=out)
-    np.subtract(out, c[hi_i, lo_j], out=out)
-    return np.add(out, c[lo_i, lo_j], out=out)
+def _box_sum(a, width, out):
+    """Clipped box sums of width ``width`` of the plane ``a``, into ``out``,
+    which may be ``a`` itself: the window means over zeros outside the grid,
+    times the window's area."""
+    uniform_filter1d(a, width, axis=0, output=out, mode="constant")
+    uniform_filter1d(out, width, axis=1, output=out, mode="constant")
+    out *= width * width
+    return out
 
 
 # Relative determinant threshold below which the 2x2 system is treated as
@@ -172,26 +157,26 @@ def wlk_solve(deriv, weights, cfg):
     2x2 system is singular at tau = 0, receive (0, 0). Returns
     (list of FlowField, list of WlkStats).
     """
-    w = cfg.window_half_width
+    width = cfg.window_width
     tau = cfg.tau
     ix, iy, y = deriv.ix, deriv.iy, -deriv.it
     m, n = ix.shape
-    c = np.zeros((m + 2 * w + 1, n + 2 * w + 1))
     gx, gy, a11, a22, a12, b1, b2, det = (np.empty((m, n)) for _ in range(8))
     fields, stats = [], []
     for g in weights:
         g = np.asarray(g, dtype=float)
         if g.shape != ix.shape:
             raise ValueError("weight grid shape differs from derivatives")
-        if np.any(g < -1e-12) or np.any(g > 1 + 1e-12):
+        # min and max are NaN if any weight is, and NaN fails both tests.
+        if not (g.min() >= -1e-12 and g.max() <= 1 + 1e-12):
             raise ValueError("posterior weights must lie in [0, 1]")
         np.multiply(g, ix, out=gx)
         np.multiply(g, iy, out=gy)
         # Each product is made in the array that takes its window sums.
         for out, a, b in ((a11, gx, ix), (a22, gy, iy), (a12, gx, iy),
                           (b1, gx, y), (b2, gy, y)):
-            _window_sum(c, w, np.multiply(a, b, out=out), out)
-        empty = _window_sum(c, w, g, det) <= 1e-12
+            _box_sum(np.multiply(a, b, out=out), width, out)
+        empty = _box_sum(g, width, det) <= 1e-12
         a11 += tau
         a22 += tau
 
@@ -229,8 +214,9 @@ def merge_layers(fields, weights):
     wsum = np.zeros_like(np.asarray(weights[0], dtype=float))
     for g in weights:
         wsum = wsum + np.asarray(g, dtype=float)
-    active = wsum > 1e-9
-    if np.any(np.abs(wsum[active] - 1.0) > 1e-9):
+    # A NaN sum counts as support, and it is not within 1e-9 of 1.
+    active = ~(wsum <= 1e-9)
+    if not np.all(np.abs(wsum[active] - 1.0) <= 1e-9):
         raise ValueError("layer posteriors do not sum to 1 on supported pixels")
     u = np.zeros_like(wsum)
     v = np.zeros_like(wsum)

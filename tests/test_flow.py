@@ -13,6 +13,8 @@ from cloudlayers.flow import (DerivativeStack, FlowField, WlkConfig, WlkStats,
                               wlk_solve)
 from cloudlayers.imaging import EmptyMaskError, Frame, SegmentationMask
 
+EPS = np.finfo(float).eps
+
 
 def _oracle_derivatives(prev, nxt):
     """Direct nested-loop cross-correlation with replicate padding."""
@@ -169,6 +171,19 @@ def test_wlk_rejects_bad_weights():
         wlk_solve(d, [np.ones((5, 6))], cfg)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_wlk_rejects_a_non_finite_weight(bad):
+    # One NaN weight in a 20x20 solve at w = 2 turned 361 of its 400
+    # pixels of u into NaN, with no error.
+    rng = np.random.default_rng(9)
+    prev = rng.uniform(0, 255, size=(20, 20))
+    d = derivatives(prev, np.roll(prev, 1, axis=1))
+    g = rng.uniform(size=(20, 20))
+    g[7, 11] = bad
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        wlk_solve(d, [g, 1.0 - g], WlkConfig(window_half_width=2))
+
+
 def _oracle_window_sum(a, w):
     """Clipped box sum of half-width w: an integral image read at the
     clipped window corners with np.ix_ gathers."""
@@ -185,17 +200,30 @@ def _oracle_window_sum(a, w):
             - c[np.ix_(i1, j0)] + c[np.ix_(i0, j0)])
 
 
-def _oracle_wlk_solve(deriv, weights, cfg):
-    """wlk_solve with each window sum taken by ``_oracle_window_sum``."""
+def _solver_window_sum(a, w):
+    """The solver's clipped box sum of half-width w, out of place."""
+    return flow._box_sum(a, 2 * w + 1, np.empty_like(a))
+
+
+def _oracle_systems(deriv, g, cfg, window_sum):
+    """The window sums a11, a22, a12, b1, b2 and the weight sum of one
+    layer's 2x2 systems, each taken by ``window_sum(plane, w)``."""
     w, tau, y = cfg.window_half_width, cfg.tau, -deriv.it
+    return (window_sum(g * deriv.ix * deriv.ix, w) + tau,
+            window_sum(g * deriv.iy * deriv.iy, w) + tau,
+            window_sum(g * deriv.ix * deriv.iy, w),
+            window_sum(g * deriv.ix * y, w),
+            window_sum(g * deriv.iy * y, w),
+            window_sum(g, w))
+
+
+def _oracle_wlk_solve(deriv, weights, cfg, window_sum=_oracle_window_sum):
+    """wlk_solve with each window sum taken by ``window_sum``, by default
+    the gathered ``_oracle_window_sum``."""
     fields, stats = [], []
     for g in weights:
-        a11 = _oracle_window_sum(g * deriv.ix * deriv.ix, w) + tau
-        a22 = _oracle_window_sum(g * deriv.iy * deriv.iy, w) + tau
-        a12 = _oracle_window_sum(g * deriv.ix * deriv.iy, w)
-        b1 = _oracle_window_sum(g * deriv.ix * y, w)
-        b2 = _oracle_window_sum(g * deriv.iy * y, w)
-        wsum = _oracle_window_sum(g, w)
+        a11, a22, a12, b1, b2, wsum = _oracle_systems(deriv, g, cfg,
+                                                      window_sum)
         det = a11 * a22 - a12 * a12
         scale = np.maximum(np.maximum(a11, a22), 1e-300)
         empty = wsum <= 1e-12
@@ -210,9 +238,45 @@ def _oracle_wlk_solve(deriv, weights, cfg):
     return fields, stats
 
 
+def _condition_numbers(deriv, g, cfg):
+    """kappa(A) of each pixel's 2x2 system A of the gathered solve: the
+    ratio of its eigenvalues' magnitudes, inf where the smaller is 0."""
+    a11, a22, a12, *_ = _oracle_systems(deriv, g, cfg, _oracle_window_sum)
+    mid = 0.5 * (a11 + a22)
+    radius = np.hypot(0.5 * (a11 - a22), a12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(mid + radius) / np.abs(mid - radius)
+
+
+def _box_sum_bound(a, w):
+    """How far the solver's box sums of half-width w of ``a`` may lie from
+    the exact sums: 64 eps per summand of the largest magnitude."""
+    return 64 * EPS * (2 * w + 1) ** 2 * np.abs(a).max()
+
+
+def _assert_within_conditioning(deriv, weights, cfg):
+    """wlk_solve has the gathered solve's WlkStats, and each of its fields
+    lies within 1e3 eps kappa(A) (1 + |oracle field|) of the gathered one,
+    kappa(A) being the condition number of the pixel's 2x2 system. The two
+    sums of a window round differently, and a solve magnifies that by
+    about kappa(A)."""
+    fields, stats = wlk_solve(deriv, weights, cfg)
+    ref_fields, ref_stats = _oracle_wlk_solve(deriv, weights, cfg)
+    assert stats == ref_stats
+    for f, r, g in zip(fields, ref_fields, weights):
+        kappa = _condition_numbers(deriv, g, cfg)
+        for got, ref in ((f.u, r.u), (f.v, r.v)):
+            gap = np.abs(got - ref)
+            with np.errstate(invalid="ignore"):
+                bound = 1e3 * EPS * kappa * (1.0 + np.abs(ref))
+            assert np.all((gap == 0.0) | (gap <= bound))
+
+
 def test_window_sums_match_gathered_integral_image():
-    # Each shape's planes go through one buffer in turn, as in wlk_solve,
-    # so whatever a plane leaves in the buffer must not reach the next.
+    # The planes lie on a grid of 2**-20, where every sum of the integral
+    # images is exact, so the references are the exact window sums and the
+    # bound measures the solver's own rounding. A zero plane, whose bound
+    # is 0, must sum to exact zeros.
     rng = np.random.default_rng(11)
     shapes = [(1, 1), (1, 90), (90, 1), (2, 3), (60, 80), (90, 90)]
     shapes += [tuple(rng.integers(1, 91, size=2)) for _ in range(14)]
@@ -222,17 +286,17 @@ def test_window_sums_match_gathered_integral_image():
                       * (rng.uniform(size=(m, n)) < 0.6),
                       np.zeros((m, n)),
                       rng.uniform(size=(m, n))]
+            planes = [np.round(a * 2.0**20) / 2.0**20 for a in planes]
             stacked = window_sums(planes, w)
-            c = np.zeros((m + 2 * w + 1, n + 2 * w + 1))
             for a, ref in zip(planes, stacked):
+                assert np.array_equal(ref, _oracle_window_sum(a, w))
                 out = np.empty((m, n))
-                assert flow._window_sum(c, w, a, out) is out
-                assert np.array_equal(out, _oracle_window_sum(a, w))
-                assert out.tobytes() == ref.tobytes()
+                assert flow._box_sum(a, 2 * w + 1, out) is out
+                assert np.abs(out - ref).max() <= _box_sum_bound(a, w)
                 # In place, as wlk_solve takes the sums of its products.
                 same = a.copy()
-                flow._window_sum(c, w, same, same)
-                assert same.tobytes() == ref.tobytes()
+                flow._box_sum(same, 2 * w + 1, same)
+                assert same.tobytes() == out.tobytes()
 
 
 def test_wlk_solve_matches_gathered_window_sums():
@@ -245,12 +309,9 @@ def test_wlk_solve_matches_gathered_window_sums():
     g[20:, 30:] = 1.0  # zero weight in layer 2
     for w in (1, 8):
         cfg = WlkConfig(window_half_width=w)
-        fields, stats = wlk_solve(d, [g, 1.0 - g], cfg)
-        ref_fields, ref_stats = _oracle_wlk_solve(d, [g, 1.0 - g], cfg)
-        assert stats == ref_stats
+        _, stats = wlk_solve(d, [g, 1.0 - g], cfg)
         assert stats[0].empty_windows > 0
-        for f, ref in zip(fields, ref_fields):
-            assert np.array_equal(f.u, ref.u) and np.array_equal(f.v, ref.v)
+        _assert_within_conditioning(d, [g, 1.0 - g], cfg)
 
 
 def _assert_same_bits(got, ref):
@@ -281,6 +342,9 @@ def _layers(rng, shape, kind):
                                      ((2, 3), 20)])
 @pytest.mark.parametrize("kind", ["three", "zero-layer", "zero-one"])
 def test_wlk_solve_is_bitwise_the_gathered_solve(shape, w, kind):
+    # Bit for bit, the gathered solve's 2x2 arithmetic, thresholds and
+    # fallbacks over the solver's own box sums; over the gathered sums,
+    # the same flags and fields within the systems' conditioning.
     rng = np.random.default_rng(13)
     prev = rng.uniform(0, 255, size=shape)
     nxt = prev + rng.normal(scale=4.0, size=shape)
@@ -288,7 +352,9 @@ def test_wlk_solve_is_bitwise_the_gathered_solve(shape, w, kind):
     weights = _layers(rng, shape, kind)
     cfg = WlkConfig(window_half_width=w)
     got = wlk_solve(d, weights, cfg)
-    _assert_same_bits(got, _oracle_wlk_solve(d, weights, cfg))
+    _assert_same_bits(got, _oracle_wlk_solve(d, weights, cfg,
+                                             _solver_window_sum))
+    _assert_within_conditioning(d, weights, cfg)
     if kind == "zero-layer":
         assert got[1][0].empty_windows == prev.size
         assert not got[0][0].u.any() and not got[0][0].v.any()
@@ -359,6 +425,18 @@ def test_merge_layers_rejects_non_simplex_weights():
     f = FlowField(np.ones((3, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError):
         merge_layers([f, f], [np.full((3, 3), 0.5), np.full((3, 3), 0.2)])
+
+
+def test_merge_layers_rejects_a_nan_weight():
+    # A NaN pixel went straight through to the merged field.
+    f = FlowField(np.ones((3, 3)), np.ones((3, 3)))
+    g = np.full((3, 3), 0.5)
+    nan = g.copy()
+    nan[1, 2] = math.nan
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        merge_layers([f, f], [g, nan])
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        merge_layers([f], [np.where(np.eye(3) > 0, math.nan, 0.0)])
 
 
 def test_intensity_image_range_and_errors():
