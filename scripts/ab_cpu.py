@@ -21,8 +21,10 @@ that a record of the untimed pass holds on base and change (a recursive
 ``sys.getsizeof`` that counts each object once). For the
 records it prints whether their digests are equal, the frames whose
 ``chosen_l`` agree, each side's layer-count accuracy, overall and per true
-layer count, and per hypothesis layer count the median and largest move of
-its posterior sum. A gain holds when the change/base interval excludes 1
+layer count, each side's totals of the ``singular_pixels`` and
+``empty_windows`` flags and the frames whose flags differ, and per
+hypothesis layer count the median and largest move of its posterior sum.
+A gain holds when the change/base interval excludes 1
 and the A/A interval is narrower.
 
 With ``--out`` the figures, every round's CPU per frame and the machine note
@@ -60,6 +62,7 @@ from workloads import WORKLOADS, generate_units, score_sequence  # noqa: E402
 SIDES = ("base", "change", "base_again")
 BOOTSTRAP_RESAMPLES = 10_000
 CHUNK_UNITS = 8
+FLOW_FLAGS = ("singular_pixels", "empty_windows")
 
 
 def export_src(rev, into):
@@ -150,8 +153,10 @@ def _accuracy(truths, records):
 def agreement(sequences, base, change):
     """How the change's records (a list per sequence) agree with the
     base's: frames whose ``chosen_l`` agree, each side's accuracy, overall
-    and per true layer count, and per hypothesis layer count the median and
-    largest move of its posterior sum."""
+    and per true layer count, each side's totals of the ``singular_pixels``
+    and ``empty_windows`` flags and the frames whose flags differ, and per
+    hypothesis layer count the median and largest move of its posterior
+    sum."""
     truths = [seq.truth[r.t] for seq, recs in zip(sequences, base)
               for r in recs]
     flat = {"base": [r for recs in base for r in recs],
@@ -171,6 +176,11 @@ def agreement(sequences, base, change):
                               for b, c in zip(flat["base"], flat["change"])),
         "accuracy_pct": {side: a[0] for side, a in accuracy.items()},
         "right_by_true_l": {side: a[1] for side, a in accuracy.items()},
+        "flag_totals": {side: {k: sum(r.flags.get(k, 0) for r in recs)
+                               for k in FLOW_FLAGS}
+                        for side, recs in flat.items()},
+        "flags_differ": sum(b.flags != c.flags
+                            for b, c in zip(flat["base"], flat["change"])),
         "posterior_sum_move": {
             l: {"median": float(np.median(m)), "max": max(m)}
             for l, m in sorted(moves.items())},
@@ -255,6 +265,10 @@ def report(name, res):
         per_l = ", ".join(f"L={l} {right}/{n}" for l, (right, n)
                           in rec["right_by_true_l"][side].items())
         print(f"  {side} accuracy {rec['accuracy_pct'][side]:.2f}% ({per_l})")
+    print("  flag totals: " + "; ".join(
+        f"{side} " + ", ".join(f"{k} {v}" for k, v in totals.items())
+        for side, totals in rec["flag_totals"].items())
+        + f"; flags differ on {rec['flags_differ']} frames")
     print("  posterior-sum move: " + ", ".join(
         f"L={l} median {m['median']:.4g}, max {m['max']:.4g}"
         for l, m in rec["posterior_sum_move"].items()), flush=True)
