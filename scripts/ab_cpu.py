@@ -10,9 +10,9 @@ one process. The inputs are a benchmark workload's pool for ``--seed``, from
 Round r scores chunk r (cycling) of ``CHUNK_UNITS`` units once on every
 side: the sides take turns unit by unit, in an order that cycles through all
 six orders of the three, and ``time.process_time()`` is read around each
-turn. An untimed pass over the chunks the rounds visit first counts the
-E-steps per frame of base and change and compares their records; it and one
-unit on base_again warm every side up. With ``--rounds`` at least the
+turn. An untimed pass over the chunks the rounds visit first warms every
+side up alike; from it the script counts the E-steps per frame of base and
+change and compares their records. With ``--rounds`` at least the
 workload's chunk count, that pass covers the whole pool. Per workload the
 script prints the median over rounds of CPU per frame on each side, the
 median ratio change/base with a 95% bootstrap interval and the rounds the
@@ -207,9 +207,10 @@ def compare(trees, workload, seed, rounds):
             for side, cl in trees.items()}
     visited = [seq for chunk in chunks[:rounds] for unit in chunk
                for seq in unit]
+    # Every side takes the same untimed pass, so that no side enters the
+    # rounds less warm than another.
     counts = {side: counted(trees[side], workload, visited, cfgs[side])
-              for side in ("base", "change")}
-    score(trees["base_again"], workload, chunks[0][0], cfgs["base_again"])
+              for side in SIDES}
     # The sides take turns unit by unit, so that a slow phase of a shared
     # machine, which lasts about as long as a chunk, falls on all three.
     orders = itertools.cycle(itertools.permutations(SIDES))
@@ -235,9 +236,9 @@ def compare(trees, workload, seed, rounds):
         "cpu_s_per_frame": cpu,
         "change/base": ratio_summary(ab, rng),
         "base_again/base": ratio_summary(aa, rng),
-        "e_steps_per_frame": {s: c[0] for s, c in counts.items()},
-        "bytes_per_record": {s: bytes_per_record(c[1])
-                             for s, c in counts.items()},
+        "e_steps_per_frame": {s: counts[s][0] for s in ("base", "change")},
+        "bytes_per_record": {s: bytes_per_record(counts[s][1])
+                             for s in ("base", "change")},
         "records_equal": (checks.digest(counts["change"][1])
                           == checks.digest(counts["base"][1])),
         "records": agreement(visited, counts["base"][1], counts["change"][1]),

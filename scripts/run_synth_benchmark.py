@@ -16,8 +16,7 @@ prints per-suite accuracy under each rule:
 
 The time column is the suite's single fitting pass, with its sequences
 generated before the clock starts. The e-steps column is the mean per frame
-of the E-steps that the winning restart of each of the frame's fits took,
-read from the records.
+of the E-steps that the frame's fits took, read from the records.
 """
 
 import argparse
@@ -53,8 +52,7 @@ def fit_suite(sequences, cfg):
 
 
 def e_steps_per_frame(runs):
-    """Mean over frames of the winning restarts' E-steps, summed over each
-    frame's fits."""
+    """Mean over frames of the E-steps of each frame's fits, summed."""
     steps = sum(summary["e_steps"] for recs, _ in runs
                 for r in recs for by_role in r.fit_summaries().values()
                 for summary in by_role.values())
@@ -84,14 +82,13 @@ def main():
     ap.add_argument("--sequences", type=int, default=5,
                     help="sequences per one/two-layer suite")
     ap.add_argument("--frames", type=int, default=31)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--model", default=PipelineConfig().model)
     ap.add_argument("--betas", type=float, nargs="+", default=[650.0, 0.0])
     args = ap.parse_args()
 
     suites = build_suites(args.sequences, args.frames)
-    cfg = PipelineConfig(seed=args.seed, model=args.model)
-    print(f"model {args.model}, pipeline seed {args.seed}")
+    cfg = PipelineConfig(model=args.model)
+    print(f"model {args.model}")
     print(f"{'suite':>14} {'rule':>8} {'correct':>9} {'accuracy':>9} "
           f"{'time':>7} {'e-steps':>8}")
     for name, specs in suites.items():

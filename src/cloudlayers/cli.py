@@ -1,7 +1,7 @@
 """Command-line entry points: detect, synth, score, fit.
 
-Exit codes: 0 success, 1 input error, 2 internal failure. All runs are
-deterministic given --seed.
+Exit codes: 0 success, 1 input error, 2 internal failure. Every run is
+deterministic: detect and fit take no seed, and synth draws from --seed.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ def _add_pipeline_flags(p):
     p.add_argument("--window", type=int, default=d.wlk.window_half_width,
                    help="flow window half-width w (full width 2w+1)")
     p.add_argument("--tau", type=float, default=d.wlk.tau, help="WLS ridge")
-    p.add_argument("--restarts", type=int, default=d.restarts)
-    p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--init-l", type=int, default=d.init_l, choices=(1, 2))
 
 
@@ -52,7 +50,7 @@ def _pipeline_config(args):
             model=args.model, alpha0=args.alpha0, alpha1=args.alpha1,
             hmm_beta=args.beta,
             wlk=WlkConfig(window_half_width=args.window, tau=args.tau),
-            restarts=args.restarts, seed=args.seed, init_l=args.init_l)
+            init_l=args.init_l)
     except ValueError as exc:
         raise _InputError(str(exc))
 
@@ -178,7 +176,7 @@ def _cmd_fit(args):
     frame, mask = by_t[args.t]
     try:
         feats = pipeline._temperature_features(frame, mask, cfg)
-        fit = pipeline.fit_temperature(feats, args.t, args.l, cfg)
+        fit = pipeline.fit_temperature(feats, args.l, cfg)
     except pipeline.FRAME_DATA_ERRORS as exc:
         raise _InputError(f"frame {args.t}: {exc}")
     text = json.dumps(fit.to_json_dict(), sort_keys=True, indent=2)

@@ -77,9 +77,12 @@ A run stops on "tolerance" when l gains less than ``Q_REL_TOL`` relative
 over the first step of a cycle or over a whole cycle, and on "cap" after
 ``MAX_OUTER_ITERS`` E-steps. A one-cluster run stops after two E-steps.
 
-Each run returns its :class:`MixtureFit`, whose ``stop`` is derived from
-``converged``. A fit records, at each cycle start and at the state it stops
-in, l (``ll_trace``) and the surrogate objective
+``fit`` makes one run, from the median split of the first feature's first
+column (responsibilities 0.95 and 0.05), so a fit is a pure function of its
+features and spec; on the benchmark pools this start gave the layer choices
+of three starts with a third of the E-steps. The run returns its
+:class:`MixtureFit`, whose ``stop`` is derived from ``converged``. A fit records, at each cycle start and at
+the state it stops in, l (``ll_trace``) and the surrogate objective
 
     Q = sum_i sum_l gamma_il [log pi_l + log p(x_i | theta_l)]
         + sum_l (alpha_l - 1) log pi_l
@@ -109,7 +112,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class FitError(RuntimeError):
-    """Raised when every restart of an EM fit degenerates."""
+    """Raised when an EM fit degenerates: it has fewer samples than
+    clusters, or a cluster loses all its responsibility mass."""
 
 
 class SupportError(ValueError):
@@ -709,7 +713,7 @@ class MixtureSpec:
 
 
 class MixtureFit(NamedTuple):
-    """The fit one EM run ends in."""
+    """The state an EM run ends in, with its traces and stop reason."""
     # Fixed field order: the benchmark's tracer reads result[5] as converged.
     params: list            # params[l][c] -> FamilyParams
     weights: np.ndarray     # pi, shape (L,)
@@ -717,9 +721,8 @@ class MixtureFit(NamedTuple):
     log_dens: np.ndarray    # per-sample per-cluster log-likelihood, (N, L)
     q_trace: list           # Q at each cycle start and the final state
     converged: bool         # stopped on "tolerance"; see module doc
-    e_steps: int            # E-steps of this restart's run
+    e_steps: int            # E-steps of the run
     spec: MixtureSpec
-    restart_id: int
     ll_trace: list          # the objective l at the same states
 
     @property
@@ -747,7 +750,6 @@ class MixtureFit(NamedTuple):
             "e_steps": self.e_steps,
             "converged": self.converged,
             "stop": self.stop,
-            "restart_id": self.restart_id,
         }
 
 
@@ -871,13 +873,19 @@ STEP_MAX0 = 1.0
 STEP_GROWTH = 4.0
 
 
-def _initial_gamma(n, n_clusters, mode, primary, rng):
+def _initial_gamma(data, n_clusters):
+    """The responsibilities a run of ``data`` starts from: 1 for one
+    cluster; for two, 0.95 and 0.05 on the two sides of the median of the
+    first feature's first column."""
+    n = data.stats.shape[1]
     if n_clusters == 1:
         return np.ones((n, 1))
-    if mode == "split":
-        below = primary <= np.median(primary)
-        return np.where(below[:, None], (0.95, 0.05), (0.05, 0.95))
-    return rng.dirichlet(np.ones(n_clusters), size=n)
+    primary = _as_columns(data.components[0].x)[:, 0]
+    below = primary <= np.median(primary)
+    gamma = np.empty((n, 2))
+    gamma[:, 0] = np.where(below, 0.95, 0.05)
+    gamma[:, 1] = np.where(below, 0.05, 0.95)
+    return gamma
 
 
 class _State(NamedTuple):
@@ -970,7 +978,7 @@ class _Eval(NamedTuple):
     ll: float
 
 
-def _run_em(data, spec, gamma, restart_id):
+def _run_em(data, spec, gamma):
     """One SQUAREM-accelerated EM run from initial responsibilities
     ``gamma``. Returns the :class:`MixtureFit` it ends in."""
     alpha = spec.dirichlet_alpha
@@ -1068,44 +1076,22 @@ def _run_em(data, spec, gamma, restart_id):
                       weights=state.pi, responsibilities=last.gamma,
                       log_dens=(state.coef @ stats).T, q_trace=q_trace,
                       converged=converged, e_steps=evals, spec=spec,
-                      restart_id=restart_id, ll_trace=ll_trace)
+                      ll_trace=ll_trace)
 
 
-def fit(features, spec, init_seed=0, restarts=1):
-    """Best-Q MAP-EM fit over ``restarts`` initializations.
-
-    The first initialization splits the primary scalar feature at its median,
-    and by default it is the only one: on the benchmark pools it gives the
-    same layer choices as three starts with a third of the E-steps. Each
-    further restart uses random responsibilities drawn from ``init_seed``. A
-    one-cluster fit has a single initialization (all responsibilities 1) and
-    runs once. Each run returns its fit, and the first of the highest Q is
-    kept. Raises :class:`FitError` if every restart degenerates, and
-    ``ValueError`` for ``restarts`` under 1.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+def fit(features, spec):
+    """The MAP-EM fit of ``features`` under ``spec``: one run from
+    ``_initial_gamma``. Raises :class:`FitError` for fewer samples than
+    clusters and when a cluster loses all its responsibility mass."""
     data = _component_data(features, spec)
-    n = data.stats.shape[1]
-    if n < spec.n_clusters:
+    if data.stats.shape[1] < spec.n_clusters:
         raise FitError("fewer samples than clusters")
-    primary = _as_columns(data.components[0].x)[:, 0]
-    starts = 1 if spec.n_clusters == 1 else restarts
-    # Only a random start draws from the generator; one start builds none.
-    rng = np.random.default_rng(init_seed) if starts > 1 else None
-    runs = []
-    for r in range(starts):
-        mode = "split" if r == 0 else "random"
-        gamma0 = _initial_gamma(n, spec.n_clusters, mode, primary, rng)
-        try:
-            runs.append(_run_em(data, spec, gamma0, r))
-        except _EmptyClusterError:
-            continue
-    if not runs:
+    try:
+        return _run_em(data, spec, _initial_gamma(data, spec.n_clusters))
+    except _EmptyClusterError:
         families = ", ".join(k for _, k in spec.components)
-        raise FitError(f"all restarts degenerate for families: {families}")
-    # max replaces its pick only on a strictly higher Q: the first best wins.
-    return max(runs, key=lambda f: f.q)
+        raise FitError(
+            f"EM emptied a cluster; families: {families}") from None
 
 
 def resolve_labels(mixture_fit, temperature_means):

@@ -74,8 +74,6 @@ class PipelineConfig:
     alpha1: float = 10.0      # Dirichlet prior, velocity component
     hmm_beta: float = 650.0
     wlk: flow_mod.WlkConfig = field(default_factory=flow_mod.WlkConfig)
-    restarts: int = 1         # EM starts of a two-cluster fit
-    seed: int = 0
     init_l: int = 1
 
     def __post_init__(self):
@@ -90,16 +88,10 @@ class PipelineConfig:
                              "of two must be finite")
         if not 0 <= self.hmm_beta < math.inf:
             raise ValueError("hmm_beta must be finite and >= 0")
-        for name in ("restarts", "seed", "init_l"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be an int: {getattr(self, name)!r}")
+        if not is_int(self.init_l):
+            raise ValueError(f"init_l must be an int: {self.init_l!r}")
         if self.init_l not in (1, 2):
             raise ValueError("init_l must be 1 or 2")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(slots=True)
@@ -160,24 +152,17 @@ def _velocity_features(field, mask, temp_features, model):
     return feats
 
 
-def _fit(features, components, alpha, t, l, role, cfg):
-    """An ``l``-cluster MAP mixture, Dirichlet ``alpha`` per cluster, seeded
-    from ``(cfg.seed, t, l, role)``: role 0 fits temperature, 1 velocity."""
-    spec = mixtures.MixtureSpec(n_clusters=l, components=components,
-                                dirichlet_alpha=(alpha,) * l)
-    seed = 0  # a one-start fit draws nothing
-    if cfg.restarts > 1:
-        seed = np.random.SeedSequence(
-            entropy=cfg.seed, spawn_key=(t, l, role)).generate_state(1)[0]
-    return mixtures.fit(features, spec, init_seed=seed, restarts=cfg.restarts)
+def _fit(features, components, alpha, l):
+    """An ``l``-cluster MAP mixture with Dirichlet ``alpha`` per cluster."""
+    return mixtures.fit(features, mixtures.MixtureSpec(
+        n_clusters=l, components=components, dirichlet_alpha=(alpha,) * l))
 
 
-def fit_temperature(temp_feats, t, l, cfg):
-    """The temperature mixture of frame ``t`` under ``l`` layers, as a
-    detection record holds it: seeded from ``(cfg.seed, t, l)`` and with
-    cluster 1 the warmest."""
+def fit_temperature(temp_feats, l, cfg):
+    """The temperature mixture under ``l`` layers, as a detection record
+    holds it: cluster 1 the warmest."""
     tfit = _fit(temp_feats, (MODEL_ZOO[cfg.model].temperature,), cfg.alpha0,
-                t, l, 0, cfg)
+                l)
     gsum = tfit.responsibilities.sum(axis=0)
     means = (tfit.responsibilities.T @ temp_feats["_raw_temp"]) / gsum
     return mixtures.resolve_labels(tfit, means)
@@ -207,6 +192,7 @@ def _evidence(prev, prev_mask, cur, cur_mask, cfg):
 
     temp_feats = _temperature_features(prev, prev_mask, cfg)
 
+    # degenerate_restarts counts the hypotheses whose fit failed.
     flags = {"degenerate_restarts": 0, "singular_pixels": 0,
              "empty_windows": 0}
     deriv = flow_mod.derivatives(flow_mod.intensity_image(prev, prev_mask),
@@ -215,7 +201,7 @@ def _evidence(prev, prev_mask, cur, cur_mask, cfg):
     scores, reports, summaries, flow_summaries, failed = [], [], {}, {}, {}
     for l in (1, 2):
         try:
-            tfit = fit_temperature(temp_feats, prev.index, l, cfg)
+            tfit = fit_temperature(temp_feats, l, cfg)
 
             weights = [np.zeros(prev_mask.values.shape) for _ in range(l)]
             for c, g in enumerate(weights):
@@ -227,8 +213,7 @@ def _evidence(prev, prev_mask, cur, cur_mask, cfg):
                 flags["empty_windows"] += st.empty_windows
 
             vel_feats = _velocity_features(merged, prev_mask, temp_feats, model)
-            vfit = _fit(vel_feats, model.velocity, cfg.alpha1, prev.index, l,
-                        1, cfg)
+            vfit = _fit(vel_feats, model.velocity, cfg.alpha1, l)
 
             posterior_sum = float(tfit.q + vfit.q)
             scores.append(hmm_mod.HypothesisScore(l, posterior_sum, 0.0,

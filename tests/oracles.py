@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from cloudlayers import mixtures
 from cloudlayers.mixtures import log_dirichlet_prior
 
 
@@ -56,3 +57,15 @@ def hard_log_likelihood(weights, responsibilities, log_dens):
     z = np.argmax(responsibilities, axis=1)
     rows = np.arange(z.size)
     return float(np.sum(np.log(weights[z]) + log_dens[rows, z]))
+
+
+def em_starts(data, n_clusters, seeds):
+    """Initial responsibilities for ``mixtures._run_em`` on ``data``: the
+    median-split start of ``mixtures.fit``, then, for two clusters, one
+    Dirichlet(1, 1) draw per sample from ``np.random.default_rng(seed)`` for
+    each seed of ``seeds``."""
+    yield mixtures._initial_gamma(data, n_clusters)
+    if n_clusters == 2:
+        n = data.stats.shape[1]
+        for seed in seeds:
+            yield np.random.default_rng(seed).dirichlet(np.ones(2), size=n)

@@ -17,13 +17,14 @@ from cloudlayers.flow import DerivativeStack, WlkConfig, derivatives, \
     intensity_image, wlk_solve
 from cloudlayers.hmm import HmmState, score_from_sum, step
 from cloudlayers.mixtures import (BetaParams, BivariateGammaParams,
-                                  FitError, GammaParams, MixtureSpec,
-                                  VonMisesParams, e_step, fit, log_pdf,
+                                  GammaParams, MixtureSpec, VonMisesParams,
+                                  _component_data, _EmptyClusterError,
+                                  _run_em, e_step, fit, log_pdf,
                                   log_pdf_gradient, m_step_weights)
 from cloudlayers.pipeline import PipelineConfig, decode, process_sequence
 from cloudlayers.selection import CRITERIA, metrics, select
 from cloudlayers.synth import LayerSpec, SynthSpec, generate
-from oracles import finite_diff_gradient
+from oracles import em_starts, finite_diff_gradient
 
 
 def _report(name, ok):
@@ -108,16 +109,19 @@ def test_criterion_em_ascent():
             feats = _random_fit_case(kind, rng)
             spec = MixtureSpec(n_clusters=2, components=(("x", kind),),
                                dirichlet_alpha=(1.0, 1.0))
-            try:
-                f = fit(feats, spec, init_seed=trial, restarts=2)
-            except FitError:
-                continue  # every restart degenerated: no trace to check
-            # The observed-data objective, which EM cannot lower.
-            ll = np.asarray(f.ll_trace)
-            dips = np.diff(ll) + 1e-9 * (1 + np.abs(ll[:-1]))
-            worst_dip = min(worst_dip, float(dips.min(initial=0.0)))
-            n_fits += 1
-            stops[f.stop] += 1
+            data = _component_data(feats, spec)
+            # Every run: from fit's split start and from a random one.
+            for gamma in em_starts(data, 2, (trial,)):
+                try:
+                    f = _run_em(data, spec, gamma)
+                except _EmptyClusterError:
+                    continue  # a cluster emptied: no trace to check
+                # The observed-data objective, which EM cannot lower.
+                ll = np.asarray(f.ll_trace)
+                dips = np.diff(ll) + 1e-9 * (1 + np.abs(ll[:-1]))
+                worst_dip = min(worst_dip, float(dips.min(initial=0.0)))
+                n_fits += 1
+                stops[f.stop] += 1
     elapsed = time.time() - start
     ok = worst_dip >= 0.0 and elapsed < 60.0 and n_fits >= 200
     by_stop = ", ".join(f"{k} {v}" for k, v in sorted(stops.items()))
@@ -249,7 +253,7 @@ def test_criterion_selection_sanity():
         for l in (1, 2):
             spec = MixtureSpec(n_clusters=l, components=(("x", "gaussian"),),
                                dirichlet_alpha=(1.0,) * l)
-            reports.append(metrics(fit({"x": data}, spec, init_seed=0)))
+            reports.append(metrics(fit({"x": data}, spec)))
         picks = {c: select(reports, c) for c in CRITERIA}
         detail[name] = picks
         ok = ok and all(p == expect for p in picks.values())
@@ -268,7 +272,7 @@ def _suite_runs(specs, beta):
         seq, truth = generate(spec)
         pairs = [(f, m) for f, m, _ in seq]
         runs.append((process_sequence(
-            pairs, PipelineConfig(seed=0, hmm_beta=beta)), truth))
+            pairs, PipelineConfig(hmm_beta=beta)), truth))
     return runs
 
 
@@ -324,7 +328,7 @@ def test_criterion_cli_determinism(tmp_path):
     for name in ("a.jsonl", "b.jsonl"):
         dst = tmp_path / name
         rc = cli_main(["detect", "--manifest", str(seq_dir / "manifest.json"),
-                       "--out", str(dst), "--seed", "42"])
+                       "--out", str(dst)])
         assert rc == 0
         outs.append(dst.read_bytes())
     ok = outs[0] == outs[1] and len(outs[0]) > 0

@@ -40,8 +40,7 @@ def test_run_em_result_keeps_converged_at_index_five():
     spec = mixtures.MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
                                 dirichlet_alpha=(1.0, 1.0))
     data = mixtures._component_data({"x": x}, spec)
-    gamma = mixtures._initial_gamma(x.size, 2, "split", x, None)
-    result = mixtures._run_em(data, spec, gamma, 0)
+    result = mixtures._run_em(data, spec, mixtures._initial_gamma(data, 2))
     assert isinstance(result, tuple)
     assert isinstance(result[5], bool)
     assert len(result[-1]) == len(result[4])

@@ -75,7 +75,7 @@ def test_detect_is_byte_identical_across_runs(tmp_path):
     d2 = tmp_path / "b.jsonl"
     for dst in (d1, d2):
         assert main(["detect", "--manifest", str(out / "manifest.json"),
-                     "--out", str(dst), "--seed", "11"]) == 0
+                     "--out", str(dst)]) == 0
     assert d1.read_bytes() == d2.read_bytes()
 
 
@@ -123,11 +123,11 @@ def test_fit_reproduces_the_detect_record_fit(tmp_path, capsys, l):
     out = _synth(tmp_path, layers=2, frames=3)
     det = tmp_path / "det.jsonl"
     assert main(["detect", "--manifest", str(out / "manifest.json"),
-                 "--out", str(det), "--seed", "5"]) == 0
+                 "--out", str(det)]) == 0
     record = json.loads(det.read_text().splitlines()[1])
     capsys.readouterr()
     assert main(["fit", "--manifest", str(out / "manifest.json"),
-                 "--t", "1", "--l", str(l), "--seed", "5"]) == 0
+                 "--t", "1", "--l", str(l)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert record["t"] == 1
     assert doc == record["fits"][f"L{l}"]["temperature"]
@@ -331,6 +331,7 @@ INPUT_ERRORS = {
         f"--{flag}", value, "--out", str(d / "o.jsonl")])
        for flag, value in (("alpha0", "1e308"), ("alpha1", "1e308"),
                            ("tau", "1e155"))},
+    # Flags that detect does not take.
     "detect-negative-seed": lambda d: [
         "detect", "--manifest", _flat_manifest(d), "--seed", "-1",
         "--out", str(d / "o.jsonl")],
@@ -360,6 +361,21 @@ INPUT_ERRORS = {
 def test_bad_input_exits_1_with_an_error_line(tmp_path, capsys, case):
     assert main(INPUT_ERRORS[case](tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["detect", "fit"])
+@pytest.mark.parametrize("flag, value", [("--restarts", "2"),
+                                         ("--seed", "3")])
+def test_removed_fit_flags_are_unrecognized(tmp_path, capsys, command,
+                                            flag, value):
+    # Every fit runs one start and draws nothing, so neither flag exists.
+    manifest = str(_synth(tmp_path) / "manifest.json")
+    argv = {"detect": ["detect", "--out", str(tmp_path / "d.jsonl")],
+            "fit": ["fit", "--t", "0"]}[command]
+    capsys.readouterr()
+    assert main([*argv, "--manifest", manifest, flag, value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unrecognized arguments: {flag} {value}\n")
 
 
 def _detect_on(tmp_path, temperatures, masks, *flags):
@@ -492,8 +508,7 @@ _PIPELINE_FLAGS = {
     "--beta": _values(st.floats(min_value=0.0, allow_infinity=False)),
     "--window": _values(st.integers(1, 12)),
     "--tau": _values(st.floats(0.0, 1.3407807929942596e154)),
-    "--seed": _values(_SEED), "--init-l": _values(_ONE_OR_TWO),
-    "--restarts": _values(st.integers(1, 4), cap=4),
+    "--init-l": _values(_ONE_OR_TWO),
 }
 _INPUTS = ("garbage", "directory", "missing")
 _FLAGS = {

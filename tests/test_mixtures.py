@@ -21,7 +21,7 @@ from cloudlayers.mixtures import (BetaParams, BivariateGammaParams, FitError,
                                   log_pdf_gradient, m_step_params,
                                   m_step_weights, resolve_labels)
 from cloudlayers.numerics import MIN_ARG, PARAM_CEIL, digamma, trigamma
-from oracles import cdll, finite_diff_gradient
+from oracles import cdll, em_starts, finite_diff_gradient
 
 # ---------------------------------------------------------------------------
 # Log-densities against scipy.stats / direct quadrature
@@ -342,7 +342,7 @@ def test_run_takes_its_weights_and_prior_from_the_public_functions(
     x = np.concatenate([rng.gamma(2, 1, 150), rng.gamma(9, 1, 150)])
     spec = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
                        dirichlet_alpha=alpha)
-    f = fit({"x": x}, spec, init_seed=0, restarts=1)
+    f = fit({"x": x}, spec)
     # Every state's weights come from an M-step, so the fit's are one of
     # the arrays the spy returned; and each E-step adds the prior once.
     assert any(w is f.weights for w in returned)
@@ -730,7 +730,7 @@ def test_warm_beta_m_step_evaluates_the_trigammas_once(monkeypatch):
         mixtures._FAMILIES["beta"], warm_step=warm_step))
     spec = MixtureSpec(n_clusters=2, components=(("x", "beta"),),
                        dirichlet_alpha=(1.0, 1.0))
-    fit(_reference_case("beta", np.random.default_rng(41)), spec, init_seed=0)
+    fit(_reference_case("beta", np.random.default_rng(41)), spec)
     assert len(per_step) > 10 and set(per_step) == {1}
 
 
@@ -747,25 +747,9 @@ def test_one_cluster_fit_runs_em_once(monkeypatch):
     for l in (1, 2):
         spec = MixtureSpec(n_clusters=l, components=(("x", "gamma"),),
                            dirichlet_alpha=(1.0,) * l)
-        f = fit({"x": x}, spec, init_seed=0, restarts=3)
-    assert calls == [1, 2, 2, 2]
+        f = fit({"x": x}, spec)
+    assert calls == [1, 2]
     assert f.spec.n_clusters == 2
-
-
-@pytest.mark.parametrize("qs,winner", [((1.0, 0.0, 1.0), 0),
-                                       ((1.0, 0.0, 2.0), 2)])
-def test_fit_keeps_the_first_run_of_the_highest_q(monkeypatch, qs, winner):
-    run_em = mixtures._run_em
-
-    def with_q(data, spec, gamma, restart_id):
-        run = run_em(data, spec, gamma, restart_id)
-        return run._replace(q_trace=[qs[restart_id]])
-
-    monkeypatch.setattr(mixtures, "_run_em", with_q)
-    x = np.random.default_rng(33).gamma(2, 1, 200) + 1e-6
-    spec = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
-                       dirichlet_alpha=(1.0, 1.0))
-    assert fit({"x": x}, spec, init_seed=0, restarts=3).restart_id == winner
 
 
 def test_m_step_von_mises_point_mass_hits_ceiling():
@@ -799,7 +783,7 @@ def test_fit_recovers_separated_gaussians():
     feats = _two_gaussian_features(rng)
     spec = MixtureSpec(n_clusters=2, components=(("x", "gaussian"),),
                        dirichlet_alpha=(1.0, 1.0))
-    f = fit(feats, spec, init_seed=0)
+    f = fit(feats, spec)
     means = sorted(p[0].mean[0] for p in f.params)
     assert means[0] == pytest.approx(0.0, abs=0.3)
     assert means[1] == pytest.approx(10.0, abs=0.3)
@@ -811,20 +795,20 @@ def test_fit_ll_trace_is_monotone():
     feats = {"x": np.clip(rng.beta(2, 5, 400), 1e-6, 1 - 1e-6)}
     spec = MixtureSpec(n_clusters=2, components=(("x", "beta"),),
                        dirichlet_alpha=(1.0, 1.0))
-    f = fit(feats, spec, init_seed=1)
+    f = fit(feats, spec)
     ll = np.asarray(f.ll_trace)
     assert len(ll) == len(f.q_trace) > 2
     assert np.all(np.diff(ll) >= -1e-9 * (1 + np.abs(ll[:-1])))
     assert f.q == f.q_trace[-1]
 
 
-def test_fit_is_deterministic_in_seed():
+def test_fit_is_deterministic():
     rng = np.random.default_rng(17)
     feats = _two_gaussian_features(rng, n=200)
     spec = MixtureSpec(n_clusters=2, components=(("x", "gaussian"),),
                        dirichlet_alpha=(1.0, 1.0))
-    a = fit(feats, spec, init_seed=5)
-    b = fit(feats, spec, init_seed=5)
+    a = fit(feats, spec)
+    b = fit(feats, spec)
     np.testing.assert_array_equal(a.responsibilities, b.responsibilities)
     assert a.q == b.q
 
@@ -837,8 +821,8 @@ def test_fit_informative_prior_pulls_weights_together():
                        dirichlet_alpha=(1.0, 1.0))
     strong = MixtureSpec(n_clusters=2, components=(("x", "gaussian"),),
                          dirichlet_alpha=(200.0, 200.0))
-    wf = np.sort(fit({"x": x}, flat, init_seed=0).weights)
-    ws = np.sort(fit({"x": x}, strong, init_seed=0).weights)
+    wf = np.sort(fit({"x": x}, flat).weights)
+    ws = np.sort(fit({"x": x}, strong).weights)
     assert ws[0] > wf[0]  # prior shrinks weights toward 1/2
 
 
@@ -846,10 +830,7 @@ def test_fit_errors():
     spec = MixtureSpec(n_clusters=2, components=(("x", "gaussian"),),
                        dirichlet_alpha=(1.0, 1.0))
     with pytest.raises(FitError):
-        fit({"x": np.array([1.0])}, spec, init_seed=0)
-    for restarts in (0, -1):
-        with pytest.raises(ValueError, match="restarts"):
-            fit({"x": np.arange(1.0, 9.0)}, spec, restarts=restarts)
+        fit({"x": np.array([1.0])}, spec)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "beta", "von_mises",
@@ -870,7 +851,7 @@ def test_non_finite_feature_fails_at_the_fit_boundary(kind, n_clusters):
         feats = {"ok": np.linspace(0.5, 3.0, x.shape[0]), "bad": bad}
         with pytest.raises(SupportError,
                            match="feature 'bad' holds non-finite values"):
-            fit(feats, spec, init_seed=0)
+            fit(feats, spec)
 
 
 @pytest.mark.parametrize("kind, big", [
@@ -888,7 +869,7 @@ def test_overflowing_statistic_fails_at_the_fit_boundary(kind, big):
     spec = MixtureSpec(n_clusters=2, components=(("x", kind),),
                        dirichlet_alpha=(1.0, 1.0))
     with pytest.raises(SupportError, match="'x' overflows its statistic"):
-        fit({"x": x}, spec, init_seed=0)
+        fit({"x": x}, spec)
 
 
 @pytest.mark.parametrize("n_clusters", [1, 2])
@@ -904,7 +885,7 @@ def test_an_overflowing_statistic_names_its_feature(n_clusters):
     feats = {"ok": x, "big": big, "also_ok": x}
     with pytest.raises(SupportError,
                        match="^feature 'big' overflows its statistic$"):
-        fit(feats, spec, init_seed=0)
+        fit(feats, spec)
 
 
 def test_mixture_spec_validation():
@@ -937,7 +918,7 @@ def test_factorized_log_density_is_additive():
     joint = MixtureSpec(n_clusters=1,
                         components=(("x", "gamma"), ("phi", "von_mises")),
                         dirichlet_alpha=(1.0,))
-    f = fit({"x": x, "phi": phi}, joint, init_seed=0, restarts=1)
+    f = fit({"x": x, "phi": phi}, joint)
     parts = (log_pdf(f.params[0][0], x) + log_pdf(f.params[0][1], phi))
     np.testing.assert_allclose(f.log_dens[:, 0], parts, rtol=1e-12)
 
@@ -947,7 +928,7 @@ def test_resolve_labels_orders_by_temperature():
     feats = _two_gaussian_features(rng, n=300)
     spec = MixtureSpec(n_clusters=2, components=(("x", "gaussian"),),
                        dirichlet_alpha=(1.0, 1.0))
-    f = fit(feats, spec, init_seed=0)
+    f = fit(feats, spec)
     means = np.array([p[0].mean[0] for p in f.params])
     resolved = resolve_labels(f, means)
     m2 = np.array([p[0].mean[0] for p in resolved.params])
@@ -1028,26 +1009,6 @@ def _columns(features, spec):
             [k for _, k in spec.components])
 
 
-def _reference_fit(features, spec, init_seed, restarts):
-    """Plain MAP-EM over the fit's initializations; the restart with the
-    highest final Q wins. Returns the winner's final objective."""
-    xs, kinds = _columns(features, spec)
-    n, ncl = xs[0].shape[0], spec.n_clusters
-    rng = np.random.default_rng(init_seed)
-    best = None
-    for r in range(1 if ncl == 1 else restarts):
-        mode = "split" if r == 0 else "random"
-        gamma = mixtures._initial_gamma(n, ncl, mode,
-                                        mixtures._as_columns(xs[0])[:, 0], rng)
-        try:
-            ll_trace, q_trace = _plain_em(xs, kinds, spec, gamma)
-        except mixtures._EmptyClusterError:
-            continue
-        if best is None or q_trace[-1] > best[1]:
-            best = (ll_trace[-1], q_trace[-1])
-    return best[0]
-
-
 def _fit_objective(f, features):
     """A fit's objective at its parameters, from log_pdf and logsumexp."""
     xs, _ = _columns(features, f.spec)
@@ -1093,36 +1054,54 @@ _REFERENCE_NAMES = ["gamma", "beta", "von_mises", "bivariate_gamma",
                     "gaussian", "factorized"]
 
 
-def _assert_fit_matches_plain_reference_em(name, n_clusters, restarts):
+def _reference_cases(name, n_clusters):
+    """(features, spec) of ``name``'s three reference cases, with Dirichlet
+    alphas 1, 2 and 3."""
     rng = np.random.default_rng(34)
-    for seed in range(3):
-        feats = _reference_case(name, rng)
-        comps = _REFERENCE_SPECS.get(name, (("x", name),))
-        spec = MixtureSpec(n_clusters=n_clusters, components=comps,
-                           dirichlet_alpha=(1.0 + seed,) * n_clusters)
-        f = fit(feats, spec, init_seed=seed, restarts=restarts)
-        ll = np.asarray(f.ll_trace)
-        assert np.all(np.diff(ll) >= -1e-9 * (1 + np.abs(ll[:-1])))
-        # The recorded objective is the fit's own, Dirichlet term included.
-        objective = _fit_objective(f, feats)
-        assert ll[-1] == pytest.approx(objective, rel=1e-9)
-        reference = _reference_fit(feats, spec, seed, restarts)
-        slack = REFERENCE_REL_TOL * (1 + abs(reference))
-        assert objective >= reference - slack
+    comps = _REFERENCE_SPECS.get(name, (("x", name),))
+    for a in (1.0, 2.0, 3.0):
+        yield _reference_case(name, rng), MixtureSpec(
+            n_clusters=n_clusters, components=comps,
+            dirichlet_alpha=(a,) * n_clusters)
+
+
+def _assert_run_matches_plain_reference_em(f, feats, gamma):
+    """The run ``f`` from ``gamma``: its l trace rises, its last l is its
+    objective, and that is no lower than plain EM's from ``gamma``."""
+    ll = np.asarray(f.ll_trace)
+    assert np.all(np.diff(ll) >= -1e-9 * (1 + np.abs(ll[:-1])))
+    # The recorded objective is the fit's own, Dirichlet term included.
+    objective = _fit_objective(f, feats)
+    assert ll[-1] == pytest.approx(objective, rel=1e-9)
+    reference = _plain_em(*_columns(feats, f.spec), f.spec, gamma)[0][-1]
+    assert objective >= reference - REFERENCE_REL_TOL * (1 + abs(reference))
 
 
 @pytest.mark.parametrize("name", _REFERENCE_NAMES)
 @pytest.mark.parametrize("n_clusters", [1, 2])
 def test_fit_matches_plain_reference_em(name, n_clusters):
-    # Three starts on both sides: the split start and two random ones.
-    _assert_fit_matches_plain_reference_em(name, n_clusters, restarts=3)
+    # Every run, from the split start and from two random ones, against
+    # plain EM from the same responsibilities.
+    runs = 0
+    for seed, (feats, spec) in enumerate(_reference_cases(name, n_clusters)):
+        data = mixtures._component_data(feats, spec)
+        for gamma in em_starts(data, n_clusters, (2 * seed, 2 * seed + 1)):
+            try:
+                f = mixtures._run_em(data, spec, gamma)
+            except mixtures._EmptyClusterError:
+                continue
+            _assert_run_matches_plain_reference_em(f, feats, gamma)
+            runs += 1
+    assert runs >= (3 if n_clusters == 1 else 6)
 
 
 @pytest.mark.parametrize("name", _REFERENCE_NAMES)
 def test_one_start_fit_matches_plain_reference_em(name):
-    # The split start alone on both sides; a one-cluster fit has one start
-    # whatever ``restarts`` is, and the test above covers it.
-    _assert_fit_matches_plain_reference_em(name, 2, restarts=1)
+    # fit itself, from the split start on both sides.
+    for feats, spec in _reference_cases(name, 2):
+        data = mixtures._component_data(feats, spec)
+        _assert_run_matches_plain_reference_em(
+            fit(feats, spec), feats, mixtures._initial_gamma(data, 2))
 
 
 @pytest.mark.parametrize("name", ["gamma", "beta", "von_mises",
@@ -1144,10 +1123,7 @@ def test_state_round_trips_through_its_natural_form(name, n_clusters):
                        dirichlet_alpha=(1.0,) * n_clusters)
     data = mixtures._component_data(feats, spec)
     n = data.stats.shape[1]
-    gamma = mixtures._initial_gamma(n, n_clusters, "split",
-                                    mixtures._as_columns(feats["x"])[:, 0],
-                                    None)
-    sums = data.stats @ gamma
+    sums = data.stats @ mixtures._initial_gamma(data, n_clusters)
     cold = [[None] * len(comps)] * n_clusters
     state = mixtures._m_step(data, sums, cold, sums[-1] / n)
     rebuilt = mixtures._state(data, mixtures._vector(state), n_clusters)
@@ -1188,8 +1164,7 @@ def test_one_start_fit_builds_no_generator(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
-    f = fit(feats, spec, init_seed=3, restarts=1)
-    assert f.restart_id == 0 and f.converged
+    assert fit(feats, spec).converged
 
 
 def _fallback_case(monkeypatch, name, edit):
@@ -1209,10 +1184,9 @@ def _fallback_case(monkeypatch, name, edit):
         return built[-1]
 
     monkeypatch.setattr(mixtures, "_state", edited)
-    f = fit(feats, spec, init_seed=0, restarts=1)
+    f = fit(feats, spec)
     xs, kinds = _columns(feats, spec)
-    gamma = mixtures._initial_gamma(xs[0].shape[0], 2, "split",
-                                    mixtures._as_columns(xs[0])[:, 0], None)
+    gamma = mixtures._initial_gamma(mixtures._component_data(feats, spec), 2)
     ll_trace, _ = _plain_em(xs, kinds, spec, gamma, steps=2 * len(f.ll_trace),
                             m_step=_warm_m_step_params)
     return f, ll_trace, built
@@ -1286,7 +1260,7 @@ def test_e_step_log_lik_matches_logsumexp():
     for ncl, alpha in cases:
         spec = MixtureSpec(n_clusters=ncl, components=(("x", "gamma"),),
                            dirichlet_alpha=alpha)
-        f = fit({"x": x}, spec, init_seed=0)
+        f = fit({"x": x}, spec)
         assert f.ll_trace[-1] == pytest.approx(
             _log_posterior(f.log_dens, f.weights, alpha), rel=1e-12)
 
@@ -1300,25 +1274,25 @@ def test_iteration_cap_stop(monkeypatch):
     x = np.random.default_rng(35).gamma(2, 1, 200) + 1e-6
     spec = MixtureSpec(n_clusters=1, components=(("x", "gamma"),),
                        dirichlet_alpha=(1.0,))
-    f = fit({"x": x}, spec, init_seed=0)
+    f = fit({"x": x}, spec)
     assert (f.stop, f.converged, len(f.q_trace)) == ("tolerance", True, 2)
     assert f.e_steps == len(calls) == 2
     feats = _reference_case("gamma", np.random.default_rng(35))
     spec2 = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
                         dirichlet_alpha=(1.0, 1.0))
     calls.clear()
-    f = fit(feats, spec2, init_seed=0, restarts=1)
+    f = fit(feats, spec2)
     assert f.stop == "tolerance"
     assert f.e_steps == len(calls) > 9
     monkeypatch.setattr(mixtures, "MAX_OUTER_ITERS", 1)
-    f = fit({"x": x}, spec, init_seed=0)
+    f = fit({"x": x}, spec)
     assert (f.stop, f.converged, len(f.q_trace)) == ("cap", False, 1)
     assert f.to_json_dict()["stop"] == "cap"
     spec = spec2
     for cap in (7, 8, 9):
         calls.clear()
         monkeypatch.setattr(mixtures, "MAX_OUTER_ITERS", cap)
-        f = fit(feats, spec, init_seed=0, restarts=1)
+        f = fit(feats, spec)
         assert (f.stop, f.converged, len(calls)) == ("cap", False, cap)
         assert f.e_steps == cap
         assert len(f.ll_trace) == len(f.q_trace)
@@ -1332,9 +1306,12 @@ def test_one_population_two_cluster_fit_stops_on_tolerance():
         x = rng.gamma(rng.uniform(1, 4), rng.uniform(0.5, 3), 300) + 1e-9
     spec = MixtureSpec(n_clusters=2, components=(("x", "gamma"),),
                        dirichlet_alpha=(1.0, 1.0))
-    f = fit({"x": x}, spec, init_seed=8, restarts=2)
-    assert (f.stop, f.converged) == ("tolerance", True)
-    assert f.e_steps < mixtures.MAX_OUTER_ITERS
+    # From the split start and from that trial's random start.
+    data = mixtures._component_data({"x": x}, spec)
+    for gamma in em_starts(data, 2, (8,)):
+        f = mixtures._run_em(data, spec, gamma)
+        assert (f.stop, f.converged) == ("tolerance", True)
+        assert f.e_steps < mixtures.MAX_OUTER_ITERS
 
 
 def test_squarem_step_length_schedule(monkeypatch):
@@ -1358,7 +1335,7 @@ def test_squarem_step_length_schedule(monkeypatch):
     x = np.random.default_rng(1).normal(size=300)
     spec = MixtureSpec(n_clusters=2, components=(("x", "gaussian"),),
                        dirichlet_alpha=(1.0, 1.0))
-    fit({"x": x}, spec, init_seed=0, restarts=1)
+    fit({"x": x}, spec)
     # Each cycle takes the vectors of theta0, theta1 and theta2, in turn.
     cycles = [vectors[i:i + 3] for i in range(0, len(vectors), 3)]
     extrapolated = {at: (theta, ext) for at, theta, ext in built}
@@ -1392,7 +1369,7 @@ def test_fit_json_dump_round_trips():
     feats = {"x": rng.gamma(2, 1, 100) + 1e-6}
     spec = MixtureSpec(n_clusters=1, components=(("x", "gamma"),),
                        dirichlet_alpha=(1.0,))
-    f = fit(feats, spec, init_seed=0, restarts=1)
+    f = fit(feats, spec)
     doc = json.loads(json.dumps(f.to_json_dict(), sort_keys=True))
     assert doc["n_clusters"] == 1
     assert doc["params"][0][0]["kind"] == "gamma"

@@ -37,23 +37,23 @@ def _one_layer_spec(frames=4, seed=7):
 
 def test_two_layer_sequence_is_detected():
     pairs, truth = _pairs(_two_layer_spec())
-    recs = process_sequence(pairs, PipelineConfig(seed=0))
+    recs = process_sequence(pairs, PipelineConfig())
     assert len(recs) == len(pairs) - 1
     assert [r.chosen_l for r in recs] == truth[:-1] == [2] * 3
 
 
 def test_one_layer_sequence_is_detected():
     pairs, truth = _pairs(_one_layer_spec())
-    recs = process_sequence(pairs, PipelineConfig(seed=0))
+    recs = process_sequence(pairs, PipelineConfig())
     assert [r.chosen_l for r in recs] == truth[:-1] == [1] * 3
 
 
 def test_default_frame_builds_no_generator(monkeypatch):
-    # The default config fits each mixture from its median split alone.
+    # Each mixture is fitted from its median split alone.
     pairs, _ = _pairs(_two_layer_spec(frames=2))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a one-start fit drew a generator")
+        raise AssertionError("a fit drew a generator")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
@@ -64,7 +64,7 @@ def test_default_frame_builds_no_generator(monkeypatch):
 
 def test_records_carry_scores_and_metrics():
     pairs, _ = _pairs(_two_layer_spec(frames=2))
-    rec = process_sequence(pairs, PipelineConfig(seed=0))[0]
+    rec = process_sequence(pairs, PipelineConfig())[0]
     assert rec.t == 0
     assert sorted(s.l for s in rec.scores) == [1, 2]
     assert len(rec.metric_reports) == 2
@@ -92,7 +92,7 @@ def test_record_stores_each_fit_summary_compressed(monkeypatch):
 
     monkeypatch.setattr(selection, "metrics", keep)
     pairs, _ = _pairs(_two_layer_spec(frames=2))
-    rec = process_sequence(pairs, PipelineConfig(seed=0))[0]
+    rec = process_sequence(pairs, PipelineConfig())[0]
     assert rec.fit_summaries() == rec.to_json_dict()["fits"] == {
         f"L{l}": {"temperature": t.to_json_dict(),
                   "velocity": v.to_json_dict()}
@@ -104,7 +104,7 @@ def test_record_stores_each_fit_summary_compressed(monkeypatch):
 
 def test_record_types_have_no_instance_dict():
     pairs, _ = _pairs(_two_layer_spec(frames=2))
-    rec = process_sequence(pairs, PipelineConfig(seed=0))[0]
+    rec = process_sequence(pairs, PipelineConfig())[0]
     for obj in (rec, rec.scores[0], rec.metric_reports[0]):
         assert not hasattr(obj, "__dict__")
 
@@ -122,20 +122,20 @@ def test_two_cluster_fits_take_one_start_by_default(monkeypatch):
     starts = []
     run_em = mixtures._run_em
 
-    def counted(data, spec, gamma, restart_id):
-        starts.append((spec.n_clusters, restart_id))
-        return run_em(data, spec, gamma, restart_id)
+    def counted(data, spec, gamma):
+        starts.append(spec.n_clusters)
+        return run_em(data, spec, gamma)
 
     monkeypatch.setattr(mixtures, "_run_em", counted)
     pairs, _ = _pairs(_two_layer_spec(frames=2))
-    process_sequence(pairs, PipelineConfig(seed=0))
-    assert sorted(starts) == [(1, 0), (1, 0), (2, 0), (2, 0)]
+    process_sequence(pairs, PipelineConfig())
+    assert sorted(starts) == [1, 1, 2, 2]
 
 
 def test_detection_is_deterministic():
     pairs, _ = _pairs(_two_layer_spec(frames=3))
-    a = process_sequence(pairs, PipelineConfig(seed=0))
-    b = process_sequence(pairs, PipelineConfig(seed=0))
+    a = process_sequence(pairs, PipelineConfig())
+    b = process_sequence(pairs, PipelineConfig())
     assert [r.to_json_line() for r in a] == [r.to_json_line() for r in b]
 
 
@@ -147,7 +147,7 @@ def test_insufficient_mask_fails_the_frame():
     f0 = Frame(temps, index=0)
     f1 = Frame(temps, index=1)
     m = SegmentationMask(mask)
-    cfg = PipelineConfig(seed=0)
+    cfg = PipelineConfig()
     evidence = frame_evidence(f0, m, f1, m, cfg)
     assert evidence.chosen_l is None
     assert evidence.flags == {"frame_failed": True}
@@ -166,7 +166,7 @@ def test_failed_frame_keeps_state_and_is_flagged():
     small = np.zeros(pairs[1][1].values.shape, dtype=bool)
     small[:2, :2] = True
     pairs[1] = (pairs[1][0], SegmentationMask(small))
-    recs = process_sequence(pairs, PipelineConfig(seed=0))
+    recs = process_sequence(pairs, PipelineConfig())
     assert recs[1].flags.get("frame_failed")
     assert recs[1].chosen_l == recs[0].chosen_l  # state carried over
     assert recs[1].to_json_line() == (
@@ -180,10 +180,10 @@ def _fail_fits(monkeypatch, n_clusters):
     counts and fit as usual otherwise."""
     fit = mixtures.fit
 
-    def failing_fit(features, spec, **kwargs):
+    def failing_fit(features, spec):
         if spec.n_clusters in n_clusters:
-            raise mixtures.FitError("all restarts degenerate")
-        return fit(features, spec, **kwargs)
+            raise mixtures.FitError("EM emptied a cluster")
+        return fit(features, spec)
 
     monkeypatch.setattr(mixtures, "fit", failing_fit)
 
@@ -192,7 +192,7 @@ def test_a_failed_hypothesis_scores_minus_infinity(monkeypatch):
     _fail_fits(monkeypatch, (2,))
     (f0, m0), (f1, m1) = _pairs(_two_layer_spec(frames=2))[0]
     state = hmm_mod.HmmState(previous_l=2, beta=650.0)
-    rec = process_frame(f0, m0, f1, m1, state, PipelineConfig(seed=0))
+    rec = process_frame(f0, m0, f1, m1, state, PipelineConfig())
     assert set(rec.fit_summaries()) == set(rec.flow_summary) == {"L1"}
     assert len(rec.metric_reports) == 1
     assert [s.l for s in rec.scores] == [1, 2]
@@ -200,7 +200,7 @@ def test_a_failed_hypothesis_scores_minus_infinity(monkeypatch):
     assert np.isfinite(rec.scores[0].posterior_sum)
     assert rec.flags["degenerate_restarts"] == 1
     assert "frame_failed" not in rec.flags
-    assert rec.error == "L2: all restarts degenerate"
+    assert rec.error == "L2: EM emptied a cluster"
     assert rec.chosen_l == state.previous_l == 1
 
 
@@ -208,7 +208,7 @@ def test_both_hypotheses_failing_fails_the_frame(monkeypatch):
     _fail_fits(monkeypatch, (1, 2))
     (f0, m0), (f1, m1) = _pairs(_two_layer_spec(frames=2))[0]
     state = hmm_mod.HmmState(previous_l=2, beta=650.0)
-    rec = process_frame(f0, m0, f1, m1, state, PipelineConfig(seed=0))
+    rec = process_frame(f0, m0, f1, m1, state, PipelineConfig())
     assert rec.flags == {"frame_failed": True}
     assert rec.error.startswith("both hypotheses failed")
     assert rec.scores == rec.metric_reports == []
@@ -222,7 +222,7 @@ def _lines(records):
 def test_process_frame_decides_the_frame_evidence():
     pairs, _ = _pairs(_two_layer_spec(frames=2))
     (f0, m0), (f1, m1) = pairs
-    cfg = PipelineConfig(seed=0)
+    cfg = PipelineConfig()
     evidence = frame_evidence(f0, m0, f1, m1, cfg)
     assert evidence.chosen_l is None
     assert [s.l for s in evidence.scores] == [1, 2]
@@ -250,12 +250,12 @@ def noisy_records():
     small = np.zeros(pairs[2][1].values.shape, dtype=bool)
     small[:2, :2] = True
     pairs[2] = (pairs[2][0], SegmentationMask(small))
-    return pairs, process_sequence(pairs, PipelineConfig(seed=0, init_l=2))
+    return pairs, process_sequence(pairs, PipelineConfig(init_l=2))
 
 
 def test_decode_at_the_same_beta_reproduces_the_records(noisy_records):
     _, recs = noisy_records
-    cfg = PipelineConfig(seed=0, init_l=2)
+    cfg = PipelineConfig(init_l=2)
     assert recs[2].flags == {"frame_failed": True}
     assert [r.chosen_l for r in recs] == [2, 2, 2, 1]
     assert _lines(decode(recs, cfg.hmm_beta, cfg.init_l)) == _lines(recs)
@@ -263,7 +263,7 @@ def test_decode_at_the_same_beta_reproduces_the_records(noisy_records):
 
 def test_decode_at_another_beta_equals_a_refit(noisy_records):
     pairs, recs = noisy_records
-    flat = process_sequence(pairs, PipelineConfig(seed=0, hmm_beta=0.0))
+    flat = process_sequence(pairs, PipelineConfig(hmm_beta=0.0))
     assert _lines(decode(recs, 0.0, 1)) == _lines(flat)
 
 
@@ -291,18 +291,18 @@ def test_only_frame_data_errors_become_failed_frames(monkeypatch, exc,
 
     monkeypatch.setattr(mixtures, "fit", broken_fit)
     if caught:
-        (rec,) = process_sequence(pairs, PipelineConfig(seed=0))
+        (rec,) = process_sequence(pairs, PipelineConfig())
         assert rec.flags == {"frame_failed": True}
         assert rec.error == str(exc)
     else:
         with pytest.raises(ValueError, match="a fault"):
-            process_sequence(pairs, PipelineConfig(seed=0))
+            process_sequence(pairs, PipelineConfig())
 
 
 def test_sequence_needs_two_frames():
     pairs, _ = _pairs(_one_layer_spec(frames=2))
     with pytest.raises(ValueError):
-        process_sequence(pairs[:1], PipelineConfig(seed=0))
+        process_sequence(pairs[:1], PipelineConfig())
 
 
 def test_config_validation():
@@ -317,27 +317,9 @@ def test_config_validation():
             PipelineConfig(hmm_beta=bad)
     with pytest.raises(ValueError):
         PipelineConfig(init_l=3)
-    for restarts in (0, -1):
-        with pytest.raises(ValueError, match="restarts"):
-            PipelineConfig(restarts=restarts)
-    with pytest.raises(ValueError, match="seed"):
-        PipelineConfig(seed=-1)
 
 
-# A float or a bool would pass the range checks and fail later, or pass as
-# 1: restarts=2.0 fails the first frame's ``range``.
-@pytest.mark.parametrize("bad", [2.0, 1.0, True, "2", None])
-def test_config_requires_int_restarts(bad):
-    with pytest.raises(ValueError, match="restarts must be an int"):
-        PipelineConfig(restarts=bad)
-
-
-@pytest.mark.parametrize("bad", [1.5, 0.0, np.float64(3.0), False, None])
-def test_config_requires_int_seed(bad):
-    with pytest.raises(ValueError, match="seed must be an int"):
-        PipelineConfig(seed=bad)
-
-
+# A float or a bool equal to 1 or 2 would pass the range check.
 @pytest.mark.parametrize("bad", [True, 1.0, 2.0, "1"])
 def test_config_requires_int_init_l(bad):
     with pytest.raises(ValueError, match="init_l must be an int"):
@@ -345,9 +327,7 @@ def test_config_requires_int_init_l(bad):
 
 
 def test_config_takes_numpy_ints():
-    cfg = PipelineConfig(restarts=np.int64(2), seed=np.uint32(5),
-                         init_l=np.int8(2))
-    assert (cfg.restarts, cfg.seed, cfg.init_l) == (2, 5, 2)
+    assert PipelineConfig(init_l=np.int8(2)).init_l == 2
 
 
 def test_model_zoo_ids_are_well_formed():
@@ -364,14 +344,14 @@ def test_alternate_models_run_one_frame(model_id):
     state = hmm_mod.HmmState(previous_l=1, beta=650.0)
     (f0, m0), (f1, m1) = pairs
     rec = process_frame(f0, m0, f1, m1, state,
-                        PipelineConfig(model=model_id, seed=0))
+                        PipelineConfig(model=model_id))
     assert rec.chosen_l in (1, 2)
     assert rec.error is None
 
 
 def test_smaller_window_config_threads_through():
     pairs, _ = _pairs(_one_layer_spec(frames=2))
-    cfg = PipelineConfig(seed=0, wlk=WlkConfig(window_half_width=4))
+    cfg = PipelineConfig(wlk=WlkConfig(window_half_width=4))
     recs = process_sequence(pairs, cfg)
     assert recs[0].chosen_l == 1
 
@@ -382,7 +362,7 @@ def test_empty_window_flag_counts_windows_without_mask_pixels():
     cols = np.arange(m0.values.shape[1])
     sparse = m0.values & (cols < 30)[None, :]
     state = hmm_mod.HmmState(previous_l=1, beta=650.0)
-    cfg = PipelineConfig(seed=0)
+    cfg = PipelineConfig()
     rec = process_frame(f0, SegmentationMask(sparse), f1, m1, state, cfg)
     # A pixel whose whole window misses the mask is empty for every layer
     # of both hypotheses (1 + 2 layer fields).

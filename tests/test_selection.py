@@ -139,8 +139,7 @@ def _fitted(n_clusters, seed=0):
     rng = np.random.default_rng(seed)
     z = rng.random(400) < 0.5
     x = np.where(z, rng.normal(0, 1, 400), rng.normal(8, 1, 400))
-    return fit({"x": x}, _spec(n_clusters, (("x", "gaussian"),)),
-               init_seed=seed)
+    return fit({"x": x}, _spec(n_clusters, (("x", "gaussian"),)))
 
 
 def test_metrics_internal_consistency():
@@ -160,7 +159,7 @@ def test_metrics_internal_consistency():
 def test_metrics_rejects_fits_of_different_samples():
     f = _fitted(2)
     other = fit({"x": np.arange(1.0, 11.0)},
-                _spec(1, (("x", "gaussian"),)), init_seed=0)
+                _spec(1, (("x", "gaussian"),)))
     with pytest.raises(ValueError, match="sample counts"):
         metrics(f, other)
 
